@@ -35,6 +35,9 @@ at ``$GITHUB_STEP_SUMMARY`` in CI.  Recognized invariant keys:
   accuracy contract: analog floor ÷ refined residual);
 * ``refined_residual_max`` — every recorded ``refined_residual`` must be
   ≤ this (the ``rtol`` the refined solve contracted for);
+* ``max_refine_dispatches`` — every recorded ``refine_dispatches`` must
+  be ≤ this (the inexact-refinement cost bar: engine dispatches one
+  refined solve spends on its corrections);
 * ``eigs_per_programming_event`` — exact match where recorded;
 * ``reprogramming_events_per_solve`` — exact match where recorded;
 * ``reprogramming_events_steady_state`` / ``pool_evictions_steady_state``
@@ -101,6 +104,7 @@ _HEADLINE_KEYS = (
     "refined_residual",
     "residual_improvement",
     "refine_steps",
+    "refine_dispatches",
     "dispatches_per_sweep",
     "coalescing_factor",
     "reprogramming_events_per_solve",
@@ -208,6 +212,13 @@ def check_file(path: Path) -> list[str]:
                 failures.append(
                     f"{where}: refined_residual "
                     f"{result['refined_residual']:.3e} > {residual_max:.0e}"
+                )
+        max_refine = invariants.get("max_refine_dispatches")
+        if max_refine is not None and "refine_dispatches" in result:
+            if result["refine_dispatches"] > max_refine:
+                failures.append(
+                    f"{where}: refine_dispatches "
+                    f"{result['refine_dispatches']} > {max_refine}"
                 )
         min_recovery = invariants.get("min_recovery_rate")
         if min_recovery is not None and "recovery_rate" in result:

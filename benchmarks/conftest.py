@@ -8,6 +8,10 @@ figure plots, asserting the paper's qualitative shape.
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,3 +58,21 @@ def best_of():
         return best
 
     return _best_of
+
+
+@pytest.fixture(scope="session")
+def write_bench():
+    """Write a ``BENCH_*.json`` artifact — only when ``REPRO_WRITE_BENCH=1``.
+
+    The committed artifacts are regenerated on purpose (the CI perf,
+    obs and chaos smokes set the flag before their invariant gates); a
+    plain test run measures and asserts but leaves tracked files alone.
+    """
+
+    def _write(path: Path, payload: dict) -> None:
+        if os.environ.get("REPRO_WRITE_BENCH") != "1":
+            return
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"\nwrote {path}")
+
+    return _write

@@ -23,7 +23,6 @@ The bars, re-checked from ``BENCH_faults.json`` by
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,7 @@ def _chip(faults) -> GramcChip:
 
 
 @pytest.fixture(scope="module")
-def bench_payload():
+def bench_payload(write_bench):
     plan = FaultPlan.canonical()
     payload: dict = {
         "config": {
@@ -86,8 +85,7 @@ def bench_payload():
         "results": {},
     }
     yield payload
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    write_bench(_BENCH_JSON, payload)
 
 
 def test_chaos_recovery_rate(bench_payload):

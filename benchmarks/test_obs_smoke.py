@@ -72,7 +72,7 @@ def _solver(num_macros: int = 40) -> GramcSolver:
 
 
 @pytest.fixture(scope="module")
-def bench_payload():
+def bench_payload(write_bench):
     payload: dict = {
         "config": {
             "matrix": f"{_SIZE}x{_SIZE}",
@@ -89,8 +89,7 @@ def bench_payload():
         "results": {},
     }
     yield payload
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    write_bench(_BENCH_JSON, payload)
 
 
 def _ancestry(span, by_id) -> list[str]:

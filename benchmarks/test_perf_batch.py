@@ -15,7 +15,6 @@ doubles as the CI smoke step.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,7 @@ _EIGS_PER_PROGRAMMING_EVENT = 1
 
 
 @pytest.fixture(scope="module")
-def bench_payload():
+def bench_payload(write_bench):
     payload: dict = {
         "config": {
             "matrix": f"{_SIZE}x{_SIZE}",
@@ -71,8 +70,7 @@ def bench_payload():
         "results": {},
     }
     yield payload
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    write_bench(_BENCH_JSON, payload)
 
 
 def test_perf_batch_mvm(bench_payload, best_of):

@@ -18,7 +18,6 @@ re-validate the claims straight from the artifact.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,7 @@ def _solver() -> GramcSolver:
 
 
 @pytest.fixture(scope="module")
-def bench_payload():
+def bench_payload(write_bench):
     payload: dict = {
         "config": {
             "matrix": f"{_SIZE}x{_SIZE}",
@@ -83,8 +82,7 @@ def bench_payload():
         "results": {},
     }
     yield payload
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    write_bench(_BENCH_JSON, payload)
 
 
 def test_perf_blocked_inv(bench_payload, best_of):

@@ -30,7 +30,6 @@ re-validate the claims straight from the artifact.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +95,7 @@ def _problem(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.fixture(scope="module")
-def bench_payload():
+def bench_payload(write_bench):
     payload: dict = {
         "config": {
             "tile": _TILE,
@@ -115,8 +114,7 @@ def bench_payload():
         "results": {},
     }
     yield payload
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    write_bench(_BENCH_JSON, payload)
 
 
 def _measure(size: int, bench_payload, best_of) -> dict:

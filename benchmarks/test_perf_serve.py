@@ -21,7 +21,6 @@ this doubles as the CI smoke step.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from pathlib import Path
 
@@ -77,7 +76,7 @@ def _trace(rng: np.random.Generator):
 
 
 @pytest.fixture(scope="module")
-def bench_payload():
+def bench_payload(write_bench):
     payload: dict = {
         "config": {
             "matrix": f"{_SIZE}x{_SIZE}",
@@ -95,8 +94,7 @@ def bench_payload():
         "results": {},
     }
     yield payload
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    write_bench(_BENCH_JSON, payload)
 
 
 def _run_trace(service_config: ServeConfig, operands, trace) -> dict:

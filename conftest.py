@@ -19,10 +19,26 @@ asyncio-strict posture of pytest-asyncio without the dependency.
 
 from __future__ import annotations
 
-import asyncio
-import inspect
+import os
 
-import pytest
+# BLAS thread policy for the whole suite, set before NumPy is first
+# imported: one BLAS thread unless the caller chose otherwise.  The
+# default pool oversubscribes a small host and turns the wall-clock
+# ratio gates under ``benchmarks/`` into coin flips.
+for _var in (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
+
+import asyncio  # noqa: E402
+import inspect  # noqa: E402
+
+import pytest  # noqa: E402
 
 
 def pytest_addoption(parser):

@@ -49,7 +49,7 @@ import numpy as np
 from repro.analog import determinism
 from repro.analog.results import CircuitSolution
 from repro.analog.topologies import AMCMode
-from repro.core.ranging import autorange_gain_batch, autorange_mvm
+from repro.core.ranging import MIN_INPUT_SCALE, autorange_gain_batch, autorange_mvm
 from repro.macro.amc_macro import MacroResult
 from repro.obs import trace
 
@@ -404,7 +404,7 @@ class GridEngine:
             np.abs(xc, out=ac)
             peaks = np.max(ac, axis=1)
             sc = np.where(peaks == 0.0, 1.0, peaks / (solver.headroom * v_ref))
-            np.maximum(sc, 1e-30, out=scales[c])
+            np.maximum(sc, MIN_INPUT_SCALE, out=scales[c])
             sc = scales[c]
             # DAC stage (the ``quantize_value`` chain, in place).  The
             # scaled chunks are divided straight into the DAC buffer — the
@@ -658,7 +658,7 @@ class GridEngine:
 
         peaks = np.max(np.abs(rhs), axis=1)
         scales = np.where(peaks == 0.0, 1.0, peaks / (solver.headroom * v_ref))
-        scales = np.maximum(scales, 1e-30)
+        scales = np.maximum(scales, MIN_INPUT_SCALE)
         scaled = rhs / scales[:, None, :]
 
         v_in = dac.quantize_value(scaled)

@@ -39,7 +39,12 @@ import numpy as np
 from repro.analog.topologies import AMCMode
 from repro.arrays.mapping import DifferentialMapping
 from repro.core.errors import CapacityError, GramcError, ShapeError
-from repro.core.ranging import autorange_gain, autorange_gain_batch, autorange_mvm
+from repro.core.ranging import (
+    MIN_INPUT_SCALE,
+    autorange_gain,
+    autorange_gain_batch,
+    autorange_mvm,
+)
 from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result
 from repro.core.results import SolveResult
 from repro.macro.amc_macro import AMCMacro
@@ -502,9 +507,9 @@ class AnalogOperator:
 
         v_ref = solver.pool.config.dac.v_ref
         if batched:
-            scale = np.maximum(solver._input_scales(x, v_ref), 1e-30)
+            scale = np.maximum(solver._input_scales(x, v_ref), MIN_INPUT_SCALE)
         else:
-            scale = max(solver._input_scale(x, v_ref), 1e-30)
+            scale = max(solver._input_scale(x, v_ref), MIN_INPUT_SCALE)
         accumulator = np.zeros((self.shape[0],) + x.shape[1:])
         any_saturated = False
         column_saturated = np.zeros(x.shape[1], dtype=bool) if batched else None
@@ -645,7 +650,8 @@ class AnalogOperator:
                 b=b,
                 rtol=rtol,
                 max_steps=max_refine_steps,
-                solve_correction=self._solve_batch,
+                # One analog settling per correction: no sweeps to grow.
+                solve_correction=lambda residual, _sweeps: self._solve_batch(residual),
                 solver=self._solver,
             )
         return self._capture_cost(refined, before, started)
@@ -679,7 +685,7 @@ class AnalogOperator:
             lambda s: tile.primary.compute_inv(b / s, partner=tile.partner),
             tile.primary,
             lambda result, s, g_f: -result.values * s / (tile.mapping.value_scale * g_f),
-            scale=max(solver._input_scale(b, solver.pool.config.dac.v_ref), 1e-30),
+            scale=max(solver._input_scale(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE),
             target=solver._output_target,
             max_attempts=solver.max_attempts,
         )
@@ -756,7 +762,7 @@ class AnalogOperator:
                 ),
                 tile_a.primary,
                 lambda result, s, g_f: -result.values * s / (tile_a.mapping.value_scale * g_f),
-                scale=max(solver._input_scale(b, solver.pool.config.dac.v_ref), 1e-30),
+                scale=max(solver._input_scale(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE),
                 target=solver._output_target,
                 max_attempts=solver.max_attempts,
             )
@@ -883,7 +889,7 @@ class AnalogOperator:
         assert self._tiles is not None
         tile = self._tiles[0]
         scales = np.maximum(
-            solver._input_scales(b, solver.pool.config.dac.v_ref), 1e-30
+            solver._input_scales(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE
         )
         outcome = autorange_gain_batch(
             lambda s: tile.primary.compute_inv(b / s, partner=tile.partner),
@@ -920,7 +926,7 @@ class AnalogOperator:
         tile_a = self._tiles[0]
         tile_at = self._transpose._tiles[0]
         scales = np.maximum(
-            solver._input_scales(b, solver.pool.config.dac.v_ref), 1e-30
+            solver._input_scales(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE
         )
         outcome = autorange_gain_batch(
             lambda s: tile_a.primary.compute_pinv(

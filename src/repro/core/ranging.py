@@ -35,6 +35,12 @@ from repro.macro.amc_macro import AMCMacro, MacroResult
 from repro.macro.registers import g_f_code_for
 from repro.obs import trace
 
+MIN_INPUT_SCALE = float(np.finfo(float).tiny)
+"""Floor on a right-hand side's DAC divisor: the smallest normal float64.
+Every nonzero column still ranges to the full DAC span, down to the
+bottom of the float64 range — a 1e-300 right-hand side solves like a
+unit one; the floor only keeps the divisor itself normal."""
+
 
 def autorange_mvm(
     compute: Callable[[], MacroResult],

@@ -26,6 +26,29 @@ grows instead; the loop detects that and raises a structured
 :class:`~repro.core.errors.ConvergenceError` carrying the per-step
 residual trace.
 
+The correction need not be a converged solve.  A blocked (tiled) solve
+is itself a stationary sweep iteration, so re-sweeping each correction
+to a tolerance only polishes an answer the next float64 residual throws
+away.  Each step therefore asks ``resolve`` for ``k`` inner sweeps —
+*inexact* refinement, one sweep per step to begin with — and doubles
+``k`` (capped at the caller's ``max_sweeps``) only when the step budget
+demands it: after a step, with ``q`` the worst contraction
+``res_new/res_old`` over the still-unconverged columns and ``s`` the
+steps left,
+
+.. code-block:: text
+
+    grow k  when  q > min_j (rtol_j / res_j) ** (1 / s)
+
+i.e. when contracting at the measured rate would not reach the target
+within the remaining budget.  No extra knob: ``rtol`` and the step
+budget decide ``k``.  Single-array resolves ignore ``k`` (one analog
+solve is one settling, there are no sweeps to add).
+
+Residual norms are overflow-safe: each column is scaled by a power of
+two before it is normed, which is exact, so a right-hand side near the
+float64 range limits (1e±300) refines like any other.
+
 The loop is **column-masked**: with a matrix right-hand side, columns
 that have already reached their target drop out of subsequent correction
 solves, so a mixed-``rtol`` batch (the serve layer coalesces requests
@@ -38,7 +61,8 @@ bitwise independent of which sibling columns shared its batch —
 coalescing stays bit-transparent through refinement.
 
 This module is deliberately engine-agnostic: it sees the float64 matrix,
-the analog first guess, and a ``resolve(residual_columns)`` callable.
+the analog first guess, and a ``resolve(residual_columns, sweeps)``
+callable.
 :meth:`AnalogOperator.solve` and :meth:`TiledOperator.solve` own the
 wiring (and the dispatch accounting that makes the analog/digital work
 split observable in :class:`~repro.system.stats.ChipStats`).
@@ -59,9 +83,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.results import SolveResult
 
 DEFAULT_MAX_STEPS = 25
-"""Default refinement-step budget.  With a healthy contraction of
-η ≈ 4e-2 per step, 25 steps cover > 30 orders of magnitude — the budget
-exists to bound near-stagnant loops, not to be reached."""
+"""Default refinement-step budget.  A single-array step contracts by
+η ≈ 4e-2, so 25 steps cover > 30 orders of magnitude.  A blocked step
+starts as one sweep (contracting by the splitting's rate, ~0.2 on a
+block-dominant grid: 1e-10 in about 14 steps); slower splittings spend
+the budget by growing sweeps per step, not by running out of steps.
+The budget bounds near-stagnant loops and is not meant to be reached."""
 
 DIVERGENCE_RATIO = 4.0
 """A column whose residual grows past ``DIVERGENCE_RATIO ×`` its best
@@ -148,17 +175,61 @@ def worst_columns_of(
     return tuple(int(c) for c in candidates[order[:k]])
 
 
+def _power_of_two_scale(peak: np.ndarray) -> np.ndarray:
+    """The largest power of two at or below each finite, nonzero ``peak``
+    (1 elsewhere) — always a finite float, even for a peak at the top
+    of the float64 range.  Dividing by it is exact, so a norm taken on
+    the scaled data and multiplied back equals the unscaled norm bit for
+    bit wherever the unscaled one neither overflows nor underflows."""
+    peak = np.asarray(peak, dtype=float)
+    usable = np.isfinite(peak) & (peak > 0.0)
+    _, exponent = np.frexp(np.where(usable, peak, 1.0))
+    return np.where(usable, np.ldexp(1.0, exponent - 1), 1.0)
+
+
+def _column_scales(block: np.ndarray) -> np.ndarray:
+    return _power_of_two_scale(np.max(np.abs(block), axis=0))
+
+
+_PLAIN_NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+"""Above this a plain 2-norm cannot have lost precision to underflow:
+its squared terms that fall below the smallest normal float are then
+smaller than one ulp of the sum."""
+
+
+def scaled_norm(vector: np.ndarray) -> float:
+    """Overflow- and underflow-safe 2-norm of a whole array.
+
+    The plain norm is returned whenever it is finite and above
+    :data:`_PLAIN_NORM_FLOOR` (the common case, at no extra cost);
+    otherwise the array is rescaled by a power of two and normed again."""
+    vector = np.asarray(vector, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        plain = float(np.linalg.norm(vector))
+    if np.isfinite(plain) and plain > _PLAIN_NORM_FLOOR:
+        return plain
+    if vector.size == 0:
+        return 0.0
+    scale = float(_power_of_two_scale(np.max(np.abs(vector))))
+    return scale * float(np.linalg.norm(vector / scale))
+
+
 def _column_norms(block: np.ndarray) -> np.ndarray:
-    """Per-column 2-norms with a batch-width-independent reduction order.
+    """Per-column 2-norms, overflow-safe, with a batch-width-independent
+    reduction order.
 
     ``np.linalg.norm(block, axis=0)`` reduces along strided views whose
     blocking can depend on the batch width; norming each column as its
     own contiguous vector pins one summation order, so the convergence
     decisions (and hence the correction schedule) of a column never
-    depend on which siblings share its batch."""
-    return np.array(
+    depend on which siblings share its batch.  Each column is first
+    divided by its own power-of-two scale (see :func:`scaled_norm`),
+    which is elementwise and so width-independent too."""
+    scales = _column_scales(block)
+    scaled = block / scales
+    return scales * np.array(
         [
-            float(np.linalg.norm(np.ascontiguousarray(block[:, j])))
+            float(np.linalg.norm(np.ascontiguousarray(scaled[:, j])))
             for j in range(block.shape[1])
         ]
     )
@@ -168,10 +239,11 @@ def refine_solution(
     matrix: np.ndarray,
     b: np.ndarray,
     x0: np.ndarray,
-    resolve: Callable[[np.ndarray], np.ndarray],
+    resolve: Callable[[np.ndarray, int], np.ndarray],
     rtol: np.ndarray,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
+    max_sweeps: int = 1,
     divergence_ratio: float = DIVERGENCE_RATIO,
 ) -> tuple[np.ndarray, RefineReport]:
     """Refine ``x0`` until every column's relative residual meets ``rtol``.
@@ -184,12 +256,17 @@ def refine_solution(
     b, x0:
         Right-hand side and the analog first guess, both ``(n, k)``.
     resolve:
-        ``resolve(r)`` → approximate ``A⁻¹·r`` for an ``(n, j)`` residual
-        block (``j`` ≤ ``k``: converged columns are masked out).  This is
-        the analog re-solve on the resident operator; it must not
+        ``resolve(r, sweeps)`` → approximate ``A⁻¹·r`` for an ``(n, j)``
+        residual block (``j`` ≤ ``k``: converged columns are masked out),
+        spending ``sweeps`` inner sweeps where the solver has any.  This
+        is the analog re-solve on the resident operator; it must not
         reprogram anything.
     rtol:
         Per-column targets from :func:`as_rtol_vector`.
+    max_sweeps:
+        Cap on the inner sweeps per step.  Steps start at one sweep and
+        double only when the measured contraction would miss ``rtol``
+        within the remaining ``max_steps`` (see the module docstring).
 
     Returns the refined solution and a :class:`RefineReport`.  Raises
     :class:`~repro.core.errors.ConvergenceError` (with ``steps`` and
@@ -202,7 +279,8 @@ def refine_solution(
     b = np.asarray(b, dtype=float)
     columns = b.shape[1]
 
-    b_norms = np.linalg.norm(b, axis=0)
+    b_scales = _column_scales(b)
+    b_norms = b_scales * np.linalg.norm(b / b_scales, axis=0)
     # An all-zero column's solution is exactly zero; judge it absolutely.
     denominators = np.where(b_norms == 0.0, 1.0, b_norms)
 
@@ -224,19 +302,21 @@ def refine_solution(
     trace = [worst(res)]
     steps = 0
     correction_solves = 0
+    sweeps = 1
 
     while steps < max_steps and not converged.all():
         active = ~converged
         with obs_trace.span(
-            "refine_step", step=steps + 1, active=int(active.sum())
+            "refine_step", step=steps + 1, active=int(active.sum()), sweeps=sweeps
         ) as sp:
-            correction = resolve(residual[:, active])
+            correction = resolve(residual[:, active], sweeps)
             x[:, active] += correction
             steps += 1
             correction_solves += 1
             residual[:, active] = b[:, active] - apply_matrix_per_column(
                 matrix, x[:, active]
             )
+            previous = res
             res = res.copy()
             res[active] = (
                 _column_norms(residual[:, active]) / denominators[active]
@@ -260,6 +340,15 @@ def refine_solution(
                     worst_columns=worst_columns_of(res, grew),
                 )
             np.minimum(best, np.where(np.isfinite(res), res, np.inf), out=best)
+            pending = active & ~converged
+            steps_left = max_steps - steps
+            if sweeps < max_sweeps and steps_left > 0 and pending.any():
+                contraction = float(np.max(res[pending] / previous[pending]))
+                needed = float(
+                    np.min((rtol[pending] / res[pending]) ** (1.0 / steps_left))
+                )
+                if contraction > needed:
+                    sweeps = min(2 * sweeps, max_sweeps)
 
     report = RefineReport(
         steps=steps,
@@ -275,13 +364,13 @@ def refine_solution(
 class _CorrectionFold:
     """Folds each correction solve's scalar diagnostics into running totals.
 
-    The refinement loop wants a plain ``residual → correction array``
-    callable; the operator layers produce full result objects.  This
+    The refinement loop wants a plain ``(residual, sweeps) → correction
+    array`` callable; the operator layers produce full result objects.  This
     adapter bridges the two while keeping ``attempts`` / ``stable`` /
     ``saturated`` honest across the whole refined solve.
     """
 
-    def __init__(self, solve_correction: Callable[[np.ndarray], "object"]):
+    def __init__(self, solve_correction: Callable[[np.ndarray, int], "object"]):
         self._solve = solve_correction
         self.attempts = 0
         self.stable = True
@@ -291,9 +380,9 @@ class _CorrectionFold:
         residual recomputes scale with this, so it sizes the refinement
         MAC charge."""
 
-    def __call__(self, residual: np.ndarray) -> np.ndarray:
+    def __call__(self, residual: np.ndarray, sweeps: int) -> np.ndarray:
         self.columns_resolved += residual.shape[1]
-        inner = self._solve(residual)
+        inner = self._solve(residual, sweeps)
         self.attempts += inner.attempts
         self.stable &= inner.stable
         self.saturated |= inner.saturated
@@ -307,18 +396,21 @@ def refine_solve_result(
     b: np.ndarray,
     rtol,
     max_steps: int,
-    solve_correction: Callable[[np.ndarray], "object"],
+    solve_correction: Callable[[np.ndarray, int], "object"],
     solver,
+    max_sweeps: int = 1,
 ) -> "SolveResult":
     """Run refinement on top of a base analog :class:`SolveResult`.
 
-    ``solve_correction(r)`` must return an object with ``value`` /
-    ``attempts`` / ``stable`` / ``saturated`` (a :class:`SolveResult`
-    or duck-equivalent) for an ``(n, j)`` residual block, solved on the
-    resident operator.  The returned result carries the refined value,
-    the aggregated scalar diagnostics, and the refinement metadata;
-    ``solver`` is charged the step/dispatch accounting (the analog/
-    digital work split in :class:`~repro.system.stats.ChipStats`).
+    ``solve_correction(r, sweeps)`` must return an object with
+    ``value`` / ``attempts`` / ``stable`` / ``saturated`` (a
+    :class:`SolveResult` or duck-equivalent) for an ``(n, j)`` residual
+    block, solved on the resident operator with ``sweeps`` inner sweeps
+    (≤ ``max_sweeps``; single-array solves ignore it).  The returned
+    result carries the refined value, the aggregated scalar diagnostics,
+    the refinement metadata and ``converged`` set to the contract's
+    verdict; ``solver`` is charged the step/dispatch accounting (the
+    analog/digital work split in :class:`~repro.system.stats.ChipStats`).
     """
     vector = b.ndim == 1
     big_b = b[:, None] if vector else b
@@ -326,6 +418,7 @@ def refine_solve_result(
     if columns == 0:
         return replace(
             base,
+            converged=True,
             refine_steps=0,
             refined_residual=0.0,
             per_column_converged=np.zeros(0, dtype=bool),
@@ -345,7 +438,8 @@ def refine_solve_result(
 
     try:
         refined, report = refine_solution(
-            matrix, big_b, x0, fold, targets, max_steps=max_steps
+            matrix, big_b, x0, fold, targets,
+            max_steps=max_steps, max_sweeps=max_sweeps,
         )
     except ConvergenceError as error:
         solver._record_refinement(
@@ -365,6 +459,7 @@ def refine_solve_result(
         attempts=base.attempts + fold.attempts,
         stable=base.stable and fold.stable,
         saturated=base.saturated or fold.saturated,
+        converged=report.converged,
         refine_steps=report.steps,
         refined_residual=report.residual,
         per_column_converged=report.per_column_converged,

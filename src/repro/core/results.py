@@ -53,8 +53,10 @@ class SolveResult:
     inexact-matvec model predicts for stationary sweeps with analog
     (η-relative-error) products.  ``None`` for direct solves."""
     converged: bool | None = None
-    """Blocked solves: whether the sweep update fell below tolerance
-    before the sweep budget ran out.  ``None`` for direct solves."""
+    """Refined solves (any ``rtol``): the contract's verdict,
+    ``per_column_converged.all()``.  Blocked solves without ``rtol``:
+    whether the sweep update fell below tolerance before the sweep
+    budget ran out.  ``None`` for direct solves without ``rtol``."""
     engine_dispatches: int | None = None
     """Blocked solves: digital-engine kernel dispatches this solve issued.
     The stacked grid engine pays a constant number per sweep (one batched

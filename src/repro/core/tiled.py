@@ -45,7 +45,7 @@ import numpy as np
 from repro.analog.topologies import AMCMode
 from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
 from repro.core.grid_engine import GridEngine
-from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result
+from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result, scaled_norm
 from repro.core.results import SolveResult
 from repro.obs import trace
 
@@ -578,17 +578,21 @@ class TiledOperator:
         per-tile Python loop (the reference baseline the benchmarks
         compare against).
 
-        ``rtol`` turns the O(η·κ) floor into a **contract**: after the
-        analog sweeps, digital iterative refinement
-        (:mod:`repro.core.refine`) measures the float64 residual and
-        re-solves the correction on the *already programmed* grid — zero
-        reprogramming, each refinement step one more batched sweep solve
-        over the still-unconverged columns — until every column's
+        ``rtol`` turns the O(η·κ) floor into a **contract**: digital
+        iterative refinement (:mod:`repro.core.refine`) measures the
+        float64 residual and re-solves the correction on the *already
+        programmed* grid — zero reprogramming — until every column's
         relative residual meets its target (scalar or per-column vector;
-        ``inf`` entries skip refinement).  ``refine_steps`` /
+        ``inf`` entries skip refinement).  Refinement is inexact: the
+        base solve is one sweep, and each step runs ``k`` sweeps over
+        the still-unconverged columns, ``k`` starting at 1 and doubling
+        only when the measured contraction would miss ``rtol`` within
+        ``max_refine_steps``.  Under ``rtol``, ``max_sweeps`` caps ``k``
+        and ``tolerance`` is unused.  ``refine_steps`` /
         ``refined_residual`` / ``per_column_converged`` /
-        ``refine_residual_trace`` report the outcome; ``sweeps`` counts
-        base and correction sweeps together.  Raises
+        ``refine_residual_trace`` report the outcome, ``converged`` is
+        the contract's verdict, and ``sweeps`` counts base and
+        correction sweeps together.  Raises
         :class:`~repro.core.errors.ConvergenceError` (step trace
         attached) when refinement diverges.
         """
@@ -633,7 +637,8 @@ class TiledOperator:
             )
             floor = self._residual_floor(b, inner.value)
             inner = replace(
-                inner, sweeps=1, residual_floor=floor, converged=True,
+                inner, sweeps=1, residual_floor=floor,
+                converged=True if rtol is None else inner.converged,
                 macro_ids=self.macro_ids,
                 engine_dispatches=solver.engine_dispatches - dispatches_before,
                 stack_rebuilds=solver.stack_rebuilds - rebuilds_before,
@@ -659,9 +664,12 @@ class TiledOperator:
             engine="stacked" if grid is not None else "pertile",
             refine=rtol is not None,
         ) as sp:
+            # Under ``rtol`` the base solve is a single sweep: refinement
+            # steps do the contracting, on the float64 residual.
             x, sweeps, converged = self._run_sweeps(
                 big_b, stats,
-                tolerance=tolerance, max_sweeps=max_sweeps,
+                sweeps=max_sweeps if rtol is None else 1,
+                tolerance=tolerance if rtol is None else None,
                 gauss_seidel=gauss_seidel, grid=grid,
             )
 
@@ -685,18 +693,19 @@ class TiledOperator:
 
             if rtol is not None:
                 # Each refinement step re-solves the residual on the resident
-                # grid: a fresh block-sweep solve (zero reprogramming) whose
-                # per-column metadata stays local to the step — the returned
-                # per-column arrays describe the base analog step, the scalar
-                # attempts/stable/saturated fold corrections in.
+                # grid with exactly ``k`` sweeps from zero (zero
+                # reprogramming); its per-column metadata stays local to the
+                # step — the returned per-column arrays describe the base
+                # analog step, the scalar attempts/stable/saturated fold
+                # corrections in.
                 correction_sweeps = 0
 
-                def correction(residual: np.ndarray) -> SimpleNamespace:
+                def correction(residual: np.ndarray, k: int) -> SimpleNamespace:
                     nonlocal correction_sweeps
                     corr_stats = _SweepStats(residual.shape[1])
                     xc, csweeps, _ = self._run_sweeps(
                         residual, corr_stats,
-                        tolerance=tolerance, max_sweeps=max_sweeps,
+                        sweeps=k, tolerance=None,
                         gauss_seidel=gauss_seidel, grid=grid,
                     )
                     correction_sweeps += csweeps
@@ -713,6 +722,7 @@ class TiledOperator:
                     b=b,
                     rtol=rtol,
                     max_steps=max_refine_steps,
+                    max_sweeps=max_sweeps,
                     solve_correction=correction,
                     solver=solver,
                 )
@@ -735,17 +745,20 @@ class TiledOperator:
         big_b: np.ndarray,
         stats: _SweepStats,
         *,
-        tolerance: float,
-        max_sweeps: int,
+        sweeps: int,
+        tolerance: float | None,
         gauss_seidel: bool,
         grid: "GridEngine | None",
     ) -> tuple[np.ndarray, int, bool]:
-        """One full blocked solve from a zero initial iterate.
+        """A blocked solve from a zero initial iterate.
 
-        Shared by the base solve and every refinement correction (which
-        re-solves the residual on the same resident grid).  Returns
-        ``(x, sweeps, converged)``; ``stats`` accumulates the engine-call
-        diagnostics of this solve only.
+        With a ``tolerance`` (the ``rtol=None`` solve) it sweeps until the
+        relative update falls below it, the update stalls, or ``sweeps``
+        run out.  With ``tolerance=None`` (the base solve and every
+        refinement correction of an ``rtol`` solve) it runs exactly
+        ``sweeps`` sweeps.  Returns ``(x, sweeps_run, converged)``;
+        ``stats`` accumulates the engine-call diagnostics of this solve
+        only.
         """
         x = np.zeros_like(big_b)
 
@@ -768,14 +781,14 @@ class TiledOperator:
                     x[self._edges[i]] = inner.value
                     stats.add_result(inner)
 
-        sweeps = 0
+        sweeps_run = 0
         converged = False
         previous_delta = float("inf")
         stalled = 0
         if not coupled:
-            sweeps = 1
+            sweeps_run = 1
             converged = True
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, sweeps + 1):
             if not coupled:
                 break
             previous = x.copy()
@@ -792,15 +805,19 @@ class TiledOperator:
                     grid.sweep(big_b, x, source, coupled, stats, gauss_seidel)
                 else:
                     self._swept_pertile(big_b, x, source, coupled, stats)
-            sweeps = sweep
-            delta = float(np.linalg.norm(x - previous))
-            scale = max(float(np.linalg.norm(x)), 1e-30)
+            sweeps_run = sweep
+            # Scale-safe norms: a 1e300 right-hand side must not read as
+            # an overflowing (diverged) update.
+            delta = scaled_norm(x - previous)
+            scale = scaled_norm(x)
             if not np.isfinite(delta) or delta > 1e9 * scale:
                 raise ConvergenceError(
                     "block sweep diverged — the operand is not block-"
                     "diagonally dominant enough for a stationary blocked solve"
                 )
-            relative_delta = delta / scale
+            if tolerance is None:
+                continue
+            relative_delta = delta / scale if scale > 0.0 else 0.0
             if relative_delta < tolerance:
                 converged = True
                 break
@@ -818,7 +835,7 @@ class TiledOperator:
             else:
                 stalled = 0
             previous_delta = relative_delta
-        return x, sweeps, converged
+        return x, sweeps_run, converged
 
     def _residual_floor(self, b: np.ndarray, value: np.ndarray) -> float:
         """Digitally evaluated relative residual of the analog solution.
@@ -827,10 +844,10 @@ class TiledOperator:
         product per solve, reported so users see the O(η·κ) floor the
         inexact-matvec model predicts.
         """
-        b_norm = float(np.linalg.norm(b))
+        b_norm = scaled_norm(b)
         if b_norm == 0.0:
-            return float(np.linalg.norm(value))
-        return float(np.linalg.norm(b - self.matrix @ value) / b_norm)
+            return scaled_norm(value)
+        return scaled_norm(b - self.matrix @ value) / b_norm
 
     def _empty_result(self, mode: AMCMode, reference: np.ndarray) -> SolveResult:
         solve_mode = mode is AMCMode.INV

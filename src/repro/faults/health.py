@@ -4,9 +4,9 @@ The monitor never sees the fault plan's contents — detection is earned
 from signals the stack already produces for free:
 
 * **refinement regressions** — a ``refine_residual_trace`` that worsens,
-  a large step count, or unconverged columns;
+  contracts too slowly per sweep, or leaves columns unconverged;
 * **ranging retries** — per-column auto-ranging attempts far above the
-  steady-state one-attempt norm;
+  steady-state norm of one attempt per tile evaluation;
 * **write-verify pulse counts** — a targeted re-verify that has to
   rewrite a large share of a tile's cells means the cells are drifting;
 * **canary solves** — a cheap known-RHS solve against each resident
@@ -42,6 +42,13 @@ the max) keeps the criterion robust to write-verify's own cycle-to-cycle
 spread: on a large tile the worst of thousands of fresh lognormal draws
 routinely lands several sigma out, and a max-based pass would escalate
 perfectly healthy silicon straight to quarantine."""
+
+_SLOW_SWEEP_CONTRACTION = 0.5
+"""Refinement is "slow" when the residual trace shrinks by less than
+half per sweep on average.  Healthy block-dominant grids contract by
+0.2–0.5 per sweep (Gauss-Seidel and Jacobi) and a single-array step by
+η ≈ 4e-2; judging per sweep rather than per refinement step keeps the
+signal independent of how many sweeps each step was given."""
 
 _FAULT_PENALTIES = {
     # Only hardware-detectable events move scores at injection time;
@@ -148,13 +155,13 @@ class HealthMonitor:
         attempts = getattr(result, "per_column_attempts", None)
         if attempts is None:
             attempts = getattr(result, "attempts", 1)
-        if np.max(attempts) > 3:
+        if np.max(attempts) > 3 * _tile_evaluations(operator, result):
             penalty += 0.05
         trace_values = getattr(result, "refine_residual_trace", None)
         if trace_values is not None and len(trace_values) >= 2:
             if trace_values[-1] > trace_values[0]:
                 penalty += 0.2
-            elif len(trace_values) - 1 >= 12:
+            elif _contraction_per_sweep(result, trace_values) > _SLOW_SWEEP_CONTRACTION:
                 penalty += 0.1
         per_column = getattr(result, "per_column_converged", None)
         if per_column is not None and not bool(np.all(per_column)):
@@ -354,3 +361,28 @@ class HealthMonitor:
             snapshot["clock"] = self._injector.clock
             snapshot["events"] = list(self._injector.log)
         return snapshot
+
+
+def _tile_evaluations(operator, result) -> int:
+    """Tile evaluations behind a result's attempt counts at one attempt
+    each — the steady-state ranging norm.  A single-array result is one
+    evaluation; a blocked one evaluates every tile once per sweep of its
+    analog step (the base sweep of a refined solve: its per-column
+    arrays describe that step)."""
+    tiles = getattr(operator, "block_count", 1)
+    sweeps = getattr(result, "sweeps", None)
+    if sweeps is None or getattr(result, "refine_steps", None) is not None:
+        sweeps = 1
+    return max(int(tiles) * int(sweeps), 1)
+
+
+def _contraction_per_sweep(result, trace_values) -> float:
+    """Geometric-mean residual contraction per sweep over a refined solve.
+
+    Blocked results count their sweeps; a single-array result (no
+    sweeps) one analog solve per refinement step."""
+    first, last = float(trace_values[0]), float(trace_values[-1])
+    if first <= 0.0:
+        return 0.0
+    sweeps = max(getattr(result, "sweeps", None) or 0, len(trace_values) - 1)
+    return (last / first) ** (1.0 / sweeps)

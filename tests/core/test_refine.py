@@ -84,7 +84,7 @@ class TestPureLoop:
         exact_inverse = np.linalg.inv(matrix)
         rng = np.random.default_rng(1)
 
-        def eta_resolve(r):
+        def eta_resolve(r, _sweeps=1):
             d = exact_inverse @ r
             return d * (1.0 + 0.05 * rng.uniform(-1, 1, size=d.shape))
 
@@ -107,7 +107,7 @@ class TestPureLoop:
         exact_inverse = np.linalg.inv(matrix)
         widths = []
 
-        def exact_resolve(r):
+        def exact_resolve(r, _sweeps):
             widths.append(r.shape[1])
             return exact_inverse @ r
 
@@ -125,7 +125,7 @@ class TestPureLoop:
         matrix, b = self._system(k=2)
         calls = []
 
-        def never(r):  # pragma: no cover - must not run
+        def never(r, _sweeps):  # pragma: no cover - must not run
             calls.append(r)
             return r
 
@@ -145,7 +145,7 @@ class TestPureLoop:
 
         with pytest.raises(ConvergenceError) as excinfo:
             refine_solution(
-                matrix, b, np.zeros_like(b), lambda r: wrong @ r,
+                matrix, b, np.zeros_like(b), lambda r, _sweeps: wrong @ r,
                 as_rtol_vector(1e-12, b.shape[1]),
             )
         error = excinfo.value
@@ -162,7 +162,7 @@ class TestPureLoop:
 
         # A barely-contracting solver: legal (never trips the divergence
         # ratio) but far too slow for a 2-step budget.
-        def slow(r):
+        def slow(r, _sweeps):
             return 0.05 * (exact_inverse @ r)
 
         x, report = refine_solution(
@@ -178,7 +178,7 @@ class TestPureLoop:
         b[:, 1] = 0.0
         exact_inverse = np.linalg.inv(matrix)
         x, report = refine_solution(
-            matrix, b, np.zeros_like(b), lambda r: exact_inverse @ r,
+            matrix, b, np.zeros_like(b), lambda r, _sweeps: exact_inverse @ r,
             as_rtol_vector(1e-12, 2),
         )
         assert report.converged

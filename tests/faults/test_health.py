@@ -9,6 +9,9 @@ from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.faults import DriftOnset, FaultInjector, FaultPlan, StuckCells
 from repro.obs.registry import MetricsRegistry
+from repro.programming.levels import LevelMap
+from repro.system.gramc import GramcChip
+from repro.workloads.matrices import block_dominant
 
 
 def make_stack(plan=None, num_macros=4, n=16, registry=None):
@@ -170,3 +173,26 @@ def test_snapshot_carries_the_evidence_trail():
     assert snap["events"][0]["kind"] == "stuck_cells"
     assert snap["scores"][0] == 0.5
     assert snap["quarantined"] == []
+
+
+def test_fault_free_refined_tiled_solve_earns_a_reward():
+    """One-sweep refinement steps make a healthy 256×256/4×4 refined
+    solve take more steps than a swept one did; judged per sweep (and
+    its attempts per tile evaluation) it is still healthy evidence."""
+    rng = np.random.default_rng(3)
+    matrix = block_dominant(256, 64, rng=rng)
+    batch = rng.uniform(-1, 1, size=(256, 4))
+    chip = GramcChip(
+        PoolConfig(num_macros=40, rows=64, cols=64, level_map=LevelMap(num_levels=256)),
+        rng=np.random.default_rng(20260808),
+        faults=FaultPlan(),
+    )
+    op = chip.compile(matrix, AMCMode.INV)
+    monitor = chip.faults.monitor
+    macro_ids = tuple(op.macro_ids)
+    monitor.penalize(macro_ids, 0.3)
+    before = [monitor.score(m) for m in macro_ids]
+    result = op.solve(batch, rtol=1e-10)
+    assert result.converged and result.refine_steps >= 12
+    after = [monitor.score(m) for m in macro_ids]
+    assert all(a > b for a, b in zip(after, before))
