@@ -30,6 +30,7 @@ re-validate the claims straight from the artifact.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +182,17 @@ def test_grid_256(bench_payload, best_of):
 
 
 def test_grid_512(bench_payload, best_of):
-    """16×16 grid, 256 tiles: the headline ≥3× sweep-throughput claim."""
+    """16×16 grid, 256 tiles: the headline ≥3× sweep-throughput claim.
+
+    The counter and accuracy asserts in ``_measure`` always run.  The
+    wall-clock ratio gates only the perf smoke (``REPRO_WRITE_BENCH=1``,
+    where ``check_invariants.py`` re-checks it from the artifact): the
+    stacked engine's lanes make its wall clock depend on whether a second
+    core is free, so the ratio is not a deterministic tier-1 check.
+    """
     row = _measure(512, bench_payload, best_of)
-    assert row["speedup"] >= _MIN_SPEEDUP_512
+    if os.environ.get("REPRO_WRITE_BENCH") == "1":
+        assert row["speedup"] >= _MIN_SPEEDUP_512
 
 
 def test_grid_bitwise_deterministic(bench_payload):

@@ -38,11 +38,28 @@ auto-ranging decisions re-enter the *shared* ranging helpers through a
 closure whose first call returns the already-computed stacked attempt —
 steady-state tiles never fall back to a per-tile engine call, ranging
 tiles continue bit-faithfully from attempt 2.
+
+Slot-parallel lanes: the MVM stage's two elementwise regions (gather,
+DAC and inverter drive before the plane matmuls; TIA, ADC and rescale
+after them) run on contiguous lanes of ``_ELEMENTWISE_CHUNK``-slot
+chunks — one lane on the caller, the rest on a lazily created
+module-level thread pool, one lane per usable CPU.  NumPy ufuncs and
+``Generator.normal`` release the GIL, slot ranges never interact, and a
+lane owns every slot that draws from a given macro's stream (stacks
+whose lanes would share a stream run serially), so each stream sees its
+draws in the serial order and the bitwise contract is unchanged.  The
+plane matmuls, ranging, fault correction and all accounting stay on the
+caller thread.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_futures
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -57,6 +74,78 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.backend import Backend
     from repro.core.operator import AnalogOperator, TileBinding
     from repro.core.tiled import TiledOperator, _SweepStats
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+_LANE_POOL: ThreadPoolExecutor | None = None
+_LANE_POOL_LOCK = threading.Lock()
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    """The shared lane workers, created on first use (the caller runs
+    one lane itself, so one worker per remaining usable CPU)."""
+    global _LANE_POOL
+    with _LANE_POOL_LOCK:
+        if _LANE_POOL is None:
+            _LANE_POOL = ThreadPoolExecutor(
+                max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="grid-lane"
+            )
+        return _LANE_POOL
+
+
+def _forget_lane_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _LANE_POOL, _LANE_POOL_LOCK
+    _LANE_POOL = None
+    _LANE_POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane_pool)
+
+
+def _lanes_disjoint(slots: list, bounds: list[tuple[int, int]]) -> bool:
+    """True when no primary macro's random stream is drawn by two lanes.
+
+    Each lane visits its slots in serial order, so a stream confined to
+    one lane sees exactly the serial draw sequence; a stream shared
+    across lanes would interleave nondeterministically.
+    """
+    owner: dict[int, int] = {}
+    for lane, (lo, hi) in enumerate(bounds):
+        for slot in slots[lo:hi]:
+            if owner.setdefault(id(slot.tile.primary.rng), lane) != lane:
+                return False
+    return True
+
+
+def _run_lanes(work: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> None:
+    """Run ``work(lo, hi)`` for every lane, the first on the caller.
+
+    Each lane runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` applies inside it; the caller joins every lane before
+    returning or raising.  Lanes open no spans: their time stays in the
+    caller's stage span, counted once.
+    """
+    if len(bounds) == 1:
+        work(*bounds[0])
+        return
+    futures = [
+        _lane_pool().submit(contextvars.copy_context().run, work, lo, hi)
+        for lo, hi in bounds[1:]
+    ]
+    try:
+        work(*bounds[0])
+    finally:
+        wait_futures(futures)
+    for future in futures:
+        future.result()
 
 
 class _Slot:
@@ -88,8 +177,13 @@ class GridEngine:
     # Slot sub-range width for the elementwise MVM-stage chains: large
     # grids stream ~30 passes over the stack, and running them a cache-
     # sized group of slots at a time roughly halves the memory traffic.
-    # Purely a locality knob — results are bitwise independent of it.
+    # Chunks are also the lane unit: a stack of at least two chunks is
+    # split into contiguous runs of whole chunks, one per usable CPU.
+    # Results are bitwise independent of the chunk width and lane count.
     _ELEMENTWISE_CHUNK = 32
+    # Lane count override for tests; ``None`` means one lane per usable
+    # CPU (``os.sched_getaffinity``), capped by the number of chunks.
+    _LANES: int | None = None
 
     def __init__(self, tiled: "TiledOperator", backend: "Backend"):
         self._tiled = tiled
@@ -308,6 +402,28 @@ class GridEngine:
 
     # ------------------------------------------------------- off-diagonal MVMs
 
+    def _lane_bounds(self, slots: list) -> list[tuple[int, int]]:
+        """Slot ranges ``[lo, hi)`` of the elementwise lanes, in order.
+
+        A stack of at least two chunks is split into contiguous runs of
+        whole chunks, one per usable CPU; anything smaller, or a split
+        whose lanes would share a macro's random stream, is one lane.
+        """
+        chunk = self._ELEMENTWISE_CHUNK
+        count = len(slots)
+        chunks = -(-count // chunk)
+        lanes = min(self._LANES or _usable_cpus(), chunks)
+        if lanes < 2:
+            return [(0, count)]
+        per, extra = divmod(chunks, lanes)
+        bounds = []
+        lo = 0
+        for lane in range(lanes):
+            hi = min(lo + (per + (lane < extra)) * chunk, count)
+            bounds.append((lo, hi))
+            lo = hi
+        return bounds if _lanes_disjoint(slots, bounds) else [(0, count)]
+
     def _mvm_stage(
         self, start: int, stop: int, source: np.ndarray, stats: "_SweepStats"
     ) -> list:
@@ -371,8 +487,11 @@ class GridEngine:
         # Chunking is bitwise-free: every op below is elementwise or a
         # per-slot reduction, so disjoint slot ranges never interact — and
         # the per-slot rng noise loops still visit slots in index order.
-        # Only the two plane matmuls stay whole-stack (one dispatch each).
-        chunk = self._ELEMENTWISE_CHUNK
+        # The same independence lets contiguous runs of chunks (lanes) run
+        # on separate threads; only the two plane matmuls stay whole-stack
+        # on the caller (one dispatch each).
+        width = self._ELEMENTWISE_CHUNK
+        lanes = self._lane_bounds(slots)
         x_raw = buf["x_raw"]
         v_in = buf["v_in"]
         v_neg = buf["v_neg"]
@@ -387,61 +506,65 @@ class GridEngine:
             source_blocks = source.reshape(-1, self._off_C, k)
         gain = params.a0 / (params.a0 + 2.0)
         inv_all = self._off_inv[sl] if self._off_any_neg else None
-        for c0 in range(0, t_count, chunk):
-            c = slice(c0, min(c0 + chunk, t_count))
-            xc, vc, ac = x_raw[c], v_in[c], abs_buf[c]
-            # Gather + per-column input scales (the per-tile expressions,
-            # vectorized over the stack; zero-padding cannot raise a peak).
-            if self._edges_uniform:
-                # ``np.take`` copies the same block values the per-slot
-                # loop would, bit for bit.
-                np.take(source_blocks, j_idx[c], axis=0, out=xc)
-            else:
-                for t, slot in enumerate(slots[c0 : c0 + chunk], start=c0):
-                    x_raw[t, : slot.cols] = source[self._edges[slot.j]]
-                    if slot.cols < self._off_C:
-                        x_raw[t, slot.cols :] = 0.0
-            np.abs(xc, out=ac)
-            peaks = np.max(ac, axis=1)
-            sc = np.where(peaks == 0.0, 1.0, peaks / (solver.headroom * v_ref))
-            np.maximum(sc, MIN_INPUT_SCALE, out=scales[c])
-            sc = scales[c]
-            # DAC stage (the ``quantize_value`` chain, in place).  The
-            # scaled chunks are divided straight into the DAC buffer — the
-            # fast path never needs them again, and the rare ranging/fault
-            # consumers below replay the same division per slot on demand.
-            # Quantizing the zero padding yields half-LSB garbage codes,
-            # which the zero-padded plane columns annihilate exactly.
-            np.divide(xc, sc[:, None, :], out=vc)
-            np.clip(vc, -dac.params.v_ref, dac.params.v_ref, out=vc)
-            vc += dac.params.v_ref
-            vc /= dac.lsb
-            np.rint(vc, out=vc)
-            vc *= dac.lsb
-            vc -= dac.params.v_ref
-            if dac.params.inl_lsb > 0.0:
-                bow = np.divide(vc, dac.params.v_ref, out=ac)
-                np.multiply(bow, bow, out=bow)
-                np.subtract(1.0, bow, out=bow)
-                np.multiply(bow, dac.params.inl_lsb * dac.lsb, out=bow)
-                vc += bow
-            if dac.params.noise_sigma > 0.0:
-                for t, slot in enumerate(slots[c0 : c0 + chunk], start=c0):
-                    v_in[t, : slot.cols] += slot.tile.primary.rng.normal(
-                        0.0, dac.params.noise_sigma, size=(slot.cols, k)
-                    )
-            # Inverter plane inputs ride the same chunk while it is hot.
-            if self._off_any_neg:
-                nc = v_neg[c]
-                np.multiply(vc, -gain, out=nc)
-                nc += 2.0 * gain * inv_all[c][:, :, None]
-                if params.noise_sigma > 0.0:
-                    for t, slot in enumerate(slots[c0 : c0 + chunk], start=c0):
-                        if slot.has_neg:
-                            v_neg[t, : slot.cols] += slot.tile.primary.rng.normal(
-                                0.0, params.noise_sigma, size=(slot.cols, k)
-                            )
-                np.clip(nc, -params.v_sat, params.v_sat, out=nc)
+
+        def drive(lo: int, hi: int) -> None:
+            for c0 in range(lo, hi, width):
+                c = slice(c0, min(c0 + width, hi))
+                xc, vc, ac = x_raw[c], v_in[c], abs_buf[c]
+                # Gather + per-column input scales (the per-tile expressions,
+                # vectorized over the stack; zero-padding cannot raise a peak).
+                if self._edges_uniform:
+                    # ``np.take`` copies the same block values the per-slot
+                    # loop would, bit for bit.
+                    np.take(source_blocks, j_idx[c], axis=0, out=xc)
+                else:
+                    for t, slot in enumerate(slots[c], start=c0):
+                        x_raw[t, : slot.cols] = source[self._edges[slot.j]]
+                        if slot.cols < self._off_C:
+                            x_raw[t, slot.cols :] = 0.0
+                np.abs(xc, out=ac)
+                peaks = np.max(ac, axis=1)
+                sc = np.where(peaks == 0.0, 1.0, peaks / (solver.headroom * v_ref))
+                np.maximum(sc, MIN_INPUT_SCALE, out=scales[c])
+                sc = scales[c]
+                # DAC stage (the ``quantize_value`` chain, in place).  The
+                # scaled chunks are divided straight into the DAC buffer — the
+                # fast path never needs them again, and the rare ranging/fault
+                # consumers below replay the same division per slot on demand.
+                # Quantizing the zero padding yields half-LSB garbage codes,
+                # which the zero-padded plane columns annihilate exactly.
+                np.divide(xc, sc[:, None, :], out=vc)
+                np.clip(vc, -dac.params.v_ref, dac.params.v_ref, out=vc)
+                vc += dac.params.v_ref
+                vc /= dac.lsb
+                np.rint(vc, out=vc)
+                vc *= dac.lsb
+                vc -= dac.params.v_ref
+                if dac.params.inl_lsb > 0.0:
+                    bow = np.divide(vc, dac.params.v_ref, out=ac)
+                    np.multiply(bow, bow, out=bow)
+                    np.subtract(1.0, bow, out=bow)
+                    np.multiply(bow, dac.params.inl_lsb * dac.lsb, out=bow)
+                    vc += bow
+                if dac.params.noise_sigma > 0.0:
+                    for t, slot in enumerate(slots[c], start=c0):
+                        v_in[t, : slot.cols] += slot.tile.primary.rng.normal(
+                            0.0, dac.params.noise_sigma, size=(slot.cols, k)
+                        )
+                # Inverter plane inputs ride the same chunk while it is hot.
+                if self._off_any_neg:
+                    nc = v_neg[c]
+                    np.multiply(vc, -gain, out=nc)
+                    nc += 2.0 * gain * inv_all[c][:, :, None]
+                    if params.noise_sigma > 0.0:
+                        for t, slot in enumerate(slots[c], start=c0):
+                            if slot.has_neg:
+                                v_neg[t, : slot.cols] += slot.tile.primary.rng.normal(
+                                    0.0, params.noise_sigma, size=(slot.cols, k)
+                                )
+                    np.clip(nc, -params.v_sat, params.v_sat, out=nc)
+
+        _run_lanes(drive, lanes)
 
         ci = determinism.column_independent()
         with trace.span(
@@ -468,50 +591,62 @@ class GridEngine:
         gnode_all = self._off_gnode[sl]
         tia_all = self._off_tia[sl]
         vscale_all = self._off_vscale[sl]
-        for c0 in range(0, t_count, chunk):
-            c = slice(c0, min(c0 + chunk, t_count))
-            oc, ac, valc = currents[c], abs_buf[c], values[c]
-            g_f3 = g_f[c][:, None, None]
-            g_sum = gnode_all[c][:, :, None] + g_f3
-            np.negative(oc, out=oc)
-            oc += tia_all[c][:, :, None] * g_sum
-            oc /= g_f3 + g_sum / params.a0
-            if params.noise_sigma > 0.0:
-                for t, slot in enumerate(slots[c0 : c0 + chunk], start=c0):
-                    currents[t, : slot.rows] += slot.tile.primary.rng.normal(
-                        0.0, params.noise_sigma, size=(slot.rows, k)
-                    )
-            np.clip(oc, -params.v_sat, params.v_sat, out=oc)
-            # Rail/clip tests fold through per-column maxima —
-            # ``any(|v| ≥ c)`` over a row axis is exactly ``max(|v|) ≥ c``.
-            np.abs(oc, out=ac)
-            np.max(ac, axis=1, out=row_peak[c])
-            # ADC stage.  Clip detection mirrors
-            # ``ADConverter.clips_columns``: the offset-shifted *clean*
-            # signal, before the sampling noise draw.
-            np.add(oc, adc.params.offset, out=valc)
-            np.abs(valc, out=ac)
-            np.greater(np.max(ac, axis=1), adc.params.v_ref, out=clips_cols[c])
-            if adc.params.noise_sigma > 0.0:
-                for t, slot in enumerate(slots[c0 : c0 + chunk], start=c0):
-                    values[t, : slot.rows] += slot.tile.primary.rng.normal(
-                        0.0, adc.params.noise_sigma, size=(slot.rows, k)
-                    )
-            np.clip(valc, -adc.params.v_ref, adc.params.v_ref, out=valc)
-            valc += adc.params.v_ref
-            valc /= adc.lsb
-            np.rint(valc, out=valc)
-            valc *= adc.lsb
-            valc -= adc.params.v_ref
-            # Batched problem-unit rescale — the same left-to-right
-            # elementwise sequence as the per-tile accumulator
-            # ``-values · g_f · value_scale · scale`` (ranging slots
-            # overwrite their row below once the ladder settles).
-            rc = rescaled[c]
-            np.negative(valc, out=rc)
-            rc *= g_f3
-            rc *= vscale_all[c][:, None, None]
-            rc *= scales[c][:, None, :]
+
+        def sample(lo: int, hi: int) -> None:
+            for c0 in range(lo, hi, width):
+                c = slice(c0, min(c0 + width, hi))
+                oc, valc = currents[c], values[c]
+                g_f3 = g_f[c][:, None, None]
+                g_sum = gnode_all[c][:, :, None] + g_f3
+                # ``-i + offset·g_sum``: negation then addition is exactly
+                # the one subtraction.
+                np.subtract(tia_all[c][:, :, None] * g_sum, oc, out=oc)
+                oc /= g_f3 + g_sum / params.a0
+                if params.noise_sigma > 0.0:
+                    for t, slot in enumerate(slots[c], start=c0):
+                        currents[t, : slot.rows] += slot.tile.primary.rng.normal(
+                            0.0, params.noise_sigma, size=(slot.rows, k)
+                        )
+                np.clip(oc, -params.v_sat, params.v_sat, out=oc)
+                # Rail and ADC clip tests fold through per-column extrema:
+                # ``max |v|`` is ``max(max v, −min v)`` exactly, rounding
+                # ``v + offset`` is monotone (the shifted extrema are the
+                # extrema of the shifted signal) and sign-symmetric
+                # (``−(m + offset)`` is ``−m − offset``).  The clip test
+                # mirrors ``ADConverter.clips_columns``: the offset-shifted
+                # *clean* signal, before the sampling noise draw.
+                top = np.max(oc, axis=1)
+                low = np.min(oc, axis=1)
+                np.negative(low, out=low)
+                np.maximum(top, low, out=row_peak[c])
+                top += adc.params.offset
+                low -= adc.params.offset
+                np.maximum(top, low, out=top)
+                np.greater(top, adc.params.v_ref, out=clips_cols[c])
+                # ADC stage.
+                np.add(oc, adc.params.offset, out=valc)
+                if adc.params.noise_sigma > 0.0:
+                    for t, slot in enumerate(slots[c], start=c0):
+                        values[t, : slot.rows] += slot.tile.primary.rng.normal(
+                            0.0, adc.params.noise_sigma, size=(slot.rows, k)
+                        )
+                np.clip(valc, -adc.params.v_ref, adc.params.v_ref, out=valc)
+                valc += adc.params.v_ref
+                valc /= adc.lsb
+                np.rint(valc, out=valc)
+                valc *= adc.lsb
+                valc -= adc.params.v_ref
+                # Batched problem-unit rescale — the same left-to-right
+                # elementwise sequence as the per-tile accumulator
+                # ``-values · g_f · value_scale · scale`` (ranging slots
+                # overwrite their row below once the ladder settles);
+                # ``(-v)·g`` is exactly ``v·(-g)``.
+                rc = rescaled[c]
+                np.multiply(valc, -g_f3, out=rc)
+                rc *= vscale_all[c][:, None, None]
+                rc *= scales[c][:, None, :]
+
+        _run_lanes(sample, lanes)
         outputs = currents
 
         col_sat = row_peak >= params.v_sat * (1.0 - 1e-9)

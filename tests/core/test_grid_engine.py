@@ -9,6 +9,12 @@ from the per-slice ones in the last ulp, so those combinations assert a
 tight tolerance instead.
 """
 
+import os
+import signal
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,12 +23,15 @@ from repro.analog.opamp import OpAmpParams
 from repro.analog.topologies import AMCMode
 from repro.converters.adc import ADCParams
 from repro.converters.dac import DACParams
+from repro.core import grid_engine
 from repro.core.errors import GramcError
+from repro.core.grid_engine import GridEngine
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.core.tiled import TiledOperator
 from repro.devices.constants import DeviceStack, VariabilityParams
 from repro.programming.levels import LevelMap
+from repro.system.stats import ChipStats
 from repro.workloads.matrices import block_dominant
 
 N = 100
@@ -228,8 +237,6 @@ class TestDispatchScaling:
         rng = np.random.default_rng(11)
         matrix = block_dominant(64, TILE, rng=rng)
         b = rng.uniform(-1, 1, (64, 2))
-        from repro.system.stats import ChipStats
-
         stats = ChipStats()
         solver = GramcSolver(
             pool=MacroPool(
@@ -245,4 +252,201 @@ class TestDispatchScaling:
         assert stats.stack_rebuilds == result.stack_rebuilds
         assert "engine_dispatches" in stats.summary()
         assert "stack_rebuilds" in stats.summary()
+        op.close()
+
+
+def _lane_solver(noisy: bool, stuck: float = 0.0) -> tuple[GramcSolver, ChipStats]:
+    config = _pool_config(noisy)
+    if stuck:
+        config.stack = DeviceStack(
+            variability=VariabilityParams(stuck_on_rate=stuck, stuck_off_rate=stuck)
+        )
+    stats = ChipStats()
+    solver = GramcSolver(
+        pool=MacroPool(config, rng=np.random.default_rng(77)),
+        rng=np.random.default_rng(7),
+        stats=stats,
+    )
+    return solver, stats
+
+
+def _ledger(result) -> dict:
+    # Host and queue time are wall-clock, everything else is simulated.
+    return {
+        name: value
+        for name, value in result.cost.as_dict().items()
+        if name not in ("host_s", "queue_wait_s")
+    }
+
+
+class TestLanes:
+    """Slot-parallel lanes of the MVM stage chain: two-slot chunks and two
+    forced lanes put every small grid on the threaded path, which must
+    match the serial stacked path and the per-tile loop bit for bit —
+    answers, dispatch and rebuild counts, chip stats and cost ledger."""
+
+    @pytest.fixture
+    def lane_log(self, monkeypatch):
+        monkeypatch.setattr(GridEngine, "_ELEMENTWISE_CHUNK", 2)
+        log: list[int] = []
+        run_lanes = grid_engine._run_lanes
+
+        def spy(work, bounds):
+            log.append(len(bounds))
+            run_lanes(work, bounds)
+
+        monkeypatch.setattr(grid_engine, "_run_lanes", spy)
+        return log
+
+    def _solves(self, monkeypatch, n, method, noisy, lanes, engine="stacked", stuck=0.0):
+        monkeypatch.setattr(GridEngine, "_LANES", lanes)
+        rng = np.random.default_rng(3)
+        matrix = block_dominant(n, TILE, rng=rng)
+        b = rng.uniform(-1, 1, (n, COLUMNS))
+        solver, stats = _lane_solver(noisy, stuck)
+        op = solver.compile(matrix, AMCMode.INV)
+        with determinism.column_independent_apply(True):
+            results = [op.solve(b, method=method, engine=engine) for _ in range(2)]
+        op.close()
+        return results, stats.summary()
+
+    def _assert_same(self, left, right, counters=True):
+        """Bitwise-equal answers; with ``counters``, also equal dispatch
+        and rebuild counts, cost ledgers and chip stats (the per-tile loop
+        pays O(tiles) dispatches, so it is compared on answers only)."""
+        (results_l, stats_l), (results_r, stats_r) = left, right
+        for a, b in zip(results_l, results_r):
+            assert np.array_equal(a.value, b.value)
+            assert a.sweeps == b.sweeps
+            assert a.attempts == b.attempts
+            assert np.array_equal(a.input_scales, b.input_scales)
+            assert np.array_equal(a.column_saturated, b.column_saturated)
+            if counters:
+                assert a.engine_dispatches == b.engine_dispatches
+                assert a.stack_rebuilds == b.stack_rebuilds
+                assert _ledger(a) == _ledger(b)
+        if counters:
+            assert stats_l == stats_r
+
+    @pytest.mark.parametrize("n", [128, 100], ids=["4x4", "ragged"])
+    @pytest.mark.parametrize("method", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_lanes_bitwise_equal_serial_and_pertile(self, monkeypatch, lane_log, n, method, noisy):
+        threaded = self._solves(monkeypatch, n, method, noisy, lanes=2)
+        assert max(lane_log) == 2  # the lanes really engaged
+        lane_log.clear()
+        serial = self._solves(monkeypatch, n, method, noisy, lanes=1)
+        assert max(lane_log) == 1
+        pertile = self._solves(monkeypatch, n, method, noisy, lanes=2, engine="pertile")
+        self._assert_same(threaded, serial)
+        self._assert_same(threaded, pertile, counters=False)
+
+    def test_ranging_slot_stays_bit_faithful(self, monkeypatch, lane_log):
+        ranged: list[int] = []
+        autorange = grid_engine.autorange_mvm
+
+        def spy(*args, **kwargs):
+            ranged.append(1)
+            return autorange(*args, **kwargs)
+
+        monkeypatch.setattr(grid_engine, "autorange_mvm", spy)
+        threaded = self._solves(monkeypatch, N, "jacobi", True, lanes=2)
+        assert ranged and max(lane_log) == 2
+        serial = self._solves(monkeypatch, N, "jacobi", True, lanes=1)
+        pertile = self._solves(monkeypatch, N, "jacobi", True, lanes=2, engine="pertile")
+        self._assert_same(threaded, serial)
+        self._assert_same(threaded, pertile, counters=False)
+
+    def test_fault_corrected_tiles_stay_bit_faithful(self, monkeypatch, lane_log):
+        threaded = self._solves(monkeypatch, 128, "jacobi", True, lanes=2, stuck=0.01)
+        assert max(lane_log) == 2
+        serial = self._solves(monkeypatch, 128, "jacobi", True, lanes=1, stuck=0.01)
+        pertile = self._solves(
+            monkeypatch, 128, "jacobi", True, lanes=2, engine="pertile", stuck=0.01
+        )
+        self._assert_same(threaded, serial)
+        self._assert_same(threaded, pertile, counters=False)
+
+    def test_lanes_keep_the_callers_errstate(self):
+        seen: list[str] = []
+
+        def work(lo, hi):
+            seen.append(np.geterr()["divide"])
+
+        with np.errstate(divide="raise"):
+            grid_engine._run_lanes(work, [(0, 2), (2, 4)])
+        assert seen == ["raise", "raise"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_gets_a_fresh_pool(self):
+        """A child forked after the pool exists inherits none of its
+        threads; its lanes must run on a pool of its own, not hang."""
+        grid_engine._run_lanes(lambda lo, hi: None, [(0, 1), (1, 2)])
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            done: list[int] = []
+            grid_engine._run_lanes(lambda lo, hi: done.append(lo), [(0, 1), (1, 2)])
+            os._exit(0 if sorted(done) == [0, 1] else 1)
+        deadline = time.monotonic() + 30.0
+        while True:
+            finished, status = os.waitpid(pid, os.WNOHANG)
+            if finished:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung on the inherited lane pool")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_lane_errors_reach_the_caller(self):
+        def work(lo, hi):
+            if lo:
+                raise FloatingPointError("lane")
+
+        with pytest.raises(FloatingPointError, match="lane"):
+            grid_engine._run_lanes(work, [(0, 2), (2, 4)])
+
+
+class TestLaneSplit:
+    @staticmethod
+    def _slots(rngs):
+        return [SimpleNamespace(tile=SimpleNamespace(primary=SimpleNamespace(rng=r))) for r in rngs]
+
+    def test_disjoint_streams(self):
+        a, b, c, d = (object() for _ in range(4))
+        assert grid_engine._lanes_disjoint(self._slots([a, b, c, d]), [(0, 2), (2, 4)])
+        # A stream shared inside one lane keeps its serial draw order.
+        assert grid_engine._lanes_disjoint(self._slots([a, a, c, d]), [(0, 2), (2, 4)])
+        assert not grid_engine._lanes_disjoint(self._slots([a, b, c, a]), [(0, 2), (2, 4)])
+
+    def _bounds(self, monkeypatch, slots, chunk, lanes):
+        monkeypatch.setattr(GridEngine, "_ELEMENTWISE_CHUNK", chunk)
+        monkeypatch.setattr(GridEngine, "_LANES", lanes)
+        return GridEngine._lane_bounds(GridEngine, slots)
+
+    def test_bounds_are_contiguous_runs_of_whole_chunks(self, monkeypatch):
+        slots = self._slots([object() for _ in range(240)])
+        assert self._bounds(monkeypatch, slots, 32, 2) == [(0, 128), (128, 240)]
+        assert self._bounds(monkeypatch, slots, 32, 3) == [(0, 96), (96, 192), (192, 240)]
+        # One chunk, or one lane, is the serial path.
+        assert self._bounds(monkeypatch, slots[:32], 32, 2) == [(0, 32)]
+        assert self._bounds(monkeypatch, slots, 32, 1) == [(0, 240)]
+
+    def test_shared_stream_across_lanes_runs_serially(self, monkeypatch):
+        shared = object()
+        rngs = [object() for _ in range(6)]
+        rngs[0] = rngs[5] = shared
+        assert self._bounds(monkeypatch, self._slots(rngs), 2, 2) == [(0, 6)]
+
+    def test_default_small_grid_starts_no_thread(self):
+        rng = np.random.default_rng(11)
+        matrix = block_dominant(128, TILE, rng=rng)
+        b = rng.uniform(-1, 1, (128, 4))
+        solver, _ = _lane_solver(noisy=True)
+        op = solver.compile(matrix, AMCMode.INV)
+        before = threading.active_count()
+        op.solve(b, method="jacobi")
+        assert threading.active_count() == before
         op.close()
