@@ -24,13 +24,13 @@ def _solver(seed: int) -> GramcSolver:
 
 def _int4_mvm(solver, matrix, x):
     q = quantize_weight(matrix, 4)
-    return solver.mvm(q.dequantized(), x, quant_peak=q.scale * 15.0).value
+    return solver.compile(q.dequantized(), quant_peak=q.scale * 15.0).mvm(x).value
 
 
 def _int8_mvm(solver, matrix, x):
     sliced = bit_slice_weight(matrix)
-    high = solver.mvm(sliced.msb.astype(float), x, quant_peak=15.0).value
-    low = solver.mvm(sliced.lsb.astype(float), x, quant_peak=15.0).value
+    high = solver.compile(sliced.msb.astype(float), quant_peak=15.0).mvm(x).value
+    low = solver.compile(sliced.lsb.astype(float), quant_peak=15.0).mvm(x).value
     return sliced.scale * shift_add(high, low, shift_bits=4)
 
 

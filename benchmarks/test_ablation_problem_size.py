@@ -21,7 +21,7 @@ def _mvm_error(chip_solver, n: int) -> float:
     errors = []
     for _ in range(4):
         x = rng.uniform(-1, 1, n)
-        errors.append(chip_solver.mvm(matrix, x).relative_error)
+        errors.append(chip_solver.compile(matrix).mvm(x).relative_error)
     return float(np.mean(errors))
 
 

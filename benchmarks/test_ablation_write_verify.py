@@ -33,7 +33,7 @@ def _mvm_error(tolerance: float, seed: int) -> float:
     errors = []
     for _ in range(6):
         x = rng.uniform(-1, 1, 24)
-        result = solver.mvm(matrix, x)
+        result = solver.compile(matrix).mvm(x)
         errors.append(result.relative_error)
     return float(np.mean(errors))
 

@@ -19,7 +19,7 @@ def test_fig4a_mvm_scatter(benchmark, chip_solver):
     matrix = wishart(128, rng=np.random.default_rng(42))
     x = np.random.default_rng(7).uniform(-1.0, 1.0, 128)
 
-    result = benchmark(chip_solver.mvm, matrix, x)
+    result = benchmark(chip_solver.compile(matrix).mvm, x)
     stats = scatter_stats(*result.scatter_points())
 
     print(banner("Fig. 4(a) — MVM, 128×128 Wishart, 4-bit"))

@@ -9,6 +9,7 @@ the widest scatter of the four panels.
 import numpy as np
 import pytest
 
+from repro.analog.topologies import AMCMode
 from repro.analysis.metrics import scatter_stats
 from repro.analysis.reporting import banner, format_table
 from repro.workloads.matrices import wishart
@@ -21,7 +22,7 @@ def test_fig4b_inv_scatter(benchmark, chip_solver):
     matrix = wishart(128, rng=np.random.default_rng(42)) + 0.4 * np.eye(128)
     b = np.random.default_rng(8).uniform(-1.0, 1.0, 128)
 
-    result = benchmark(chip_solver.solve, matrix, b)
+    result = benchmark(chip_solver.compile(matrix, AMCMode.INV).solve, b)
     stats = scatter_stats(*result.scatter_points())
 
     # Decomposition: how much of the error is 4-bit quantization alone?

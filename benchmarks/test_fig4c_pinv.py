@@ -9,6 +9,7 @@ fit's residual is close to the optimal residual.
 import numpy as np
 import pytest
 
+from repro.analog.topologies import AMCMode
 from repro.analysis.metrics import scatter_stats
 from repro.analysis.reporting import banner, format_table
 from repro.workloads.regression import FEATURE_NAMES, pm25_like
@@ -18,7 +19,7 @@ from repro.workloads.regression import FEATURE_NAMES, pm25_like
 def test_fig4c_pinv_regression(benchmark, chip_solver):
     task = pm25_like(rng=np.random.default_rng(25))
 
-    result = benchmark(chip_solver.lstsq, task.design, task.targets)
+    result = benchmark(chip_solver.compile(task.design, AMCMode.PINV).lstsq, task.targets)
     stats = scatter_stats(*result.scatter_points())
 
     print(banner("Fig. 4(c) — PINV, PM2.5-like regression (128×6), 4-bit"))

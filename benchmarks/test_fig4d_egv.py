@@ -8,6 +8,7 @@ a tight scatter of components along the identity line.
 import numpy as np
 import pytest
 
+from repro.analog.topologies import AMCMode
 from repro.analysis.metrics import cosine_similarity, scatter_stats
 from repro.analysis.reporting import banner, format_table
 from repro.workloads.matrices import gram
@@ -21,7 +22,7 @@ def test_fig4d_egv_scatter(benchmark, chip_solver):
     task = pm25_like(rng=np.random.default_rng(25))
     matrix = gram(task.design)
 
-    result = benchmark(chip_solver.eigvec, matrix)
+    result = benchmark(chip_solver.compile(matrix, AMCMode.EGV).eigvec)
     stats = scatter_stats(*result.scatter_points())
     cosine = cosine_similarity(result.value, result.reference)
 

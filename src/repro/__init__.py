@@ -27,13 +27,16 @@ Quick start::
     with solver.compile(a, mode=AMCMode.INV) as inv:
         result = inv.solve(np.ones(16))    # analog one-step linear solve
     print(result.relative_error)
-
-The seed's stateless one-shot calls (``solver.mvm/solve/lstsq/eigvec``)
-remain available as a thin facade over the same machinery.
 """
 
 from repro.analog.topologies import AMCMode
-from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
+from repro.core.errors import (
+    CapacityError,
+    ConvergenceError,
+    GramcError,
+    InputError,
+    ShapeError,
+)
 from repro.core.operator import AnalogOperator
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.results import SolveResult
@@ -51,6 +54,7 @@ __all__ = [
     "GramcChip",
     "GramcError",
     "GramcSolver",
+    "InputError",
     "MacroPool",
     "PoolConfig",
     "ShapeError",

@@ -1,38 +1,23 @@
-"""Pluggable compute backends for the vectorized grid engine.
+"""The compute backend of the vectorized grid engine.
 
 The grid engine (:mod:`repro.core.grid_engine`) reduces a block-Jacobi /
 Gauss-Seidel sweep to a handful of batched array kernels over 3-D tile
 stacks.  Those kernels are the only numerically heavy operations in the
-sweep, so they are routed through a tiny :class:`Backend` protocol: the
-NumPy implementation below is the default, and a GPU or native extension
-can later register an alternative without touching solver code — the
-same shape aihwkit uses to target CPU and CUDA from one ``AnalogMatrix``
-API.
-
-Selection order:
-
-1. an explicit instance or name passed to ``GramcChip(backend=...)`` /
-   ``GramcSolver(backend=...)``;
-2. the ``REPRO_BACKEND`` environment variable;
-3. the ``"numpy"`` default.
-
-Unknown names raise :class:`~repro.core.errors.BackendError` carrying
-the requested name and the registered alternatives, so misconfiguration
-fails loudly at chip construction rather than silently falling back.
+sweep, so they are routed through a tiny :class:`Backend` protocol —
+the same shape aihwkit uses to target CPU and CUDA from one
+``AnalogMatrix`` API.  :class:`NumpyBackend` is the implementation; a
+caller can pass any object with the protocol's three members as
+``GramcSolver(backend=...)`` / ``GramcChip(backend=...)``, which is how
+the repo benchmark times the kernels.  The per-tile loop the engine is
+checked against is a test oracle, not a backend.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-
-from repro.core.errors import BackendError
-
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
-"""Environment variable consulted when no explicit backend is given."""
 
 
 @runtime_checkable
@@ -40,11 +25,6 @@ class Backend(Protocol):
     """Batched array kernels the grid engine dispatches per sweep stage."""
 
     name: str
-
-    def stack(
-        self, blocks: Sequence[np.ndarray], rows: int, cols: int
-    ) -> np.ndarray:
-        """Zero-pad 2-D ``blocks`` into one contiguous ``(T, rows, cols)``."""
 
     def batched_matmul(
         self, a: np.ndarray, x: np.ndarray, column_independent: bool = False
@@ -63,27 +43,11 @@ class Backend(Protocol):
     ) -> np.ndarray:
         """Solve ``(T,n,n)`` stacked LU factors against ``(T,n,k)`` RHS."""
 
-    def scatter_columns(
-        self,
-        out: np.ndarray,
-        row_slices: Sequence[slice],
-        blocks: Sequence[np.ndarray],
-    ) -> None:
-        """Write solved blocks back into ``out`` at their row spans."""
-
 
 class NumpyBackend:
-    """Default backend: NumPy einsum/matmul plus SciPy batched LU."""
+    """Default backend: NumPy einsum/matmul plus LAPACK ``getrs``."""
 
     name = "numpy"
-
-    def stack(
-        self, blocks: Sequence[np.ndarray], rows: int, cols: int
-    ) -> np.ndarray:
-        out = np.zeros((len(blocks), rows, cols))
-        for t, block in enumerate(blocks):
-            out[t, : block.shape[0], : block.shape[1]] = block
-        return out
 
     def batched_matmul(
         self, a: np.ndarray, x: np.ndarray, column_independent: bool = False
@@ -115,53 +79,18 @@ class NumpyBackend:
             out[t] = x
         return out
 
-    def scatter_columns(
-        self,
-        out: np.ndarray,
-        row_slices: Sequence[slice],
-        blocks: Sequence[np.ndarray],
-    ) -> None:
-        for rows, block in zip(row_slices, blocks):
-            out[rows] = block
 
+def backend_or_default(backend: "Backend | None") -> Backend:
+    """``backend`` itself, or a :class:`NumpyBackend` for ``None``.
 
-_REGISTRY: dict[str, Callable[[], Backend]] = {"numpy": NumpyBackend}
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register a backend factory under ``name`` (later GPU/native plugs)."""
-    _REGISTRY[name.strip().lower()] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend`, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend(name: str | None = None) -> Backend:
-    """Resolve a backend by name, env var, or default.
-
-    Raises :class:`BackendError` (with ``requested`` / ``available``
-    attributes) for names that are not registered.
+    Anything else (a backend *name*, for instance) is rejected here, at
+    solver or chip construction, rather than on the first sweep.
     """
-    requested = name if name is not None else os.environ.get(REPRO_BACKEND_ENV)
-    if not requested:
-        requested = "numpy"
-    normalized = requested.strip().lower()
-    factory = _REGISTRY.get(normalized)
-    if factory is None:
-        raise BackendError(
-            f"unknown compute backend {requested!r}; available backends: "
-            f"{', '.join(available_backends())} (pass GramcChip(backend=...) "
-            f"or set {REPRO_BACKEND_ENV} to one of these)",
-            requested=requested,
-            available=available_backends(),
+    if backend is None:
+        return NumpyBackend()
+    if not isinstance(backend, Backend):
+        raise TypeError(
+            f"backend must provide name, batched_matmul and batched_lu_solve "
+            f"(a Backend instance) or be None; got {type(backend).__name__}"
         )
-    return factory()
-
-
-def resolve_backend(spec: "Backend | str | None" = None) -> Backend:
-    """Accept a Backend instance, a name, or ``None`` (env var/default)."""
-    if spec is None or isinstance(spec, str):
-        return get_backend(spec)
-    return spec
+    return backend

@@ -2,8 +2,8 @@
 
 Everything the runtime can refuse to do derives from :class:`GramcError`,
 so ``except GramcError`` keeps working as the catch-all it has always
-been.  The subclasses let callers react differently to the three distinct
-failure families:
+been.  The subclasses let callers react differently to the distinct failure
+families:
 
 * :class:`ShapeError` — the operands themselves are malformed (wrong
   dimensionality, mismatched right-hand side, too large for the mode).
@@ -17,9 +17,10 @@ failure families:
 * :class:`ConvergenceError` — the analog loop cannot produce an answer
   (no positive dominant eigenvalue, a collapsed eigenvector, a railed
   solve that auto-ranging could not rescue).
-* :class:`BackendError` — the requested compute backend does not exist
-  or cannot be constructed.  Carries the offending name and the set of
-  registered backends so tooling can render an actionable message.
+* :class:`InputError` — an operand or right-hand side holds NaN or
+  infinity.  Raised at the handle boundary, before any engine call, and
+  also a :class:`ValueError`.  (A complex operand is a wrong argument
+  type and raises :class:`TypeError` instead.)
 * :class:`DegradedChipError` — the analog substrate has degraded past
   what self-healing could recover, and the request was refused rather
   than answered wrongly.  Carries the health snapshot and the healing
@@ -79,27 +80,8 @@ class ConvergenceError(GramcError):
         )
 
 
-class BackendError(GramcError, ValueError):
-    """An unknown or unusable compute backend was requested.
-
-    Attributes
-    ----------
-    requested:
-        The backend name that failed to resolve.
-    available:
-        Tuple of registered backend names at the time of the failure.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        requested: str | None = None,
-        available: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(message)
-        self.requested = requested
-        self.available = tuple(available)
+class InputError(GramcError, ValueError):
+    """An input array holds non-finite values (NaN or ±inf)."""
 
 
 class DegradedChipError(GramcError):

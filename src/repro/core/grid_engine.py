@@ -1,9 +1,9 @@
 """Vectorized grid engine: batched sweep kernels over stacked tile circuits.
 
-A :class:`~repro.core.tiled.TiledOperator` sweep used to walk the tile
-grid in Python — one engine call per tile per sweep, each running its own
-``np.linalg`` / ``scipy`` dispatch.  This module restructures the sweep
-into a constant number of batched array kernels:
+Walking a :class:`~repro.core.tiled.TiledOperator` grid in Python costs
+one engine call per tile per sweep, each running its own ``np.linalg`` /
+``scipy`` dispatch.  This module runs the sweep as a constant number of
+batched array kernels instead:
 
 * at programming time every resident tile's **cached circuit state** is
   copied into contiguous 3-D stacks — off-diagonal MVM tiles in one stack
@@ -30,7 +30,9 @@ into a constant number of batched array kernels:
 
 Numerical contract: under the deterministic engine mode
 (:func:`repro.analog.determinism.column_independent`) the stacked sweep
-is **bit-identical** to the per-tile loop, noisy or not — every
+is **bit-identical** to the per-tile loop — the same sweep run tile by
+tile through the block handles' own ``mvm``/``solve``, which the test
+suite keeps as its oracle — noisy or not: every
 elementwise stage (DAC quantization, inverter, TIA transfer, ADC
 sampling) reproduces the per-tile expressions value for value, noise is
 drawn per tile from each macro's own stream in per-tile stage order, and
@@ -693,7 +695,7 @@ class GridEngine:
                 )
                 # Re-enter the shared ranging loop, with this stacked
                 # attempt as its first compute — attempt 2 onward runs the
-                # real per-tile engine, bit-faithful to the baseline.
+                # macro's own compute chain, bit-faithful to the handle path.
                 pending = [result]
                 chunk = x_raw[t, :c, :k] / scales[t]
 
@@ -761,7 +763,7 @@ class GridEngine:
                 if fast[t]:
                     solver._record_solve(AMCMode.MVM, slot.amps, float(settling[t]))
             # Valid (unpadded) per-slot sizes — the same DAC/ADC/MAC charge
-            # the per-tile loop books, so the two engines cost identically.
+            # the block handles' own calls book.
             fast_rows = sum(slot.rows for t, slot in enumerate(slots) if fast[t])
             fast_cols = sum(slot.cols for t, slot in enumerate(slots) if fast[t])
             fast_macs = sum(
@@ -873,8 +875,6 @@ class GridEngine:
         rescaled = -values * scales[:, None, :]
         rescaled /= (self._diag_vscale[indices] * g_f)[:, None, None]
 
-        row_slices = []
-        blocks = []
         last = k - 1
         for t, slot in enumerate(slots):
             n = slot.rows
@@ -931,8 +931,7 @@ class GridEngine:
                     adc=n * k * outcome.attempts,
                     macs=n * n * k * outcome.attempts,
                 )
-            row_slices.append(self._edges[slot.i])
-            blocks.append(value)
+            x[self._edges[slot.i]] = value
 
         n_fast = int(np.count_nonzero(fast))
         if n_fast:
@@ -957,4 +956,3 @@ class GridEngine:
                 dac=fast_n * k, adc=fast_n * k, macs=fast_macs * k
             )
         solver.solve_counts[AMCMode.INV.value] += k * len(slots)
-        self._backend.scatter_columns(x, row_slices, blocks)

@@ -66,10 +66,9 @@ class AnalogIterativeSolver:
         """The iteration's MVM operator: compiled once, closed at the end.
 
         The sweep loop then runs entirely on the resident handle — zero
-        operand re-hashing and zero reprogramming per iteration (the seed
-        went through the one-shot facade, which SHA1-hashed the full
-        O(n²) operand on *every* matvec).  Digital mode yields ``None``
-        and :meth:`_matvec` falls back to ``matrix @ x``.
+        operand re-hashing and zero reprogramming per iteration.  Digital
+        mode yields ``None`` and :meth:`_matvec` falls back to
+        ``matrix @ x``.
         """
         if not self.use_analog:
             yield None

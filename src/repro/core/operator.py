@@ -2,8 +2,7 @@
 
 The whole point of analog matrix computing is *program once, solve many*:
 writing conductances costs thousands of verify pulses, while a solve is
-one settling time.  The seed API hid that behind stateless
-``solver.mvm(a, x)`` calls; this module exposes it directly:
+one settling time.  This module exposes that directly:
 
 >>> op = solver.compile(a)                    # programmed, pinned to macros
 >>> y = op @ x                                # vector or batch, zero re-programming
@@ -38,7 +37,7 @@ import numpy as np
 
 from repro.analog.topologies import AMCMode
 from repro.arrays.mapping import DifferentialMapping
-from repro.core.errors import CapacityError, GramcError, ShapeError
+from repro.core.errors import CapacityError, GramcError, InputError, ShapeError
 from repro.core.ranging import (
     MIN_INPUT_SCALE,
     autorange_gain,
@@ -53,6 +52,24 @@ from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.solver import GramcSolver
+
+
+def finite_input(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or a structured refusal.
+
+    The one input check of the public entry points (handle calls and
+    serve admission), run before any engine call or fault supervision:
+    a complex array is a wrong argument type (``TypeError``), and NaN or
+    infinity raises :class:`~repro.core.errors.InputError` instead of
+    leaking a library error from deep inside a kernel or coming back as
+    a NaN answer.
+    """
+    if np.iscomplexobj(values):
+        raise TypeError(f"{name} must be real-valued; got a complex array")
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InputError(f"{name} contains NaN or infinite entries")
+    return values
 
 
 @dataclass
@@ -480,6 +497,7 @@ class AnalogOperator:
         at once (the crossbar's defining property), with per-column input
         scales and one shared ``g_f`` ranged by the worst column.
         """
+        x = finite_input(x, "x")
         injector = self._fault_injector()
         if injector is None:
             return self._mvm_impl(x)
@@ -488,7 +506,6 @@ class AnalogOperator:
     def _mvm_impl(self, x: np.ndarray) -> SolveResult:
         """The unsupervised MVM body (see :meth:`mvm`)."""
         self._require_mode(AMCMode.MVM, "mvm")
-        x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.ndim > 2 or x.shape[0] != self.shape[1]:
             raise ShapeError(
                 f"x must have leading dimension {self.shape[1]} (vector or batch)"
@@ -609,6 +626,7 @@ class AnalogOperator:
         attached) when refinement diverges — the η·κ ≥ 1 regime where
         the operand is too ill-conditioned for the analog accuracy.
         """
+        b = finite_input(b, "b")
         injector = self._fault_injector()
         if injector is None:
             return self._solve_impl(
@@ -631,7 +649,6 @@ class AnalogOperator:
         max_refine_steps: int = DEFAULT_MAX_STEPS,
     ) -> SolveResult:
         """The unsupervised solve body (see :meth:`solve`)."""
-        b = np.asarray(b, dtype=float)
         started = time.perf_counter()
         before = self._solver.cost.snapshot()
         with trace.span(
@@ -661,7 +678,6 @@ class AnalogOperator:
     ) -> SolveResult:
         """The raw one-step analog solve (no refinement)."""
         self._require_mode(AMCMode.INV, "solve")
-        b = np.asarray(b, dtype=float)
         n = self.shape[0]
         if self._ref_inverse is None:
             # One factorization of the immutable matrix covers every solve's
@@ -714,6 +730,7 @@ class AnalogOperator:
 
     def lstsq(self, b: np.ndarray, _reference: np.ndarray | None = None) -> SolveResult:
         """Analog least squares ``min‖A·y − b‖`` (``b``: vector or batch)."""
+        b = finite_input(b, "b")
         injector = self._fault_injector()
         if injector is None:
             return self._lstsq_impl(b, _reference)
@@ -729,7 +746,6 @@ class AnalogOperator:
                 "this PINV handle holds only a transpose plane; "
                 "compile the tall matrix itself to run lstsq"
             )
-        b = np.asarray(b, dtype=float)
         m = self.shape[0]
         started = time.perf_counter()
         before = self._solver.cost.snapshot()
@@ -957,35 +973,6 @@ class AnalogOperator:
         )
         return self._batch_solve_result(outcome, reference)
 
-    def _batched(
-        self, b: np.ndarray, single, reference: np.ndarray
-    ) -> SolveResult:
-        """Seed-style column loop: one feedback solve per column.
-
-        Kept as the batched engine's *reference implementation* — the
-        equivalence tests and the throughput benchmark compare against it.
-        Unlike the engine path it genuinely ranges every column on its
-        own, so its per-column metadata can differ column to column.
-        """
-        if b.shape[1] == 0:
-            return self._empty_batch_result(reference)
-        results = [
-            single(b[:, j], _reference=reference[:, j]) for j in range(b.shape[1])
-        ]
-        return SolveResult(
-            mode=results[0].mode,
-            value=np.stack([r.value for r in results], axis=1),
-            reference=np.stack([r.reference for r in results], axis=1),
-            attempts=sum(r.attempts for r in results),
-            input_scale=max(r.input_scale for r in results),
-            stable=all(r.stable for r in results),
-            saturated=any(r.saturated for r in results),
-            macro_ids=self.macro_ids,
-            input_scales=np.array([r.input_scale for r in results]),
-            per_column_attempts=np.array([r.attempts for r in results]),
-            column_saturated=np.array([r.saturated for r in results]),
-        )
-
     # -------------------------------------------------------------- numpy sugar
 
     @property
@@ -1009,7 +996,7 @@ class AnalogOperator:
 
     def __rmatmul__(self, other) -> np.ndarray:
         """``x @ op`` — transpose application ``xᵀ·A = (Aᵀ·x)ᵀ``."""
-        other = np.asarray(other, dtype=float)
+        other = finite_input(other, "x")
         transpose = self.T
         if other.ndim == 1:
             return transpose.mvm(other).value

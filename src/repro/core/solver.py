@@ -30,16 +30,11 @@ Example
 >>> result = op.solve(np.ones(8))              # analog INV, repeatable
 >>> bool(result.relative_error < 0.2)
 True
-
-The one-shot methods (``solver.mvm/solve/lstsq/eigvec``) are kept as a
-thin facade over ``compile`` — each call resolves to the cached operator
-for its matrix, so repeated calls also avoid re-programming.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 import weakref
 from typing import TYPE_CHECKING
 
@@ -48,13 +43,12 @@ import numpy as np
 from repro.analog.egv import estimate_dominant_eigenvalue
 from repro.analog.topologies import AMCMode
 from repro.arrays.mapping import DifferentialMapping
-from repro.core.backend import Backend, resolve_backend
+from repro.core.backend import Backend, backend_or_default
 from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
 from repro.core.operator import AnalogOperator, TileBinding
 from repro.obs import trace
 from repro.obs.cost import CostAccumulator
 from repro.core.pool import MacroPool, PoolConfig
-from repro.core.results import SolveResult
 from repro.core.tiled import TiledOperator
 from repro.macro.amc_macro import AMCMacro
 from repro.macro.registers import MacroRole, PlaneLayout
@@ -66,13 +60,9 @@ __all__ = [
     "AnalogOperator",
     "GramcError",
     "GramcSolver",
-    "ProgrammedOperator",
     "TileBinding",
     "TiledOperator",
 ]
-
-#: Deprecated alias — the seed called the handle ``ProgrammedOperator``.
-ProgrammedOperator = AnalogOperator
 
 
 def _bytes_digest(matrix: np.ndarray) -> str:
@@ -107,7 +97,7 @@ def _matrix_digest(matrix: np.ndarray) -> str:
     """Content digest with a fast path for repeated read-only operands.
 
     Mark an operand read-only (``matrix.setflags(write=False)``) to let
-    repeated facade calls on the same ndarray skip the O(n²) byte hash.
+    repeated compiles of the same ndarray skip the O(n²) byte hash.
     """
     memoizable = _memoizable(matrix)
     if memoizable:
@@ -150,7 +140,7 @@ class GramcSolver:
         headroom: float = 0.80,
         max_attempts: int = 6,
         stats: "ChipStats | None" = None,
-        backend: "Backend | str | None" = None,
+        backend: "Backend | None" = None,
     ):
         self.pool = pool or MacroPool(PoolConfig())
         self.rng = rng if rng is not None else np.random.default_rng(7)
@@ -158,12 +148,10 @@ class GramcSolver:
         self.headroom = headroom
         self.max_attempts = max_attempts
         self.stats = stats
-        self.backend = resolve_backend(backend)
+        self.backend = backend_or_default(backend)
         self._operators: dict[str, AnalogOperator] = {}
         self.solve_counts: dict[str, int] = {m.value: 0 for m in AMCMode}
-        self.engine_dispatches = 0
         self.stack_rebuilds = 0
-        self.refine_steps = 0
         self.refine_dispatches = 0
         self.cost = CostAccumulator()
         injector = getattr(self.pool, "fault_injector", None)
@@ -172,6 +160,16 @@ class GramcSolver:
             # here (rather than making the injector know about solvers)
             # keeps the faults package dependency-free of this module.
             injector.monitor.bind_solver(self)
+
+    @property
+    def engine_dispatches(self) -> int:
+        """Digital-engine kernel dispatches so far (read from the ledger)."""
+        return self.cost.total.engine_dispatches
+
+    @property
+    def refine_steps(self) -> int:
+        """Iterative-refinement steps so far (read from the ledger)."""
+        return self.cost.total.refine_steps
 
     @property
     def health_monitor(self):
@@ -189,6 +187,11 @@ class GramcSolver:
     @property
     def _cols_max(self) -> int:
         return self.pool.config.cols
+
+    @property
+    def _tile_max(self) -> int:
+        """The widest square block one array holds as a single tile."""
+        return min(self._rows_max, self._cols_max)
 
     def _macros_for(self, layout: PlaneLayout) -> int:
         return 1 if layout is PlaneLayout.PAIRED_COLUMNS else 2
@@ -227,7 +230,6 @@ class GramcSolver:
 
     def _record_dispatch(self, count: int = 1) -> None:
         """Count digital-engine kernel dispatches (batched or per-tile)."""
-        self.engine_dispatches += count
         self.cost.add_dispatches(count)
         if self.stats is not None:
             self.stats.record_dispatches(count)
@@ -259,7 +261,6 @@ class GramcSolver:
         work split of the ``rtol`` contract is observable per chip;
         ``macs`` is the float64 residual/correction arithmetic those
         steps executed on the digital side."""
-        self.refine_steps += steps
         self.refine_dispatches += dispatches
         self.cost.add_refine(steps, macs)
         if self.stats is not None:
@@ -339,7 +340,7 @@ class GramcSolver:
         if original.ndim != 2:
             raise ShapeError("operands must be 2-D matrices")
         if mode is AMCMode.INV and (
-            tile is not None or original.shape[0] > self._rows_max
+            tile is not None or original.shape[0] > self._tile_max
         ):
             return self._compile_tiled(
                 original, tile=tile, tag=tag, quant_peak=quant_peak, pin=pin
@@ -420,10 +421,13 @@ class GramcSolver:
         rows, cols = original.shape
         if rows != cols:
             raise ShapeError("solve needs a square matrix")
-        tile_size = self._rows_max if tile is None else int(tile)
+        tile_size = self._tile_max if tile is None else int(tile)
         if tile_size < 1:
             raise ShapeError("tile size must be a positive block edge")
-        tile_size = min(tile_size, self._rows_max)
+        # Every block must land on one macro tile (the grid engine stacks
+        # tiles, not operands), so the edge never exceeds either side of
+        # an array.
+        tile_size = min(tile_size, self._tile_max)
         grid_tag = f"{tag}/tiled:{tile_size}"
         if quant_peak is not None:
             grid_tag = f"{grid_tag}/qp={quant_peak!r}"
@@ -519,20 +523,6 @@ class GramcSolver:
             probe.close()  # operator already holds a reference — drop this one
         return operator
 
-    def program(
-        self,
-        matrix: np.ndarray,
-        mode: AMCMode,
-        g_lambda: float = 0.0,
-        tag: str = "",
-        quant_peak: float | None = None,
-    ) -> AnalogOperator:
-        """Deprecated seed spelling of :meth:`compile` (no λ̂ auto-estimate)."""
-        self._warn_one_shot("program", "compile")
-        return self.compile(
-            matrix, mode, g_lambda=g_lambda, tag=tag, quant_peak=quant_peak
-        )
-
     def resident_operators(self) -> "dict[str, AnalogOperator]":
         """Compile-cache snapshot: digest key → live operator handle.
 
@@ -546,18 +536,6 @@ class GramcSolver:
             for key, operator in self._operators.items()
             if not operator.closed
         }
-
-    @staticmethod
-    def _warn_one_shot(name: str, replacement: str) -> None:
-        """Deprecation notice for the stateless seed-era facade paths."""
-        warnings.warn(
-            f"GramcSolver.{name}(matrix, ...) is deprecated: compile the "
-            f"operand once (`op = solver.{replacement}(...)`) and call the "
-            f"handle — one-shot calls hide operator lifetime from the pool "
-            f"and cannot be admitted or coalesced by the serve layer",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
     # --------------------------------------------------------------- programming
 
@@ -783,98 +761,3 @@ class GramcSolver:
             g_neg=g_neg,
             value_scale=quantizer.scale / level_map.step,
         )
-
-    # ------------------------------------------------------ one-shot facade
-    #
-    # Deprecated paths: these keep the seed's stateless signatures alive on
-    # top of the operator-handle API.  Each call resolves (via the compile
-    # cache) to the persistent handle for its matrix, so repeated calls on
-    # the same operand still perform zero re-programming.
-
-    def mvm(
-        self, matrix: np.ndarray, x: np.ndarray, quant_peak: float | None = None
-    ) -> SolveResult:
-        """Analog matrix-(vector|matrix) product ``A·x`` (tiled when wide).
-
-        ``x`` may be a vector ``(n,)`` or a batch ``(n, k)`` — the batch
-        form runs back-to-back conversions through the same programmed
-        hardware, which is how the LeNet-5 demo streams image patches.
-        """
-        self._warn_one_shot("mvm", "compile")
-        matrix = np.asarray(matrix, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if matrix.ndim == 2 and (x.ndim == 0 or x.ndim > 2 or x.shape[0] != matrix.shape[1]):
-            # Reject a mismatched x *before* compiling — programming the
-            # matrix for a doomed call would waste macros and write pulses.
-            raise ShapeError(
-                f"x must have leading dimension {matrix.shape[1]} (vector or batch)"
-            )
-        operator = self.compile(matrix, AMCMode.MVM, quant_peak=quant_peak)
-        try:
-            return operator.mvm(x)
-        finally:
-            operator._refs -= 1  # a facade call is not a holder
-
-    def solve(
-        self,
-        matrix: np.ndarray,
-        b: np.ndarray,
-        *,
-        rtol: "float | np.ndarray | None" = None,
-    ) -> SolveResult:
-        """Analog linear solve ``A·y = b``: one INV step, or blocked sweeps.
-
-        Systems that fit one array run the direct INV topology; larger
-        square systems go through the blocked
-        :class:`~repro.core.tiled.TiledOperator` grid (whose macros stay
-        resident and pinned between facade calls — repeated solves on
-        the same operand re-use the programmed grid).  ``rtol`` requests
-        digital iterative refinement down to the given relative residual
-        (see :mod:`repro.core.refine`).
-        """
-        self._warn_one_shot("solve", "compile")
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError("solve needs a square matrix")
-        b = np.asarray(b, dtype=float)
-        if b.shape != (matrix.shape[0],):
-            raise ShapeError(f"b must have length {matrix.shape[0]}")
-        operator = self.compile(matrix, AMCMode.INV)
-        try:
-            return operator.solve(b, rtol=rtol)
-        finally:
-            if isinstance(operator, TiledOperator):
-                # The facade has no close() discipline: leave the grid
-                # cached for repeated calls, but evictable — a one-shot
-                # caller must not pin the whole pool behind their back.
-                operator.unpin()
-            operator._refs -= 1
-
-    def lstsq(self, matrix: np.ndarray, b: np.ndarray) -> SolveResult:
-        """Analog least squares ``min‖A·y − b‖`` via the PINV topology."""
-        self._warn_one_shot("lstsq", "compile")
-        matrix = np.asarray(matrix, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if matrix.ndim == 2 and b.shape != (matrix.shape[0],):
-            raise ShapeError(f"b must have length {matrix.shape[0]}")
-        operator = self.compile(matrix, AMCMode.PINV)
-        try:
-            return operator.lstsq(b)
-        finally:
-            operator._refs -= 1
-
-    def eigvec(
-        self, matrix: np.ndarray, lambda_hat: float | None = None, transient: bool = False
-    ) -> SolveResult:
-        """Dominant eigenvector via the EGV topology (unit norm)."""
-        self._warn_one_shot("eigvec", "compile")
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError("eigvec needs a square matrix")
-        if matrix.shape[0] > self._rows_max:
-            raise ShapeError(f"EGV supports up to {self._rows_max} unknowns")
-        operator = self._compile_egv(matrix, lambda_hat)
-        try:
-            return operator.eigvec(transient=transient)
-        finally:
-            operator._refs -= 1

@@ -45,6 +45,7 @@ import numpy as np
 from repro.analog.topologies import AMCMode
 from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
 from repro.core.grid_engine import GridEngine
+from repro.core.operator import finite_input
 from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result, scaled_norm
 from repro.core.results import SolveResult
 from repro.obs import trace
@@ -54,16 +55,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.solver import GramcSolver
 
 _METHODS = ("gauss-seidel", "jacobi")
-_ENGINES = ("stacked", "pertile")
 
 
 class _SweepStats:
     """Per-engine-call diagnostics accumulated across a blocked solve.
 
-    One accumulator serves both sweep engines: the per-tile loop feeds it
-    whole :class:`SolveResult` objects (:meth:`add_result`), the stacked
-    grid engine feeds it the same fields per tile (:meth:`add`) — so the
-    reported totals are engine-independent by construction.
+    The grid engine feeds it the fields of each ranging tile
+    (:meth:`add`) and of each stage's single-attempt tiles at once
+    (:meth:`add_batch`).
     """
 
     def __init__(self, columns: int):
@@ -74,18 +73,6 @@ class _SweepStats:
         self.col_scales = np.zeros(columns)
         self.col_attempts = np.zeros(columns, dtype=int)
         self.col_saturated = np.zeros(columns, dtype=bool)
-
-    def add_result(self, inner: SolveResult) -> None:
-        self.total_attempts += inner.attempts
-        self.stable &= inner.stable
-        self.saturated |= inner.saturated
-        self.worst_scale = max(self.worst_scale, inner.input_scale)
-        if inner.input_scales is not None:
-            np.maximum(self.col_scales, inner.input_scales, out=self.col_scales)
-        if inner.per_column_attempts is not None:
-            self.col_attempts += inner.per_column_attempts
-        if inner.column_saturated is not None:
-            self.col_saturated |= inner.column_saturated
 
     def add(
         self,
@@ -194,7 +181,6 @@ class TiledOperator:
         self._engine: GridEngine | None = None
         """Lazily constructed stacked grid engine; its slices re-sync
         against the resident circuits at every solve."""
-        self._stackable: bool | None = None
         self._compile_grid()
 
     # ------------------------------------------------------------- compilation
@@ -426,74 +412,12 @@ class TiledOperator:
         result.cost = cost
         return result
 
-    def _can_stack(self) -> bool:
-        """Whether the stacked grid engine can run this grid.
-
-        Requires every solve-path block to live on exactly one macro tile
-        and every macro to share the same converter/op-amp parameters (a
-        pool always satisfies the latter — its macros are built from one
-        shared config).  Checked once; the grid's handles are immutable
-        for the operator's lifetime.
-        """
-        if self._stackable is None:
-            handles = self._solve_handles()
-            ok = all(h._tiles is not None and len(h._tiles) == 1 for h in handles)
-            if ok and handles:
-                first = handles[0]._tiles[0].primary
-                macros = [h._tiles[0].primary for h in handles]
-                ok = all(
-                    m.opamp_params == first.opamp_params
-                    and m.dac.params == first.dac.params
-                    and m.adc.params == first.adc.params
-                    for m in macros
-                )
-            self._stackable = ok
-        return self._stackable
-
     def _grid_engine(self) -> GridEngine:
         """The stacked engine, built lazily and re-synced for this solve."""
         if self._engine is None:
             self._engine = GridEngine(self, self._solver.backend)
         self._engine.refresh()
         return self._engine
-
-    def _swept_pertile(
-        self,
-        big_b: np.ndarray,
-        x: np.ndarray,
-        source: np.ndarray,
-        coupled: list[int],
-        stats: _SweepStats,
-    ) -> None:
-        """One grid sweep as the original per-tile Python loop.
-
-        Kept as the reference engine (``engine="pertile"``) and the
-        fallback for grids the stacked engine cannot express; the stacked
-        path is asserted bit-identical to this loop under the
-        deterministic engine mode.
-        """
-        for i in coupled:
-            rows = self._edges[i]
-            residual = np.array(big_b[rows])
-            for j, cols in enumerate(self._edges):
-                coupling = self._off.get((i, j))
-                if coupling is None:
-                    continue  # diagonal, or an all-zero (skipped) block
-                chunk = source[cols]
-                if not chunk.any():
-                    # A_ij·0 ≡ 0 exactly: running the analog MVM on an
-                    # all-zero source (the first Jacobi sweep, untouched
-                    # Gauss-Seidel blocks) would only spend settling
-                    # events digitizing noise — and that noise floor
-                    # under-ranges the shared TIA ladder, forcing a
-                    # re-range round trip once real inputs arrive.
-                    continue
-                product = coupling.mvm(chunk)
-                residual -= product.value
-                stats.add_result(product)
-            inner = self._diag[i].solve(residual)
-            x[rows] = inner.value
-            stats.add_result(inner)
 
     def _fault_injector(self):
         """The chip's fault injector when this call is top-level (see
@@ -513,13 +437,13 @@ class TiledOperator:
         tolerance: float = 1e-3,
         max_sweeps: int = 40,
         method: str = "gauss-seidel",
-        engine: str = "stacked",
         rtol: "float | np.ndarray | None" = None,
         max_refine_steps: int = DEFAULT_MAX_STEPS,
     ) -> SolveResult:
         """Blocked analog solve with fault supervision when a plan is set
         (observe → heal → one retry → structured ``DegradedChipError``);
         see :meth:`_solve_impl` for the sweep semantics."""
+        b = finite_input(b, "b")
         injector = self._fault_injector()
         if injector is None:
             return self._solve_impl(
@@ -527,7 +451,6 @@ class TiledOperator:
                 tolerance=tolerance,
                 max_sweeps=max_sweeps,
                 method=method,
-                engine=engine,
                 rtol=rtol,
                 max_refine_steps=max_refine_steps,
             )
@@ -538,7 +461,6 @@ class TiledOperator:
                 tolerance=tolerance,
                 max_sweeps=max_sweeps,
                 method=method,
-                engine=engine,
                 rtol=rtol,
                 max_refine_steps=max_refine_steps,
             ),
@@ -552,7 +474,6 @@ class TiledOperator:
         tolerance: float = 1e-3,
         max_sweeps: int = 40,
         method: str = "gauss-seidel",
-        engine: str = "stacked",
         rtol: "float | np.ndarray | None" = None,
         max_refine_steps: int = DEFAULT_MAX_STEPS,
     ) -> SolveResult:
@@ -570,13 +491,9 @@ class TiledOperator:
         residual floor is O(η·κ) and is reported (digitally evaluated) in
         ``SolveResult.residual_floor``.
 
-        ``engine`` selects the sweep executor: ``"stacked"`` (default)
-        runs each sweep as a constant number of batched kernels over the
+        Each sweep runs as a constant number of batched kernels over the
         :class:`~repro.core.grid_engine.GridEngine`'s stacked circuit
-        state — bit-identical to the loop under the deterministic engine
-        mode — while ``"pertile"`` forces the original one-engine-call-
-        per-tile Python loop (the reference baseline the benchmarks
-        compare against).
+        state.
 
         ``rtol`` turns the O(η·κ) floor into a **contract**: digital
         iterative refinement (:mod:`repro.core.refine`) measures the
@@ -599,9 +516,6 @@ class TiledOperator:
         self._require_open()
         if method not in _METHODS:
             raise GramcError(f"method must be one of {_METHODS}, not {method!r}")
-        if engine not in _ENGINES:
-            raise GramcError(f"engine must be one of {_ENGINES}, not {engine!r}")
-        b = np.asarray(b, dtype=float)
         n = self.shape[0]
         if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ShapeError(f"b must have leading dimension {n} (vector or batch)")
@@ -649,11 +563,7 @@ class TiledOperator:
         columns = big_b.shape[1]
         gauss_seidel = method == "gauss-seidel"
         stats = _SweepStats(columns)
-        grid = (
-            self._grid_engine()
-            if engine == "stacked" and self._can_stack()
-            else None
-        )
+        grid = self._grid_engine()
 
         with trace.span(
             "solve",
@@ -661,7 +571,6 @@ class TiledOperator:
             shape=str(self.shape),
             columns=columns,
             grid=f"{len(self._edges)}x{len(self._edges)}",
-            engine="stacked" if grid is not None else "pertile",
             refine=rtol is not None,
         ) as sp:
             # Under ``rtol`` the base solve is a single sweep: refinement
@@ -748,7 +657,7 @@ class TiledOperator:
         sweeps: int,
         tolerance: float | None,
         gauss_seidel: bool,
-        grid: "GridEngine | None",
+        grid: GridEngine,
     ) -> tuple[np.ndarray, int, bool]:
         """A blocked solve from a zero initial iterate.
 
@@ -773,13 +682,7 @@ class TiledOperator:
         ]
         uncoupled = [i for i in range(len(self._edges)) if i not in coupled]
         if uncoupled:
-            if grid is not None:
-                grid.presolve_uncoupled(big_b, x, uncoupled, stats)
-            else:
-                for i in uncoupled:
-                    inner = self._diag[i].solve(np.array(big_b[self._edges[i]]))
-                    x[self._edges[i]] = inner.value
-                    stats.add_result(inner)
+            grid.presolve_uncoupled(big_b, x, uncoupled, stats)
 
         sweeps_run = 0
         converged = False
@@ -801,10 +704,7 @@ class TiledOperator:
                 method="gauss-seidel" if gauss_seidel else "jacobi",
                 tiles=len(coupled),
             ):
-                if grid is not None:
-                    grid.sweep(big_b, x, source, coupled, stats, gauss_seidel)
-                else:
-                    self._swept_pertile(big_b, x, source, coupled, stats)
+                grid.sweep(big_b, x, source, coupled, stats, gauss_seidel)
             sweeps_run = sweep
             # Scale-safe norms: a 1e300 right-hand side must not read as
             # an overflowing (diverged) update.
@@ -892,6 +792,7 @@ class TiledOperator:
         be a vector or an ``(n, k)`` batch — every per-tile product is
         one batched engine call.
         """
+        x = finite_input(x, "x")
         injector = self._fault_injector()
         if injector is None:
             return self._mvm_impl(x)
@@ -900,7 +801,6 @@ class TiledOperator:
     def _mvm_impl(self, x: np.ndarray) -> SolveResult:
         """The unsupervised blocked-MVM body (see :meth:`mvm`)."""
         self._require_open()
-        x = np.asarray(x, dtype=float)
         n = self.shape[0]
         if x.ndim not in (1, 2) or x.shape[0] != n:
             raise ShapeError(f"x must have leading dimension {n} (vector or batch)")

@@ -12,8 +12,6 @@ Design points:
 * **Handles only.**  The service accepts compiled operator handles, never
   raw matrices — operator lifetime must be visible to the pool for
   admission, coalescing (digest match) and preemption to mean anything.
-  The one-shot ``GramcSolver.mvm(a, x)`` facade is deprecated for exactly
-  this reason.
 * **One chip thread.**  All solver work (compiles and dispatches) runs on
   a single-worker executor: the chip is one physical resource, and the
   solver/pool stack is synchronous and not thread-safe.  The event loop
@@ -45,6 +43,7 @@ from repro.core.errors import (
     GramcError,
     ShapeError,
 )
+from repro.core.operator import finite_input
 from repro.core.refine import as_rtol_vector
 from repro.core.results import SolveResult
 from repro.core.solver import GramcSolver
@@ -559,7 +558,7 @@ class SolveService:
             )
         if kind == "eigvec":
             return None, 1, True
-        payload = np.asarray(payload, dtype=float)
+        payload = finite_input(payload, f"{kind} payload")
         expected = operator.shape[1] if kind == "mvm" else operator.shape[0]
         if payload.ndim not in (1, 2) or payload.shape[0] != expected:
             raise ShapeError(

@@ -10,8 +10,8 @@ Three ways to drive the chip:
   ``op = chip.compile(a); y = op @ x_batch`` streams batches through the
   resident conductances with zero re-programming.
 * **Runtime path** — :attr:`GramcChip.solver` exposes the high-level
-  :class:`~repro.core.solver.GramcSolver` bound to the same macro pool, for
-  users who want the one-shot ``chip.solver.solve(a, b)`` facade.
+  :class:`~repro.core.solver.GramcSolver` bound to the same macro pool
+  (``chip.solver.compile(a, mode)`` and the handle it returns).
 
 Both runtime paths account programming and solve activity into
 :attr:`GramcChip.stats`, alongside the compiled path's counters.
@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from repro.analog.topologies import AMCMode
-from repro.core.backend import resolve_backend
+from repro.core.backend import Backend, backend_or_default
 from repro.core.operator import AnalogOperator
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
@@ -45,7 +45,7 @@ class GramcChip:
         pool_config: PoolConfig | None = None,
         rng: np.random.Generator | None = None,
         buffer_capacity: int = 1 << 16,
-        backend: "object | str | None" = None,
+        backend: "Backend | None" = None,
         trace: "str | bool | None" = None,
         faults: "object | str | None" = None,
     ):
@@ -63,9 +63,9 @@ class GramcChip:
             obs_trace.configure(trace)
         elif os.environ.get("REPRO_TRACE"):
             obs_trace.configure_from_env()
-        # Resolved eagerly so an unknown backend name (or a bad
-        # REPRO_BACKEND value) fails at chip construction, not mid-solve.
-        self.backend = resolve_backend(backend)
+        # Checked eagerly so a wrong ``backend=`` fails at chip
+        # construction, not mid-solve.
+        self.backend = backend_or_default(backend)
         self._solver: GramcSolver | None = None
         # ``faults=`` attaches a deterministic degradation schedule
         # (:class:`~repro.faults.FaultPlan`, a plan-shaped spec string, or

@@ -15,6 +15,7 @@ from repro.analog.topologies import AMCMode
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.workloads.matrices import gram, wishart
+from tests.reference_engines import column_loop
 
 
 def _fresh_solver() -> GramcSolver:
@@ -117,7 +118,7 @@ class TestColumnLoopEquivalence:
         batch = rng.uniform(-1, 1, size=(12, 8))
         batched = _fresh_solver().compile(matrix, AMCMode.INV).solve(batch)
         loop_op = _fresh_solver().compile(matrix, AMCMode.INV)
-        loop = loop_op._batched(batch, loop_op.solve, np.linalg.inv(matrix) @ batch)
+        loop = column_loop(loop_op, batch, loop_op.solve, np.linalg.inv(matrix) @ batch)
         scale = np.linalg.norm(batched.reference)
         assert np.linalg.norm(batched.value - loop.value) / scale < 0.15
         assert batched.relative_error < 0.5
@@ -128,7 +129,7 @@ class TestColumnLoopEquivalence:
         batch = rng.uniform(-1, 1, size=(20, 6))
         batched = _fresh_solver().compile(matrix, AMCMode.PINV).lstsq(batch)
         loop_op = _fresh_solver().compile(matrix, AMCMode.PINV)
-        loop = loop_op._batched(batch, loop_op.lstsq, np.linalg.pinv(matrix) @ batch)
+        loop = column_loop(loop_op, batch, loop_op.lstsq, np.linalg.pinv(matrix) @ batch)
         scale = np.linalg.norm(batched.reference)
         assert np.linalg.norm(batched.value - loop.value) / scale < 0.2
         assert batched.relative_error < 0.4

@@ -1,9 +1,8 @@
-"""One-shot facade deprecation: legacy paths warn, handle paths stay silent.
+"""The public handle paths run without a single ``DeprecationWarning``.
 
-The serve layer admits and coalesces *handles only* — operator lifetime
-must be visible to the pool.  The legacy ``solver.mvm(a, x)`` spelling
-hides it, so every one-shot facade now emits a ``DeprecationWarning``
-pointing at ``compile``."""
+The serve layer admits and coalesces *handles only*, so every operation
+goes through ``compile`` and the handle it returns; none of those calls
+may warn."""
 
 from __future__ import annotations
 
@@ -22,54 +21,19 @@ def operands(rng):
     return a, x
 
 
-def test_mvm_facade_warns(small_solver, operands):
+def test_handle_path_does_not_warn(small_solver, operands, rng):
     a, x = operands
-    with pytest.warns(DeprecationWarning, match="GramcSolver.mvm.*deprecated"):
-        small_solver.mvm(a, x)
-
-
-def test_solve_facade_warns(small_solver, operands):
-    a, x = operands
-    with pytest.warns(DeprecationWarning, match="GramcSolver.solve.*deprecated"):
-        small_solver.solve(a, x)
-
-
-def test_lstsq_facade_warns(small_solver, rng):
-    a = rng.normal(0.0, 1.0, (8, 4)) + np.eye(8, 4) * 2.0
-    b = rng.normal(0.0, 1.0, 8)
-    with pytest.warns(DeprecationWarning, match="GramcSolver.lstsq.*deprecated"):
-        small_solver.lstsq(a, b)
-
-
-def test_eigvec_facade_warns(small_solver):
-    a = np.full((4, 4), 0.25)
-    with pytest.warns(DeprecationWarning, match="GramcSolver.eigvec.*deprecated"):
-        small_solver.eigvec(a)
-
-
-def test_program_facade_warns(small_solver, operands):
-    a, _ = operands
-    with pytest.warns(DeprecationWarning, match="GramcSolver.program.*deprecated"):
-        operator = small_solver.program(a, AMCMode.MVM)
-    operator.close()
-
-
-def test_handle_path_does_not_warn(small_solver, operands):
-    a, x = operands
+    tall = rng.normal(0.0, 1.0, (8, 4)) + np.eye(8, 4) * 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         with small_solver.compile(a, AMCMode.MVM) as operator:
             operator.mvm(x)
+            _ = operator @ x
         with small_solver.compile(a, AMCMode.INV) as operator:
             operator.solve(x)
-
-
-def test_warning_names_the_caller_site(small_solver, operands):
-    a, x = operands
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeprecationWarning)
-        small_solver.mvm(a, x)
-    ours = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert ours
-    # stacklevel points at this test file, not at solver internals.
-    assert __file__ in ours[0].filename
+        with small_solver.compile(tall, AMCMode.PINV) as operator:
+            operator.lstsq(x)
+        with small_solver.compile(np.full((4, 4), 0.25), AMCMode.EGV) as operator:
+            operator.eigvec()
+        with small_solver.compile(a, AMCMode.INV, tile=4) as operator:
+            operator.solve(x)

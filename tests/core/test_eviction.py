@@ -61,7 +61,7 @@ class TestLRUOrder:
         # LRU means exactly the *last* eight survive, in order.
         assert resident == handles[4:]
         # The operator cache holds only resident entries — the seed's leak
-        # (evicted ProgrammedOperators retained forever) is fixed.
+        # (evicted operator handles retained forever) is fixed.
         assert len(solver._operators) == 8
 
 
@@ -83,11 +83,11 @@ class TestTransparentReprogramming:
     def test_facade_reprograms_after_eviction(self, rng):
         solver = _solver()
         matrix = _matrix(rng)
-        solver.mvm(matrix, rng.uniform(-1, 1, 12))
+        solver.compile(matrix).mvm(rng.uniform(-1, 1, 12))
         solver.compile(_matrix(rng))
         solver.compile(_matrix(rng))
-        # The facade transparently resolves to a freshly programmed handle.
-        result = solver.mvm(matrix, rng.uniform(-1, 1, 12))
+        # A fresh compile transparently resolves to a reprogrammed handle.
+        result = solver.compile(matrix).mvm(rng.uniform(-1, 1, 12))
         assert np.all(np.isfinite(result.value))
 
     def test_cache_purged_on_eviction(self, rng):

@@ -9,6 +9,7 @@ from the per-slice ones in the last ulp, so those combinations assert a
 tight tolerance instead.
 """
 
+import contextlib
 import os
 import signal
 import threading
@@ -24,7 +25,6 @@ from repro.analog.topologies import AMCMode
 from repro.converters.adc import ADCParams
 from repro.converters.dac import DACParams
 from repro.core import grid_engine
-from repro.core.errors import GramcError
 from repro.core.grid_engine import GridEngine
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
@@ -33,6 +33,7 @@ from repro.devices.constants import DeviceStack, VariabilityParams
 from repro.programming.levels import LevelMap
 from repro.system.stats import ChipStats
 from repro.workloads.matrices import block_dominant
+from tests.reference_engines import per_tile_sweeps
 
 N = 100
 TILE = 32  # 100 = 3×32 + 4: a ragged 4×4 grid exercising the padding
@@ -78,6 +79,11 @@ def _problem(seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return matrix, b
 
 
+def _engine(name: str):
+    """Run the enclosed solves on the stacked engine or the per-tile oracle."""
+    return per_tile_sweeps() if name == "pertile" else contextlib.nullcontext()
+
+
 def _twin_solve(method: str, noisy: bool, **solve_kwargs):
     """The same ragged-grid solve on twin chips, one per engine."""
     matrix, b = _problem()
@@ -87,7 +93,8 @@ def _twin_solve(method: str, noisy: bool, **solve_kwargs):
         op = solver.compile(matrix, AMCMode.INV)
         assert isinstance(op, TiledOperator)
         assert op.block_slices[-1] == slice(96, 100)  # ragged trailing edge
-        result = op.solve(b, method=method, engine=engine, **solve_kwargs)
+        with _engine(engine):
+            result = op.solve(b, method=method, **solve_kwargs)
         results.append(result)
         op.close()
     return results
@@ -123,17 +130,10 @@ class TestEquivalence:
             for engine in ("stacked", "pertile"):
                 solver = _solver(noisy=True)
                 op = solver.compile(matrix, AMCMode.INV)
-                values.append(op.solve(b[:, 0], engine=engine).value)
+                with _engine(engine):
+                    values.append(op.solve(b[:, 0]).value)
                 op.close()
         assert np.array_equal(values[0], values[1])
-
-    def test_unknown_engine_rejected(self):
-        matrix, b = _problem()
-        solver = _solver(noisy=False)
-        op = solver.compile(matrix, AMCMode.INV)
-        with pytest.raises(GramcError, match="engine"):
-            op.solve(b, engine="vectorised")
-        op.close()
 
 
 class TestInvalidation:
@@ -146,13 +146,14 @@ class TestInvalidation:
             for engine in ("stacked", "pertile"):
                 solver = _solver(noisy=True)
                 op = solver.compile(matrix, AMCMode.INV)
-                op.solve(b, engine=engine)
-                for handle in op._solve_handles():
-                    tile = handle._tiles[0]
-                    tile.primary.set_g_f(tile.primary.config.g_f * 2.0)
-                    if tile.partner is not None:
-                        tile.partner.set_g_f(tile.primary.config.g_f)
-                results.append(op.solve(b, engine=engine))
+                with _engine(engine):
+                    op.solve(b)
+                    for handle in op._solve_handles():
+                        tile = handle._tiles[0]
+                        tile.primary.set_g_f(tile.primary.config.g_f * 2.0)
+                        if tile.partner is not None:
+                            tile.partner.set_g_f(tile.primary.config.g_f)
+                    results.append(op.solve(b))
                 op.close()
         stacked, pertile = results
         assert np.array_equal(stacked.value, pertile.value)
@@ -169,12 +170,12 @@ class TestInvalidation:
             for engine in ("stacked", "pertile"):
                 solver = _solver(noisy=True)
                 op = solver.compile(matrix, AMCMode.INV)
-                op.solve(b, engine=engine)  # warm stacks + ranging
-                op.unpin()  # preemption refuses pinned owners
-                victim = op._off[(0, 1)]
-                assert solver.pool.preempt(victim.owner_names()[0])
-                result = op.solve(b, engine=engine)
-                results.append(result)
+                with _engine(engine):
+                    op.solve(b)  # warm stacks + ranging
+                    op.unpin()  # preemption refuses pinned owners
+                    victim = op._off[(0, 1)]
+                    assert solver.pool.preempt(victim.owner_names()[0])
+                    results.append(op.solve(b))
                 op.close()
         stacked, pertile = results
         assert np.array_equal(stacked.value, pertile.value)
@@ -216,7 +217,7 @@ class TestDispatchScaling:
         b = rng.uniform(-1, 1, (n, 4))
         solver = self._grid_solver()
         op = solver.compile(matrix, AMCMode.INV)
-        result = op.solve(b, method="jacobi", engine="stacked")
+        result = op.solve(b, method="jacobi")
         assert result.sweeps >= 1
         assert result.engine_dispatches == 3 * result.sweeps - 2
         op.close()
@@ -227,7 +228,8 @@ class TestDispatchScaling:
         b = rng.uniform(-1, 1, (128, 4))
         solver = self._grid_solver()
         op = solver.compile(matrix, AMCMode.INV)
-        result = op.solve(b, method="jacobi", engine="pertile")
+        with per_tile_sweeps():
+            result = op.solve(b, method="jacobi")
         # 4×4 grid: 12 coupling MVMs + 4 diagonal solves per sweep,
         # minus the 12 zero-source MVMs skipped on sweep 1.
         assert result.engine_dispatches == 16 * result.sweeps - 12
@@ -305,8 +307,8 @@ class TestLanes:
         b = rng.uniform(-1, 1, (n, COLUMNS))
         solver, stats = _lane_solver(noisy, stuck)
         op = solver.compile(matrix, AMCMode.INV)
-        with determinism.column_independent_apply(True):
-            results = [op.solve(b, method=method, engine=engine) for _ in range(2)]
+        with determinism.column_independent_apply(True), _engine(engine):
+            results = [op.solve(b, method=method) for _ in range(2)]
         op.close()
         return results, stats.summary()
 

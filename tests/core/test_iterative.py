@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analog.topologies import AMCMode
 from repro.core.iterative import AnalogIterativeSolver
 from repro.core.solver import GramcError
 from repro.workloads.matrices import diagonally_dominant, wishart
@@ -93,8 +94,8 @@ class TestConjugateGradient:
     def test_tiled_system_beyond_one_array(self, small_solver, rng):
         """A 60-unknown SPD system on 32-wide arrays, two ways.
 
-        The direct INV loop cannot span two arrays, but the facade now
-        routes square oversized operands through the blocked tile-grid
+        The direct INV loop cannot span two arrays, but ``compile`` routes
+        square oversized operands through the blocked tile-grid
         engine (2×2 grid here) — and analog-matvec CG still produces a
         usable answer too, limited by the inexact-matvec floor η·κ (η is
         the ~10–20 % analog error at 4 bits).
@@ -102,7 +103,9 @@ class TestConjugateGradient:
         matrix = wishart(60, rng=rng) + 0.8 * np.eye(60)
         b = rng.uniform(-1, 1, 60)
         exact = np.linalg.solve(matrix, b)
-        blocked = small_solver.solve(matrix, b)  # blocked grid, not an error
+        blocked_op = small_solver.compile(matrix, AMCMode.INV)  # blocked grid
+        blocked = blocked_op.solve(b)
+        blocked_op.unpin()  # the CG operand below needs the grid's macros
         assert blocked.sweeps is not None and blocked.sweeps >= 1
         blocked_error = np.linalg.norm(blocked.value - exact) / np.linalg.norm(exact)
         assert blocked_error < 0.6
@@ -143,8 +146,8 @@ class TestHandleRewiring:
         acquisitions_before = small_solver.pool.acquisitions
         result = hybrid.richardson(matrix, b, tolerance=1e-6, max_iterations=30)
         assert result.analog_matvecs >= 30  # floor-limited: every sweep ran
-        # One compile = one key computation, however many sweeps ran; the
-        # seed facade hashed the O(n²) operand on *every* matvec.
+        # One compile = one key computation, however many sweeps ran —
+        # not one O(n²) operand hash per matvec.
         assert keys["count"] == 1
         assert small_solver.pool.acquisitions == acquisitions_before + 1
 

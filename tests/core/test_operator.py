@@ -304,19 +304,23 @@ class TestZeroReprogramming:
         chip = GramcChip(
             PoolConfig(num_macros=4, rows=16, cols=16), rng=np.random.default_rng(6)
         )
+        op = chip.compile(np.eye(8))
+        cells = chip.stats.cells_programmed
+        free = chip.pool.free_count
         with pytest.raises(GramcError):
-            chip.solver.mvm(np.eye(8), np.zeros(5))
-        assert chip.stats.cells_programmed == 0
-        assert chip.pool.free_count == 4
+            op.mvm(np.zeros(5))
+        assert chip.stats.cells_programmed == cells
+        assert chip.pool.free_count == free
+        assert op.program_count == 1
 
     def test_facade_calls_share_the_handle(self, rng):
-        """The deprecated one-shot facade also resolves to one programming."""
+        """Repeated compile-and-call sequences resolve to one programming."""
         chip = GramcChip(
             PoolConfig(num_macros=4, rows=16, cols=16), rng=np.random.default_rng(2)
         )
         matrix = rng.uniform(-1, 1, size=(10, 10))
         for _ in range(3):
-            chip.solver.mvm(matrix, rng.uniform(-1, 1, 10))
+            chip.compile(matrix).mvm(rng.uniform(-1, 1, 10))
         op = chip.compile(matrix)
         assert op.program_count == 1
 
@@ -355,7 +359,7 @@ class TestPinning:
         free_before = small_solver.pool.free_count
         for _ in range(3):
             with pytest.raises(GramcError):
-                small_solver.eigvec(-np.eye(8))
+                small_solver.compile(-np.eye(8), AMCMode.EGV)
         probe = small_solver.compile(-np.eye(8), tag="egv-probe")
         assert probe._refs == 1  # only this fresh holder
         probe.close()

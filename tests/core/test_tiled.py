@@ -54,6 +54,42 @@ class TestRaggedTiling:
         op.close()
         assert solver.pool.free_count == len(solver.pool.macros)
 
+    def test_narrow_arrays_cap_the_tile_edge(self, rng):
+        """``cols < rows``: a block as tall as the array would span two
+        tiles, so the edge is capped at ``cols`` and every block lands on
+        one tile — the stacked engine runs every such grid."""
+        solver = GramcSolver(
+            pool=MacroPool(
+                PoolConfig(
+                    num_macros=20,
+                    rows=32,
+                    cols=16,
+                    level_map=LevelMap(num_levels=256),
+                ),
+                rng=np.random.default_rng(11),
+            ),
+            rng=np.random.default_rng(7),
+        )
+        matrix = block_dominant(48, 16, rng=rng)
+        op = solver.compile(matrix, AMCMode.INV)
+        assert isinstance(op, TiledOperator)
+        assert op.tile == 16 and op.grid == (3, 3)
+        assert all(len(h._tiles) == 1 for h in op._solve_handles())
+        b = rng.uniform(-1, 1, (48, 4))
+        result = op.solve(b, rtol=1e-8)
+        assert op._engine is not None  # swept on the stacked grid engine
+        assert result.converged
+        exact = np.linalg.solve(matrix, b)
+        assert np.linalg.norm(result.value - exact) <= 1e-6 * np.linalg.norm(exact)
+        op.close()
+        # An explicit tile wider than the arrays is capped the same way,
+        # and so is a system taller than ``cols`` but within ``rows``.
+        with solver.compile(matrix, AMCMode.INV, tile=32) as capped:
+            assert capped.tile == 16
+        small = block_dominant(20, 10, rng=rng)
+        with solver.compile(small, AMCMode.INV) as narrow:
+            assert isinstance(narrow, TiledOperator)
+
     def test_wide_mvm_130x70_on_64_wide_arrays(self, rng):
         """Ragged MVM tiling (the atomic multi-acquire path): 130×70."""
         solver = _solver(num_macros=10, size=64)
@@ -259,13 +295,16 @@ class TestValidation:
 
 class TestPinAccounting:
     def test_facade_never_strips_a_holders_pin(self, rng):
-        """A one-shot facade solve on a grid another caller holds must
-        leave that holder's pin (and zero-reprogramming guarantee) intact."""
+        """A second holder's compile-solve-close on a grid another caller
+        holds must leave that holder's pin (and zero-reprogramming
+        guarantee) intact."""
         solver = _solver(num_macros=10)
         matrix = block_dominant(64, 32, rng=rng)
         op = solver.compile(matrix, AMCMode.INV)  # holder's pinned grid
         b = rng.uniform(-1, 1, 64)
-        solver.solve(matrix, b)  # facade: pin on cache hit, unpin after
+        second = solver.compile(matrix, AMCMode.INV)  # pin on cache hit
+        second.solve(b)
+        second.close()  # drops only its own pin and reference
         events = op.program_events
         for _ in range(4):  # pool pressure that would evict an unpinned grid
             solver.compile(rng.uniform(-1, 1, (32, 32)), AMCMode.MVM)
@@ -274,11 +313,13 @@ class TestPinAccounting:
         op.close()
 
     def test_facade_only_grid_is_evictable(self, rng):
-        """With no explicit holder, the facade's cached grid must not
+        """A grid whose only holder unpinned it stays cached but must not
         pin the pool shut for later operands."""
         solver = _solver(num_macros=8)
         matrix = block_dominant(64, 32, rng=rng)
-        solver.solve(matrix, rng.uniform(-1, 1, 64))  # grid cached, unpinned
+        grid = solver.compile(matrix, AMCMode.INV)
+        grid.solve(rng.uniform(-1, 1, 64))
+        grid.unpin()  # grid cached, unpinned
         # Needs 6 of the 8 macros: must succeed by evicting the idle grid.
         wide = solver.compile(rng.uniform(-1, 1, (32, 96)), AMCMode.MVM)
         assert wide.resident

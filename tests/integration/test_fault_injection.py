@@ -11,6 +11,7 @@ topologies (INV) cannot be compensated this way and show the raw damage.
 
 import numpy as np
 
+from repro.analog.topologies import AMCMode
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.devices.constants import DeviceStack, VariabilityParams
@@ -38,7 +39,7 @@ def _mvm_error(solver: GramcSolver, seed: int = 5) -> float:
     errors = []
     for _ in range(5):
         x = rng.uniform(-1, 1, 24)
-        errors.append(solver.mvm(matrix, x).relative_error)
+        errors.append(solver.compile(matrix).mvm(x).relative_error)
     return float(np.mean(errors))
 
 
@@ -54,27 +55,23 @@ class TestCompensatedMVM:
         solver = _solver_with_faults(0.0)
         rng = np.random.default_rng(7)
         matrix = wishart(16, rng=rng)
-        solver.mvm(matrix, rng.uniform(-1, 1, 16))
-        from repro.analog.topologies import AMCMode
-
-        operator = solver.program(matrix, AMCMode.MVM)
+        solver.compile(matrix).mvm(rng.uniform(-1, 1, 16))
+        operator = solver.compile(matrix, AMCMode.MVM)
         assert all(tile.fault_correction is None for tile in operator.tiles)
 
     def test_faulty_tiles_carry_corrections(self):
         solver = _solver_with_faults(0.10, seed=2)
         rng = np.random.default_rng(8)
         matrix = wishart(16, rng=rng)
-        solver.mvm(matrix, rng.uniform(-1, 1, 16))
-        from repro.analog.topologies import AMCMode
-
-        operator = solver.program(matrix, AMCMode.MVM)
+        solver.compile(matrix).mvm(rng.uniform(-1, 1, 16))
+        operator = solver.compile(matrix, AMCMode.MVM)
         assert any(tile.fault_correction is not None for tile in operator.tiles)
 
     def test_no_crash_at_extreme_fault_rate(self):
         solver = _solver_with_faults(0.3)
         rng = np.random.default_rng(9)
         matrix = wishart(16, rng=rng)
-        result = solver.mvm(matrix, rng.uniform(-1, 1, 16))
+        result = solver.compile(matrix).mvm(rng.uniform(-1, 1, 16))
         assert np.all(np.isfinite(result.value))
 
 
@@ -87,13 +84,13 @@ class TestUncompensatedINV:
         errors = {}
         for rate in (0.0, 0.08):
             solver = _solver_with_faults(rate, seed=3)
-            errors[rate] = solver.solve(matrix, b).relative_error
+            errors[rate] = solver.compile(matrix, AMCMode.INV).solve(b).relative_error
         assert errors[0.08] > errors[0.0]
 
     def test_inv_flags_remain_meaningful_under_faults(self):
         solver = _solver_with_faults(0.05, seed=3)
         rng = np.random.default_rng(11)
         matrix = wishart(16, rng=rng) + 0.5 * np.eye(16)
-        result = solver.solve(matrix, rng.uniform(-1, 1, 16))
+        result = solver.compile(matrix, AMCMode.INV).solve(rng.uniform(-1, 1, 16))
         assert np.all(np.isfinite(result.value))
         assert isinstance(result.stable, bool)

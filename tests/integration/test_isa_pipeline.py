@@ -94,6 +94,6 @@ class TestChipPrograms:
         """The runtime path and compiled path use the same physical macros."""
         matrix = wishart(8, rng=np.random.default_rng(3)) + 0.4 * np.eye(8)
         b = np.random.default_rng(4).uniform(-1, 1, 8)
-        result = chip.solver.solve(matrix, b)
+        result = chip.solver.compile(matrix, AMCMode.INV).solve(b)
         assert result.ok
         assert chip.solver.pool is chip.pool

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analog import column_independent_apply
 from repro.analog.topologies import AMCMode
+from repro.core.errors import InputError
 from repro.serve import (
     ColumnRangingError,
     RequestTimeout,
@@ -204,6 +205,27 @@ async def test_mode_and_shape_validated_at_submit():
         await service.release("t", op)
         with pytest.raises(ServeError, match="closed"):
             await service.solve("t", op, np.ones(8))
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "complex"])
+async def test_bad_payload_rejected_before_any_dispatch(kind):
+    solver = make_noiseless_solver(seed=16)
+    service = SolveService(solver)
+    service.register_tenant("t")
+    payload = np.ones(8) + 1j if kind == "complex" else np.ones(8)
+    if kind != "complex":
+        payload[3] = np.nan if kind == "nan" else np.inf
+    expected = TypeError if kind == "complex" else InputError
+    async with service:
+        inv = await service.compile("t", np.eye(8) * 2.0, AMCMode.INV)
+        mvm = await service.compile("t", np.eye(8) * 2.0, AMCMode.MVM)
+        dispatches = solver.engine_dispatches
+        for submit, op in ((service.solve, inv), (service.mvm, mvm)):
+            with pytest.raises(expected):
+                await submit("t", op, payload)
+        assert service.snapshot()["queue_depths"]["total"] == 0
+    assert service.stats.engine_calls == 0
+    assert solver.engine_dispatches == dispatches
 
 
 async def test_submit_requires_running_service():

@@ -59,7 +59,7 @@ class TestSolverBinding:
     def test_solver_uses_chip_macros(self, chip):
         rng = np.random.default_rng(1)
         matrix = rng.uniform(-1, 1, size=(8, 8))
-        chip.solver.mvm(matrix, rng.uniform(-1, 1, 8))
+        chip.solver.compile(matrix).mvm(rng.uniform(-1, 1, 8))
         assert any(m.solve_count > 0 for m in chip.macros)
 
     def test_macro_count_matches_config(self, chip):
