@@ -52,6 +52,10 @@ at ``$GITHUB_STEP_SUMMARY`` in CI.  Recognized invariant keys:
   solves whose rtol held, possibly after healing, under the canonical
   fault plan).
 
+Every artifact must carry a non-empty ``env`` block (cores, BLAS vendor
+and threads, library versions, source digest — perfbench's
+``environment``), so a number is never read without its host.
+
 Additionally, a top-level ``breakdown`` block (written by every bench via
 :func:`repro.obs.report.solve_breakdown`) is re-validated arithmetically:
 component times/energies must be non-negative, ``time_pct`` /
@@ -160,6 +164,8 @@ def check_file(path: Path) -> list[str]:
         failures.append(f"{path.name}: no invariants block")
     if not results:
         failures.append(f"{path.name}: no results recorded")
+    if not payload.get("env"):
+        failures.append(f"{path.name}: no env block (host the numbers were measured on)")
     for name, result in results.items():
         where = f"{path.name}:{name}"
         if not isinstance(result, dict):

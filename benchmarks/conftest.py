@@ -15,10 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perfbench.harness import environment
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.programming.write_verify import VgEstimator
 from repro.devices.constants import DEFAULT_STACK
+
+
+_REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def pytest_configure(config):
@@ -62,7 +66,8 @@ def best_of():
 
 @pytest.fixture(scope="session")
 def write_bench():
-    """Write a ``BENCH_*.json`` artifact — only when ``REPRO_WRITE_BENCH=1``.
+    """Write a ``BENCH_*.json`` artifact, with an ``env`` block — only
+    when ``REPRO_WRITE_BENCH=1``.
 
     The committed artifacts are regenerated on purpose (the CI perf,
     obs and chaos smokes set the flag before their invariant gates); a
@@ -72,6 +77,9 @@ def write_bench():
     def _write(path: Path, payload: dict) -> None:
         if os.environ.get("REPRO_WRITE_BENCH") != "1":
             return
+        # The host and library facts the numbers were measured on — the
+        # same block every repo-benchmark run prints.
+        payload = {**payload, "env": environment(_REPO_ROOT, seed=None)}
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {path}")
 

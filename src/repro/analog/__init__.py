@@ -1,6 +1,6 @@
 """Analog layer: op-amps, blocks, dynamics, and the four AMC topologies."""
 
-from repro.analog.blocks import InverterBank, TIABank
+from repro.analog.blocks import inverter_output, tia_output
 from repro.analog.determinism import (
     apply_matrix,
     column_independent,
@@ -26,13 +26,11 @@ __all__ = [
     "EgvCircuit",
     "IDEAL_OPAMP",
     "InvCircuit",
-    "InverterBank",
     "LinearFeedbackSystem",
     "MVMCircuit",
     "OpAmpBank",
     "OpAmpParams",
     "PinvCircuit",
-    "TIABank",
     "TOPOLOGIES",
     "TopologyDescriptor",
     "TransientResult",
@@ -42,5 +40,7 @@ __all__ = [
     "descriptor",
     "estimate_dominant_eigenvalue",
     "integrate_nonlinear",
+    "inverter_output",
     "set_column_independent",
+    "tia_output",
 ]

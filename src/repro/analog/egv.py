@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analog.dynamics import TransientResult, integrate_nonlinear
-from repro.analog.opamp import OpAmpBank, OpAmpParams
+from repro.analog.opamp import OpAmpBank, OpAmpParams, draw_noise, one_slot
 from repro.analog.results import CircuitSolution
 
 
@@ -121,7 +121,8 @@ class EgvCircuit:
         result: TransientResult = integrate_nonlinear(
             rhs, np.zeros(self.n), t_end, num_points=num_points
         )
-        x = result.final + self.amps.output_noise(self.rng)
+        x = result.final.copy()
+        draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, self.n)])
         amplitude = float(np.linalg.norm(x))
         grown = amplitude > 10.0 * float(np.linalg.norm(seed)) + 1e-12
         return CircuitSolution(
@@ -162,7 +163,7 @@ class EgvCircuit:
             return CircuitSolution(outputs=y, saturated=False, stable=False)
         x = y / norm * (0.9 * self.params.v_sat)
         if noisy:
-            x = x + self.amps.output_noise(self.rng)
+            draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, self.n)])
         return CircuitSolution(outputs=x, saturated=False, stable=grown)
 
     def eigenvector(self, solution: CircuitSolution) -> np.ndarray:

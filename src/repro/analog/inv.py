@@ -20,6 +20,11 @@ finite-gain equilibrium system, and the eigendecomposition of the loop's
 transient matrix ``M`` — is computed once and reused by every solve.  Only
 the input currents change between solves, and they may be matrix valued
 ``(n, k)``: the crossbar applies the loop to every column at once.
+
+The loop's output stage — amplifier noise, rail clamp and per-column rail
+state — is :func:`settle_outputs`, written once over ``(slots, n, k)``
+stacks: ``static_solve`` runs it on a one-slot view and the grid engine's
+INV stage over a whole tile stack.
 """
 
 from __future__ import annotations
@@ -28,10 +33,25 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
-from repro.analog.blocks import InverterBank
 from repro.analog.dynamics import LinearFeedbackSystem
-from repro.analog.opamp import OpAmpBank, OpAmpParams
+from repro.analog.opamp import Draws, OpAmpBank, OpAmpParams, draw_noise, one_slot
 from repro.analog.results import CircuitSolution
+
+
+def settle_outputs(
+    x: np.ndarray,
+    params: OpAmpParams,
+    draws: Draws = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop amplifier outputs at equilibrium over a ``(slots, n, k)`` stack.
+
+    Adds each slot's output noise to ``x`` in place, then clamps at the
+    rails; returns the clamped outputs and the per-column rail state
+    ``(slots, k)`` (an equilibrium beyond the rails is a railed solve).
+    """
+    draw_noise(x, params.noise_sigma, draws)
+    column_saturated = (np.abs(x) > params.v_sat).any(axis=-2)
+    return params.saturate(x), column_saturated
 
 
 class InvCircuit:
@@ -58,13 +78,13 @@ class InvCircuit:
         self.amps = row_amps if row_amps is not None else OpAmpBank.sample(rows, self.params, self.rng)
         if len(self.amps) != rows:
             raise ValueError("row amplifier bank size must match matrix order")
+        self.inverter_amps: OpAmpBank | None = None
+        """The inverter bank re-driving the negative plane (signed only)."""
         if self.g_neg is not None:
             bank = inverter_amps if inverter_amps is not None else OpAmpBank.sample(rows, self.params, self.rng)
             if len(bank) != rows:
                 raise ValueError("inverter bank size must match matrix order")
-            self.inverters: InverterBank | None = InverterBank(bank)
-        else:
-            self.inverters = None
+            self.inverter_amps = bank
         # Persistent-circuit caches: everything below is a pure function of
         # the conductance planes and amplifier bank, i.e. frozen until the
         # macro re-programs (which builds a fresh circuit).
@@ -102,12 +122,12 @@ class InvCircuit:
     def _offset_currents(self) -> np.ndarray:
         """Static error currents injected by the inverter offsets."""
         if self._i_offset is None:
-            if self.g_neg is None or self.inverters is None:
+            if self.inverter_amps is None:
                 self._i_offset = np.zeros(self.n)
             else:
                 inverter_gain = self.params.a0 / (self.params.a0 + 2.0)
                 self._i_offset = self.g_neg @ (
-                    2.0 * inverter_gain * self.inverters.amps.offsets
+                    2.0 * inverter_gain * self.inverter_amps.offsets
                 )
         return self._i_offset
 
@@ -197,16 +217,14 @@ class InvCircuit:
             x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
         else:
             x = lu_solve(self.equilibrium_lu(), rhs)
-        if noisy and self.params.noise_sigma > 0.0:
-            x = x + self.rng.normal(0.0, self.params.noise_sigma, size=x.shape)
-        clipped = self.params.saturate(x)
-        railed = np.abs(x) > self.params.v_sat
-        column_saturated = np.any(railed, axis=0) if i_in.ndim == 2 else None
+        clipped, column_saturated = settle_outputs(
+            one_slot(x), self.params, [(self.rng, self.n)] if noisy else ()
+        )
         return CircuitSolution(
-            outputs=clipped,
-            saturated=bool(np.any(railed)),
+            outputs=clipped.reshape(x.shape),
+            saturated=bool(np.any(column_saturated)),
             stable=self.is_stable,
-            column_saturated=column_saturated,
+            column_saturated=column_saturated[0] if i_in.ndim == 2 else None,
         )
 
     def transient_solve(

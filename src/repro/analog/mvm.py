@@ -14,8 +14,12 @@ An :class:`MVMCircuit` is persistent: the conductance planes and their row
 sums are fixed at construction (one read per programming event) and
 ``solve`` accepts matrix-valued inputs, so a whole right-hand-side block
 streams through one configured circuit.  The feedback ladder is the one
-run-time knob — :meth:`set_g_f` retunes the TIA bank in place so the
-auto-ranging loop never rebuilds the circuit.
+run-time knob — :meth:`set_g_f` retunes it in place so the auto-ranging
+loop never rebuilds the circuit.
+
+The inverter drive and the TIA transfer are the stacked blocks of
+:mod:`repro.analog.blocks`; ``solve`` runs them on a one-slot view, and
+the grid engine runs the same blocks over whole tile stacks.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analog import determinism
-from repro.analog.blocks import InverterBank, TIABank
-from repro.analog.opamp import OpAmpBank, OpAmpParams
+from repro.analog.blocks import inverter_output, tia_output, tia_settling_time
+from repro.analog.opamp import OpAmpBank, OpAmpParams, one_slot
 from repro.analog.results import CircuitSolution
 
 
@@ -58,48 +62,31 @@ class MVMCircuit:
             row_amps = OpAmpBank.sample(rows, self.params, self.rng)
         if len(row_amps) != rows:
             raise ValueError("row amplifier bank size must match row count")
-        self.tias = TIABank(row_amps, g_f=g_f)
+        self.row_amps = row_amps
+        """The TIA bank on the source lines."""
+        self.col_amps: OpAmpBank | None = None
+        """The inverter bank re-driving the negative plane (signed only)."""
         if self.g_neg is not None:
             if col_amps is None:
                 col_amps = OpAmpBank.sample(cols, self.params, self.rng)
             if len(col_amps) != cols:
                 raise ValueError("column amplifier bank size must match column count")
-            self.inverters: InverterBank | None = InverterBank(col_amps)
-        else:
-            self.inverters = None
-        self._effective: np.ndarray | None = None
+            self.col_amps = col_amps
         self._g_node: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.g_pos.shape
 
     def set_g_f(self, g_f: float) -> None:
         """Retune the feedback ladder in place (auto-ranging's cheap knob)."""
         self.g_f = g_f
-        self.tias.g_f = g_f
 
-    def effective_matrix(self) -> np.ndarray:
-        """The signed conductance matrix the circuit multiplies by."""
-        if self._effective is None:
-            if self.g_neg is None:
-                self._effective = self.g_pos
-            else:
-                self._effective = self.g_pos - self.g_neg
-        return self._effective
-
-    def _node_conductance(self) -> np.ndarray:
-        """Per-row conductance loading each TIA virtual ground."""
+    def node_conductance(self) -> np.ndarray:
+        """Per-row conductance loading each TIA virtual ground
+        (programming-frozen, cached — stackable circuit state)."""
         if self._g_node is None:
             total = self.g_pos.sum(axis=1)
             if self.g_neg is not None:
                 total = total + self.g_neg.sum(axis=1)
             self._g_node = total
         return self._g_node
-
-    def node_conductance(self) -> np.ndarray:
-        """Programming-frozen per-row loading — stackable circuit state."""
-        return self._node_conductance()
 
     def solve(self, v_in: np.ndarray, noisy: bool = True) -> CircuitSolution:
         """One analog multiply: column voltages in, TIA row voltages out.
@@ -113,28 +100,39 @@ class MVMCircuit:
                 f"expected {self.g_pos.shape[1]} input voltages "
                 f"(optionally batched), got shape {v_in.shape}"
             )
+        rows, cols = self.g_pos.shape
         currents = determinism.apply_matrix(self.g_pos, v_in)
-        if self.g_neg is not None and self.inverters is not None:
-            v_neg = self.inverters.invert(v_in, rng=self.rng if noisy else None)
-            currents = currents + determinism.apply_matrix(self.g_neg, v_neg)
-        g_node = self._node_conductance()
-        if noisy:
-            outputs = self.tias.output(currents, g_node, self.rng)
-        else:
-            outputs = self.params.saturate(self.tias.transfer(currents, g_node))
-        railed = np.abs(outputs) >= self.params.v_sat * (1.0 - 1e-9)
-        # Feed-forward topology: settling is one closed-loop TIA time constant,
-        # τ_cl ≈ (1 + g_node/g_f) / (2π·gbw).
-        noise_gain = 1.0 + float(np.max(g_node)) / self.g_f
-        settling = noise_gain / (2.0 * np.pi * self.params.gbw)
+        if self.g_neg is not None:
+            v_neg = inverter_output(
+                one_slot(v_in),
+                self.col_amps.offsets[None],
+                self.params,
+                [(self.rng, cols)] if noisy else (),
+            )
+            currents = currents + determinism.apply_matrix(
+                self.g_neg, v_neg.reshape(v_in.shape)
+            )
+        g_node = self.node_conductance()
+        outputs = currents
+        tia_output(
+            one_slot(outputs),
+            g_node[None],
+            self.row_amps.offsets[None],
+            np.array([self.g_f]),
+            self.params,
+            [(self.rng, rows)] if noisy else (),
+        )
+        railed = self.params.railed(np.abs(outputs))
+        # Feed-forward topology: settling is one closed-loop TIA time constant.
         return CircuitSolution(
             outputs=outputs,
             saturated=bool(np.any(railed)),
             stable=True,
-            settling_time=settling,
+            settling_time=tia_settling_time(float(np.max(g_node)), self.g_f, self.params),
             column_saturated=np.any(railed, axis=0) if outputs.ndim == 2 else None,
         )
 
     def ideal_output(self, v_in: np.ndarray) -> np.ndarray:
         """The infinite-gain, noiseless output ``−G·v/g_f`` for reference."""
-        return -(self.effective_matrix() @ np.asarray(v_in, dtype=float)) / self.g_f
+        g = self.g_pos if self.g_neg is None else self.g_pos - self.g_neg
+        return -(g @ np.asarray(v_in, dtype=float)) / self.g_f

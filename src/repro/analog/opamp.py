@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +39,10 @@ class OpAmpParams:
         """Open-loop time constant ``a0 / (2π·gbw)`` in seconds."""
         return self.a0 / (2.0 * math.pi * self.gbw)
 
+    def railed(self, peak: np.ndarray) -> np.ndarray:
+        """Whether clamped outputs of magnitude ``peak`` sit on a rail."""
+        return peak >= self.v_sat * (1.0 - 1e-9)
+
     def saturate(self, v: np.ndarray) -> np.ndarray:
         """Hard output clamp at the rails."""
         return np.clip(v, -self.v_sat, self.v_sat)
@@ -50,6 +55,32 @@ class OpAmpParams:
         within a few percent below 0.8·v_sat.
         """
         return self.v_sat * np.tanh(np.asarray(v, dtype=float) / self.v_sat)
+
+
+Draws = Sequence[tuple[np.random.Generator, int]]
+"""Per-slot noise streams of a stack: ``(generator, valid lines)`` each."""
+
+
+def draw_noise(stack: np.ndarray, sigma: float, draws: Draws) -> None:
+    """Add one Gaussian draw per slot to a ``(slots, lines, k)`` stack, in place.
+
+    ``draws`` pairs each slot with the random stream of the macro it runs
+    on and its valid (unpadded) line count; a slot with zero lines draws
+    nothing.  Each draw is ``(lines, k)`` from that slot's own stream, so a
+    slot consumes exactly the values it would consume running alone.
+    An empty ``draws`` is the noiseless evaluation.
+    """
+    if sigma <= 0.0:
+        return
+    k = stack.shape[-1]
+    for t, (rng, lines) in enumerate(draws):
+        if lines:
+            stack[t, :lines] += rng.normal(0.0, sigma, size=(lines, k))
+
+
+def one_slot(values: np.ndarray) -> np.ndarray:
+    """``values`` (``(lines,)`` or ``(lines, k)``) as a one-slot stack view."""
+    return values.reshape(1, values.shape[0], -1)
 
 
 IDEAL_OPAMP = OpAmpParams(a0=1e9, gbw=1e9, v_sat=1e6, offset_sigma=0.0, noise_sigma=0.0)
@@ -76,9 +107,3 @@ class OpAmpBank:
 
     def __len__(self) -> int:
         return self.offsets.size
-
-    def output_noise(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw of output-referred noise for the whole bank."""
-        if self.params.noise_sigma <= 0.0:
-            return np.zeros(len(self))
-        return rng.normal(0.0, self.params.noise_sigma, size=len(self))

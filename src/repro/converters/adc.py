@@ -9,8 +9,9 @@ approximation for the thermometer/SAR converters used in AMC macros).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 import numpy as np
+
+from repro.analog.opamp import Draws, draw_noise
 
 
 @dataclass(frozen=True)
@@ -27,43 +28,62 @@ class ADCParams:
 class ADC:
     """Vectorised bipolar ADC."""
 
-    def __init__(self, params: ADCParams, rng: np.random.Generator | None = None):
+    def __init__(self, params: ADCParams):
         if params.bits < 1:
             raise ValueError("ADC needs at least 1 bit")
         self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.lsb = 2.0 * params.v_ref / (2**params.bits - 1)
+        """Voltage of one code step."""
 
-    @property
-    def lsb(self) -> float:
-        return 2.0 * self.params.v_ref / (2**self.params.bits - 1)
-
-    def sample(self, voltages: np.ndarray, noisy: bool = True) -> np.ndarray:
+    def sample(
+        self,
+        voltages: np.ndarray,
+        draws: Draws = (),
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Digitise voltages; returns the *reconstructed* voltage values.
 
         Returning voltage-domain values (code·LSB − v_ref) keeps the digital
         pipeline unit-consistent; the integer codes are available via
-        :meth:`codes`.
+        :meth:`codes`.  With ``draws`` (see
+        :func:`~repro.analog.opamp.draw_noise`) ``voltages`` is a
+        ``(slots, lines, k)`` stack and each slot adds its input-referred
+        noise; ``out`` may alias ``voltages``.
         """
-        v = np.asarray(voltages, dtype=float) + self.params.offset
-        if noisy and self.params.noise_sigma > 0.0:
-            v = v + self.rng.normal(0.0, self.params.noise_sigma, size=np.shape(v))
-        v = np.clip(v, -self.params.v_ref, self.params.v_ref)
-        codes = np.rint((v + self.params.v_ref) / self.lsb)
-        return codes * self.lsb - self.params.v_ref
+        p = self.params
+        out = np.add(voltages, p.offset, out=out)
+        draw_noise(out, p.noise_sigma, draws)
+        out.clip(-p.v_ref, p.v_ref, out=out)
+        out += p.v_ref
+        out /= self.lsb
+        np.rint(out, out=out)
+        out *= self.lsb
+        out -= p.v_ref
+        return out
 
-    def codes(self, voltages: np.ndarray, noisy: bool = True) -> np.ndarray:
-        """Raw integer output codes in ``[0, 2**bits − 1]``."""
-        reconstructed = self.sample(voltages, noisy=noisy)
+    def codes(self, voltages: np.ndarray) -> np.ndarray:
+        """Raw integer output codes in ``[0, 2**bits − 1]`` (noiseless)."""
+        reconstructed = self.sample(voltages)
         return np.rint((reconstructed + self.params.v_ref) / self.lsb).astype(np.int64)
+
+    def clips_extrema(
+        self, top: np.ndarray, low: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-column clip state from the per-column maximum ``top`` and
+        minimum ``low`` of the clean (pre-noise) input: whether any
+        offset-shifted value leaves ``[−v_ref, v_ref]``.  Rounding
+        ``v + offset`` is monotone, so the shifted extrema are the extrema
+        of the shifted signal."""
+        p = self.params
+        return np.greater(np.maximum(top + p.offset, -low - p.offset), p.v_ref, out=out)
+
+    def clips_columns(self, voltages: np.ndarray) -> np.ndarray:
+        """Per-column clip state over the lines axis (−2) of a batched
+        conversion — what the batch auto-ranging loop reads."""
+        v = np.asarray(voltages, dtype=float)
+        return self.clips_extrema(np.max(v, axis=-2), np.min(v, axis=-2))
 
     def clips(self, voltages: np.ndarray) -> bool:
         """Whether any input exceeds the converter range (info for auto-ranging)."""
-        v = np.asarray(voltages, dtype=float) + self.params.offset
-        return bool(np.any(np.abs(v) > self.params.v_ref))
-
-    def clips_columns(self, voltages: np.ndarray) -> np.ndarray:
-        """Per-column clip state of a batched conversion ``(rows, k)`` —
-        the same predicate as :meth:`clips`, resolved per right-hand side
-        for the batch auto-ranging loop."""
-        v = np.asarray(voltages, dtype=float) + self.params.offset
-        return np.any(np.abs(v) > self.params.v_ref, axis=0)
+        v = np.asarray(voltages, dtype=float)
+        return bool(np.any(self.clips_columns(v.reshape(v.shape[0], -1))))

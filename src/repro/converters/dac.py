@@ -9,8 +9,9 @@ nonlinearity (a smooth bow), and per-conversion output noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 import numpy as np
+
+from repro.analog.opamp import Draws, draw_noise
 
 
 @dataclass(frozen=True)
@@ -29,35 +30,36 @@ class DACParams:
 class DAC:
     """Vectorised bipolar DAC."""
 
-    def __init__(self, params: DACParams, rng: np.random.Generator | None = None):
+    def __init__(self, params: DACParams):
         if params.bits < 1:
             raise ValueError("DAC needs at least 1 bit")
         self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    @property
-    def lsb(self) -> float:
+        self.lsb = 2.0 * params.v_ref / (2**params.bits - 1)
         """Voltage of one code step."""
-        return 2.0 * self.params.v_ref / (2**self.params.bits - 1)
 
-    def quantize_value(self, values: np.ndarray) -> np.ndarray:
-        """Snap real values (volts) to the nearest representable code value."""
-        values = np.clip(np.asarray(values, dtype=float), -self.params.v_ref, self.params.v_ref)
-        codes = np.rint((values + self.params.v_ref) / self.lsb)
-        return codes * self.lsb - self.params.v_ref
+    def convert(
+        self, v: np.ndarray, draws: Draws = ()
+    ) -> np.ndarray:
+        """Convert target voltages to the voltages that land on the bit lines.
 
-    def convert(self, values: np.ndarray, noisy: bool = True) -> np.ndarray:
-        """Convert target voltages to actual analog outputs.
-
-        Applies code quantization, INL bow and (optionally) output noise —
-        i.e. the voltage that really lands on the bit lines.
+        In place on ``v`` (returned): code quantization, the INL bow and
+        per-conversion output noise.  With ``draws`` (see
+        :func:`~repro.analog.opamp.draw_noise`) ``v`` is a ``(slots,
+        lines, k)`` stack; without, any shape converts noiselessly.
         """
-        out = self.quantize_value(values)
         p = self.params
+        v.clip(-p.v_ref, p.v_ref, out=v)
+        v += p.v_ref
+        v /= self.lsb
+        np.rint(v, out=v)
+        v *= self.lsb
+        v -= p.v_ref
         if p.inl_lsb > 0.0:
             # Parabolic bow: zero at the rails, maximal mid-scale.
-            normalized = out / p.v_ref
-            out = out + p.inl_lsb * self.lsb * (1.0 - normalized**2)
-        if noisy and p.noise_sigma > 0.0:
-            out = out + self.rng.normal(0.0, p.noise_sigma, size=np.shape(out))
-        return out
+            bow = v / p.v_ref
+            bow *= bow
+            np.subtract(1.0, bow, out=bow)
+            bow *= p.inl_lsb * self.lsb
+            v += bow
+        draw_noise(v, p.noise_sigma, draws)
+        return v

@@ -1,45 +1,51 @@
-"""Vectorized grid engine: batched sweep kernels over stacked tile circuits.
+"""The stacked stage chain: every MVM and INV evaluation, batched over tiles.
 
-Walking a :class:`~repro.core.tiled.TiledOperator` grid in Python costs
-one engine call per tile per sweep, each running its own ``np.linalg`` /
-``scipy`` dispatch.  This module runs the sweep as a constant number of
-batched array kernels instead:
+This module is the simulator's one MVM/INV signal chain.  A
+:class:`GridEngine` holds the **cached circuit state** of a list of
+resident tiles as contiguous 3-D stacks — MVM tiles in one stack
+(conductance planes, node loading, amplifier offsets), INV tiles in
+another (equilibrium inverse for the column-independent path, LU factors
+bucketed by exact block size for the BLAS path, offset drive, loop
+stability).  Two callers build one:
 
-* at programming time every resident tile's **cached circuit state** is
-  copied into contiguous 3-D stacks — off-diagonal MVM tiles in one stack
-  (conductance planes, node loading, amplifier offsets), diagonal INV
-  tiles in another (equilibrium inverse for the column-independent path,
-  LU factors bucketed by exact block size for the BLAS path, offset
-  drive, loop stability).  Ragged edge tiles are zero-padded; per-slot
-  valid row/column counts mask the padding wherever it could leak;
-* each sweep stage then runs **once over the whole stack**: the grid's
-  off-diagonal accumulation is one batched einsum (the stacked twin of
-  :func:`repro.analog.determinism.apply_matrix` — bitwise identical per
-  column to the 2-D kernel) or one batched matmul, and all diagonal
-  solves are one batched ``scipy.linalg.lu_solve`` per size bucket (LU
-  factors cannot be zero-padded without perturbing the elimination, so
-  buckets keep the batched solve bit-exact);
-* the stacks are **version-aware**: each slice stores the residency key
-  of the circuit it was copied from (register word sans ``g_f``,
-  crossbar ``version``, partner fingerprint) and :meth:`GridEngine.refresh`
-  re-copies exactly the slices whose key changed — programming,
-  ``refresh()`` and fair-share preemption invalidate only what they
-  touched, while ``set_g_f`` ladder moves never invalidate anything
-  because the live ladder value is re-read from the registers every
-  stage, exactly as the per-tile path does.
+* a :class:`~repro.core.tiled.TiledOperator` grid (:meth:`GridEngine.for_grid`)
+  — couplings form the MVM stack, diagonal blocks the INV stack, and a
+  block-Jacobi / Gauss-Seidel sweep is a constant number of stage calls;
+* a single :class:`~repro.core.operator.AnalogOperator` handle
+  (:meth:`GridEngine.for_handle`) — an MVM handle is a stack of its own
+  tiles, an INV handle a one-slot stack, and a vector is a batch of one
+  column.
 
-Numerical contract: under the deterministic engine mode
-(:func:`repro.analog.determinism.column_independent`) the stacked sweep
-is **bit-identical** to the per-tile loop — the same sweep run tile by
-tile through the block handles' own ``mvm``/``solve``, which the test
-suite keeps as its oracle — noisy or not: every
-elementwise stage (DAC quantization, inverter, TIA transfer, ADC
-sampling) reproduces the per-tile expressions value for value, noise is
-drawn per tile from each macro's own stream in per-tile stage order, and
-auto-ranging decisions re-enter the *shared* ranging helpers through a
-closure whose first call returns the already-computed stacked attempt —
-steady-state tiles never fall back to a per-tile engine call, ranging
-tiles continue bit-faithfully from attempt 2.
+Each stage runs **once over the whole stack**: the elementwise blocks of
+:mod:`repro.analog.blocks`, :mod:`repro.analog.inv` and
+:mod:`repro.converters` (DAC, inverter drive, TIA, INV amplifier settle,
+ADC — each written once, in place over ``(slots, lines, k)`` stacks), and
+one backend kernel per plane or LU size bucket (``batched_matmul`` is the
+stacked twin of :func:`repro.analog.determinism.apply_matrix`; LU factors
+cannot be zero-padded without perturbing the elimination, so buckets keep
+the batched solve exact).  Ragged tiles are zero-padded; per-slot valid
+row/column counts mask the padding wherever it could leak.
+
+The stacks are **version-aware**: each slice stores the residency key of
+the circuit it was copied from (register word sans ``g_f``, crossbar
+``version``, partner fingerprint) and :meth:`GridEngine.refresh` re-copies
+exactly the slices whose key changed — programming, ``refresh()`` and
+fair-share preemption invalidate only what they touched, while ``set_g_f``
+ladder moves never invalidate anything because the live ladder value is
+re-read from the registers at every call.
+
+Numerical contract: a slot's answer depends only on its own tile, its own
+inputs and its own macro's noise stream — noise is drawn per slot, over
+its valid lines only, in the fixed per-slot stage order (DAC, inverter,
+TIA, ADC).  So a tile solved inside a padded multi-slot stack is bit for
+bit the same tile run alone through its handle, and under the
+deterministic engine mode (:func:`repro.analog.determinism.column_independent`)
+a column's answer does not depend on its batch siblings either — the
+contract serve coalescing relies on.  A slot whose first attempt railed or
+under-used the converters re-enters the shared ranging loops
+(:mod:`repro.core.ranging`) with that attempt as their first result;
+retries run through the macro's one-slot chain
+(``compute_mvm``/``compute_inv``).
 
 Slot-parallel lanes: the MVM stage's two elementwise regions (gather,
 DAC and inverter drive before the plane matmuls; TIA, ADC and rescale
@@ -66,16 +72,20 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.analog import determinism
+from repro.analog.blocks import inverter_output, tia_output, tia_settling_time
+from repro.analog.inv import settle_outputs
 from repro.analog.results import CircuitSolution
 from repro.analog.topologies import AMCMode
-from repro.core.ranging import MIN_INPUT_SCALE, autorange_gain_batch, autorange_mvm
+from repro.core.ranging import autorange_gain_batch, autorange_mvm, column_saturation
+from repro.core.results import SolveResult
 from repro.macro.amc_macro import MacroResult
 from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.backend import Backend
     from repro.core.operator import AnalogOperator, TileBinding
-    from repro.core.tiled import TiledOperator, _SweepStats
+    from repro.core.solver import GramcSolver
+    from repro.core.tiled import TiledOperator
 
 
 def _usable_cpus() -> int:
@@ -150,19 +160,101 @@ def _run_lanes(work: Callable[[int, int], None], bounds: list[tuple[int, int]]) 
         future.result()
 
 
+class SweepStats:
+    """Per-engine-call diagnostics accumulated across one solve.
+
+    The stages feed it (:meth:`add`) the fields of each ranging tile and
+    of each stage's single-attempt tiles at once.
+    """
+
+    def __init__(self, columns: int):
+        self.total_attempts = 0
+        self.stable = True
+        self.saturated = False
+        self.worst_scale = 0.0
+        self.col_scales = np.zeros(columns)
+        self.col_attempts = np.zeros(columns, dtype=int)
+        self.col_saturated = np.zeros(columns, dtype=bool)
+
+    def add(
+        self,
+        *,
+        attempts: int,
+        stable: bool,
+        saturated: bool,
+        input_scale: float,
+        input_scales: np.ndarray,
+        column_saturated: np.ndarray,
+        tiles: int | None = None,
+    ) -> None:
+        """Fold one tile's call — or, with ``tiles``, a whole stage's
+        single-attempt tiles at once.
+
+        Every accumulator op is associative (sum, max, or), so a stage
+        fold is bitwise the per-tile fold: ``input_scale`` /
+        ``input_scales`` arrive pre-maxed over the stage, ``attempts``
+        pre-summed, and each of the ``tiles`` slots contributed one
+        attempt to every column.
+        """
+        if tiles is None:
+            tiles = attempts
+        self.total_attempts += attempts
+        self.stable &= stable
+        self.saturated |= saturated
+        self.worst_scale = max(self.worst_scale, input_scale)
+        np.maximum(self.col_scales, input_scales, out=self.col_scales)
+        self.col_attempts += tiles
+        self.col_saturated |= np.asarray(column_saturated, dtype=bool)
+
+    def result(
+        self,
+        mode: AMCMode,
+        value: np.ndarray,
+        reference: np.ndarray,
+        macro_ids: tuple[int, ...],
+        batched: bool,
+        **extra,
+    ) -> SolveResult:
+        """The :class:`SolveResult` of one call: ``value`` is ``(n, k)``; a
+        vector call squeezes it and carries no per-column arrays."""
+        return SolveResult(
+            mode=mode,
+            value=value if batched else value[:, 0],
+            reference=reference,
+            attempts=self.total_attempts,
+            input_scale=self.worst_scale if self.worst_scale > 0.0 else 1.0,
+            stable=self.stable,
+            saturated=self.saturated,
+            macro_ids=macro_ids,
+            input_scales=self.col_scales if batched else None,
+            per_column_attempts=self.col_attempts if batched else None,
+            column_saturated=self.col_saturated if batched else None,
+            **extra,
+        )
+
+
 class _Slot:
-    """One tile's slice of a stack, plus its cache-invalidation key."""
+    """One tile's slice of a stack, plus its cache-invalidation key.
+
+    ``i``/``j`` are the grid block coordinates (the scatter row and the
+    source column of a coupling), ``src`` the slice of the stage input a
+    multiply reads, and ``tile_index`` the tile within ``handle``.
+    """
 
     __slots__ = (
-        "index", "i", "j", "handle", "tile", "circuit", "key",
-        "rows", "cols", "has_neg", "amps", "g_f",
+        "index", "i", "j", "src", "handle", "tile_index", "tile", "circuit",
+        "key", "rows", "cols", "has_neg", "amps", "g_f",
     )
 
-    def __init__(self, index: int, i: int, j: int, handle: "AnalogOperator"):
+    def __init__(
+        self, index: int, i: int, j: int, src: slice, handle: "AnalogOperator", tile_index: int
+    ):
         self.index = index
         self.i = i
         self.j = j
+        self.src = src
         self.handle = handle
+        self.tile_index = tile_index
         self.tile: "TileBinding | None" = None
         self.circuit = None
         self.key: tuple | None = None
@@ -173,8 +265,26 @@ class _Slot:
         self.g_f = 0.0
 
 
+def _width(s: slice) -> int:
+    return s.stop - s.start
+
+
+def _stack_index(indices: list[int]) -> "slice | np.ndarray":
+    """Stack positions ``indices`` (ascending) as a view-producing slice
+    when contiguous, else as a gather index."""
+    first = indices[0]
+    if indices[-1] - first + 1 == len(indices):
+        return slice(first, first + len(indices))
+    return np.array(indices)
+
+
 class GridEngine:
-    """Stacked sweep executor for one :class:`TiledOperator` grid."""
+    """Stacked MVM and INV stages over a list of resident tiles.
+
+    Built :meth:`for_grid` (a :class:`TiledOperator`'s couplings and
+    diagonal blocks) or :meth:`for_handle` (one handle as a stack of its
+    own tiles); both run the same stages.
+    """
 
     # Slot sub-range width for the elementwise MVM-stage chains: large
     # grids stream ~30 passes over the stack, and running them a cache-
@@ -186,19 +296,29 @@ class GridEngine:
     # Lane count override for tests; ``None`` means one lane per usable
     # CPU (``os.sched_getaffinity``), capped by the number of chunks.
     _LANES: int | None = None
+    # Stage-buffer shapes kept per engine (a refinement loop masks
+    # columns, so widths vary between calls).
+    _BUFFER_SHAPES = 16
 
-    def __init__(self, tiled: "TiledOperator", backend: "Backend"):
-        self._tiled = tiled
-        self._solver = tiled._solver
+    def __init__(
+        self,
+        solver: "GramcSolver",
+        backend: "Backend",
+        edges: list[slice],
+        off: list[tuple[int, int, slice, "AnalogOperator", int]],
+        diag: list["AnalogOperator"],
+    ):
+        self._solver = solver
         self._backend = backend
-        self._edges = tiled.block_slices
+        self._edges = edges
 
-        # Off-diagonal slots in row-major (i, j) order: a block row's
-        # slots are one contiguous stack slice, so Gauss-Seidel stages
-        # operate on views, never gather copies.
+        # Off-diagonal (MVM) slots in stack order: a grid lists them in
+        # row-major (i, j) order, so a block row's slots are one
+        # contiguous stack slice and Gauss-Seidel stages operate on views,
+        # never gather copies.
         self._off_slots = [
-            _Slot(t, i, j, tiled._off[(i, j)])
-            for t, (i, j) in enumerate(sorted(tiled._off))
+            _Slot(t, i, j, src, handle, tile_index)
+            for t, (i, j, src, handle, tile_index) in enumerate(off)
         ]
         self._row_span: dict[int, tuple[int, int]] = {}
         for slot in self._off_slots:
@@ -206,23 +326,28 @@ class GridEngine:
             self._row_span[slot.i] = (start, slot.index + 1)
 
         self._diag_slots = [
-            _Slot(i, i, i, handle) for i, handle in enumerate(tiled._diag)
+            _Slot(i, i, i, edges[i], handle, 0) for i, handle in enumerate(diag)
         ]
 
-        edge_sizes = [e.stop - e.start for e in self._edges]
-        self._off_R = max(edge_sizes)
-        self._off_C = max(edge_sizes)
-        self._diag_N = max(edge_sizes)
-        # Uniform grids (every block exactly tile-wide) let the MVM stage
-        # gather its source blocks with one fancy-index take instead of a
-        # per-slot copy loop; block slices partition [0, N) contiguously,
-        # so equal widths are the whole condition.
-        self._edges_uniform = all(size == self._off_C for size in edge_sizes)
+        self._off_R = max(
+            (_width(s.handle._tiles[s.tile_index].row_slice) for s in self._off_slots),
+            default=0,
+        )
+        self._off_C = max((_width(s.src) for s in self._off_slots), default=0)
+        self._diag_N = max((_width(s.src) for s in self._diag_slots), default=0)
+        # Uniform stacks (every source slice exactly stack-wide and
+        # aligned) let the MVM stage gather its source blocks with one
+        # fancy-index take instead of a per-slot copy loop.
+        self._sources_uniform = all(
+            _width(s.src) == self._off_C and s.src.start % self._off_C == 0
+            for s in self._off_slots
+        )
 
         t_off = len(self._off_slots)
         self._off_gp = np.zeros((t_off, self._off_R, self._off_C))
         self._off_gn = np.zeros((t_off, self._off_R, self._off_C))
         self._off_gnode = np.zeros((t_off, self._off_R))
+        self._off_gmax = np.zeros(t_off)
         self._off_tia = np.zeros((t_off, self._off_R))
         self._off_inv = np.zeros((t_off, self._off_C))
         self._off_vscale = np.zeros(t_off)
@@ -244,77 +369,85 @@ class GridEngine:
         # pays the other mode's factorization copies.
         self._diag_inv_dirty: set[int] = set(range(d))
         self._diag_lu_dirty: set[int] = set(range(d))
-        # Per-(slot-count, columns) scratch arrays reused across sweeps.
+        # Per-(slot-count, columns) scratch arrays reused across stages.
         self._stage_buffers: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+
+    @classmethod
+    def for_grid(cls, tiled: "TiledOperator", backend: "Backend") -> "GridEngine":
+        """Couplings as the MVM stack, diagonal blocks as the INV stack."""
+        edges = tiled.block_slices
+        off = [(i, j, edges[j], tiled._off[(i, j)], 0) for i, j in sorted(tiled._off)]
+        return cls(tiled._solver, backend, edges, off, list(tiled._diag))
+
+    @classmethod
+    def for_handle(cls, handle: "AnalogOperator") -> "GridEngine":
+        """One handle as a stack of its tiles: an MVM handle's tiles form
+        the MVM stack (each reads its column slice of ``x``), an INV
+        handle is a one-slot INV stack."""
+        solver = handle._solver
+        tiles = handle._tiles
+        assert tiles is not None
+        if handle.mode is AMCMode.INV:
+            return cls(solver, solver.backend, [slice(0, handle.shape[0])], [], [handle])
+        off = [(t, t, tile.col_slice, handle, t) for t, tile in enumerate(tiles)]
+        return cls(solver, solver.backend, [], off, [])
 
     # ------------------------------------------------------------ stack upkeep
 
     def refresh(self) -> int:
         """Re-sync every stale slice against the resident circuits.
 
-        Cheap in steady state (key comparisons only).  Returns — and
-        accounts to the solver — the number of slices rebuilt, which is
-        exactly the number of tiles whose crossbar was reprogrammed,
-        refreshed or preempted since the last solve.
+        Cheap in steady state (key comparisons only).  Returns the number
+        of slices rebuilt, which is exactly the number of tiles whose
+        crossbar was reprogrammed, refreshed or preempted since the last
+        call.
         """
         rebuilt = 0
-        for slot in self._off_slots:
-            tile = slot.handle._tiles[0]
-            circuit, key = tile.primary.resident_mvm_circuit(tile.partner)
-            if circuit is not slot.circuit or key != slot.key:
-                self._fill_off(slot, tile, circuit, key)
-                rebuilt += 1
-            slot.tile = tile
-            # One ladder read per solve; mid-solve moves happen only
-            # through the ranging branches, which re-cache after retuning.
-            slot.g_f = tile.primary.config.g_f
-        for slot in self._diag_slots:
-            tile = slot.handle._tiles[0]
-            circuit, key = tile.primary.resident_inv_circuit(tile.partner)
-            if circuit is not slot.circuit or key != slot.key:
-                self._fill_diag(slot, tile, circuit, key)
-                rebuilt += 1
-            slot.tile = tile
-            slot.g_f = tile.primary.config.g_f
-        if rebuilt:
-            self._solver._record_stack_rebuilds(rebuilt)
+        for slots, resident, fill in (
+            (self._off_slots, "resident_mvm_circuit", self._fill_off),
+            (self._diag_slots, "resident_inv_circuit", self._fill_diag),
+        ):
+            for slot in slots:
+                tile = slot.handle._tiles[slot.tile_index]
+                circuit, key = getattr(tile.primary, resident)(tile.partner)
+                if circuit is not slot.circuit or key != slot.key:
+                    slot.circuit, slot.key = circuit, key
+                    config = tile.primary.config
+                    slot.amps = config.rows + config.cols
+                    fill(slot.index, slot, tile, circuit)
+                    rebuilt += 1
+                slot.tile = tile
+                # One ladder read per call; mid-call moves happen only
+                # through the ranging branches, which re-cache after retuning.
+                slot.g_f = tile.primary.config.g_f
         return rebuilt
 
-    def _fill_off(self, slot: _Slot, tile: "TileBinding", circuit, key: tuple) -> None:
-        t = slot.index
-        rows, cols = circuit.g_pos.shape
-        slot.rows, slot.cols = rows, cols
-        slot.circuit, slot.key = circuit, key
-        slot.has_neg = circuit.g_neg is not None and circuit.inverters is not None
-        self._off_gp[t] = 0.0
-        self._off_gp[t, :rows, :cols] = circuit.g_pos
+    @staticmethod
+    def _put(stack: np.ndarray, t: int, value: np.ndarray) -> None:
+        """Overwrite slice ``t`` with ``value`` zero-padded to the stack."""
+        stack[t] = 0.0
+        stack[(t, *(slice(0, size) for size in value.shape))] = value
+
+    def _fill_off(self, t: int, slot: _Slot, tile: "TileBinding", circuit) -> None:
+        slot.rows, slot.cols = circuit.g_pos.shape
+        slot.has_neg = circuit.col_amps is not None
+        self._put(self._off_gp, t, circuit.g_pos)
         self._off_gn[t] = 0.0
         self._off_inv[t] = 0.0
         if slot.has_neg:
-            self._off_gn[t, :rows, :cols] = circuit.g_neg
-            self._off_inv[t, :cols] = circuit.inverters.amps.offsets
+            self._put(self._off_gn, t, circuit.g_neg)
+            self._put(self._off_inv, t, circuit.col_amps.offsets)
             self._off_any_neg = True
-        self._off_gnode[t] = 0.0
-        self._off_gnode[t, :rows] = circuit.node_conductance()
-        self._off_tia[t] = 0.0
-        self._off_tia[t, :rows] = circuit.tias.amps.offsets
+        self._put(self._off_gnode, t, circuit.node_conductance())
+        self._off_gmax[t] = np.max(circuit.node_conductance())
+        self._put(self._off_tia, t, circuit.row_amps.offsets)
         self._off_vscale[t] = tile.mapping.value_scale
-        config = tile.primary.config
-        slot.amps = config.rows + config.cols
 
-    def _fill_diag(self, slot: _Slot, tile: "TileBinding", circuit, key: tuple) -> None:
-        d = slot.index
-        n = circuit.n
-        slot.rows = slot.cols = n
-        slot.circuit, slot.key = circuit, key
-        self._diag_sizes[d] = n
-        self._diag_offset[d] = 0.0
-        self._diag_offset[d, :n] = circuit.offset_rhs()
+    def _fill_diag(self, d: int, slot: _Slot, tile: "TileBinding", circuit) -> None:
+        slot.rows = slot.cols = self._diag_sizes[d] = circuit.n
+        self._put(self._diag_offset, d, circuit.offset_rhs())
         self._diag_vscale[d] = tile.mapping.value_scale
-        config = tile.primary.config
-        slot.amps = config.rows + config.cols
-        # Warms the one cached eigendecomposition per programming event —
-        # the same eig the first per-tile static_solve would trigger.
+        # Warms the one cached eigendecomposition per programming event.
         self._diag_stable[d] = circuit.is_stable
         self._diag_inv_dirty.add(d)
         self._diag_lu_dirty.add(d)
@@ -322,9 +455,7 @@ class GridEngine:
     def _ensure_diag_inv(self, indices) -> None:
         for d in indices:
             if d in self._diag_inv_dirty:
-                n = self._diag_sizes[d]
-                self._diag_inv[d] = 0.0
-                self._diag_inv[d, :n, :n] = self._diag_slots[d].circuit.equilibrium_inverse()
+                self._put(self._diag_inv, d, self._diag_slots[d].circuit.equilibrium_inverse())
                 self._diag_inv_dirty.discard(d)
 
     def _lu_bucket(self, n: int) -> dict:
@@ -352,15 +483,18 @@ class GridEngine:
     # --------------------------------------------------------------- sweeping
 
     def presolve_uncoupled(
-        self, big_b: np.ndarray, x: np.ndarray, uncoupled: list[int], stats: "_SweepStats"
+        self, big_b: np.ndarray, x: np.ndarray, uncoupled: list[int], stats: SweepStats
     ) -> None:
-        """Stacked twin of the one-shot solve of coupling-free blocks."""
-        k = big_b.shape[1]
-        rhs = np.zeros((len(uncoupled), self._diag_N, k))
-        for p, i in enumerate(uncoupled):
+        """One stacked solve of the coupling-free blocks."""
+        self._diag_stage(uncoupled, self._rhs_stack(big_b, uncoupled), x, stats)
+
+    def _rhs_stack(self, big_b: np.ndarray, blocks: list[int]) -> np.ndarray:
+        """The zero-padded ``(len(blocks), N, k)`` stack of their rows of ``big_b``."""
+        rhs = np.zeros((len(blocks), self._diag_N, big_b.shape[1]))
+        for p, i in enumerate(blocks):
             rows = self._edges[i]
             rhs[p, : rows.stop - rows.start] = big_b[rows]
-        self._diag_stage(uncoupled, rhs, x, stats)
+        return rhs
 
     def sweep(
         self,
@@ -368,7 +502,7 @@ class GridEngine:
         x: np.ndarray,
         source: np.ndarray,
         coupled: list[int],
-        stats: "_SweepStats",
+        stats: SweepStats,
         gauss_seidel: bool,
     ) -> None:
         """One full grid sweep as a constant number of stacked kernels.
@@ -379,30 +513,45 @@ class GridEngine:
         iterate, so it stages per block row — contiguous stack slices,
         still one batched kernel set per row rather than one per tile.
         """
-        k = big_b.shape[1]
         if gauss_seidel:
             for i in coupled:
                 start, stop = self._row_span.get(i, (0, 0))
-                products = self._mvm_stage(start, stop, x, stats)
-                rows = self._edges[i]
-                n = rows.stop - rows.start
-                rhs = np.zeros((1, self._diag_N, k))
-                rhs[0, :n] = big_b[rows]
+                products = self._mvm_stage(self._active(start, stop, x), x, stats)
+                rhs = self._rhs_stack(big_b, [i])
                 for slot, value in products:
-                    rhs[0, :n] -= value
+                    rhs[0, : slot.rows] -= value
                 self._diag_stage([i], rhs, x, stats)
             return
-        products = self._mvm_stage(0, len(self._off_slots), source, stats)
-        rhs = np.zeros((len(coupled), self._diag_N, k))
+        products = self._mvm_stage(
+            self._active(0, len(self._off_slots), source), source, stats
+        )
+        rhs = self._rhs_stack(big_b, coupled)
         position = {i: p for p, i in enumerate(coupled)}
-        for p, i in enumerate(coupled):
-            rows = self._edges[i]
-            rhs[p, : rows.stop - rows.start] = big_b[rows]
         for slot, value in products:
             rhs[position[slot.i], : slot.rows] -= value
         self._diag_stage(coupled, rhs, x, stats)
 
-    # ------------------------------------------------------- off-diagonal MVMs
+    def _active(self, start: int, stop: int, source: np.ndarray) -> list[_Slot]:
+        """Slots ``[start, stop)`` whose source slice is not all zero.
+
+        A_ij·0 ≡ 0 exactly: a coupling reading an all-zero block (the
+        first Jacobi sweep, untouched Gauss-Seidel blocks) is dropped from
+        the stage — running it would only digitize noise and under-range
+        the shared TIA ladder.  The test is per block *column* (every slot
+        in column j reads the same source slice), so it is memoized per
+        column.
+        """
+        cols_active: dict[int, bool] = {}
+        slots = []
+        for s in self._off_slots[start:stop]:
+            active = cols_active.get(s.j)
+            if active is None:
+                active = cols_active[s.j] = bool(source[s.src].any())
+            if active:
+                slots.append(s)
+        return slots
+
+    # ------------------------------------------------------------- MVM stage
 
     def _lane_bounds(self, slots: list) -> list[tuple[int, int]]:
         """Slot ranges ``[lo, hi)`` of the elementwise lanes, in order.
@@ -414,6 +563,8 @@ class GridEngine:
         chunk = self._ELEMENTWISE_CHUNK
         count = len(slots)
         chunks = -(-count // chunk)
+        if chunks < 2:
+            return [(0, count)]
         lanes = min(self._LANES or _usable_cpus(), chunks)
         if lanes < 2:
             return [(0, count)]
@@ -426,52 +577,14 @@ class GridEngine:
             lo = hi
         return bounds if _lanes_disjoint(slots, bounds) else [(0, count)]
 
-    def _mvm_stage(
-        self, start: int, stop: int, source: np.ndarray, stats: "_SweepStats"
-    ) -> list:
-        """Vectorized attempt-1 MVM for slots ``[start, stop)``.
-
-        Returns ``(slot, value)`` pairs in slot order, where ``value`` is
-        the problem-unit product block exactly as the per-tile
-        ``AnalogOperator.mvm`` accumulator would have produced it.
-        """
-        # A_ij·0 ≡ 0 exactly: slots whose source slice is all zero (the
-        # first Jacobi sweep, untouched Gauss-Seidel blocks) are dropped
-        # from the stage, like the per-tile loop drops their engine call —
-        # running them would only digitize noise and under-range the
-        # shared TIA ladder.  The all-active steady state keeps the
-        # contiguous no-copy stack views.
-        # The test is per block-*column* — every slot in column j reads the
-        # same source slice — so memoize it per column, not per slot.
-        cols_active: dict[int, bool] = {}
-        slots = []
-        for s in self._off_slots[start:stop]:
-            active = cols_active.get(s.j)
-            if active is None:
-                active = cols_active[s.j] = bool(source[self._edges[s.j]].any())
-            if active:
-                slots.append(s)
-        if not slots:
-            return []
-        solver = self._solver
-        if len(slots) == stop - start:
-            sl: slice | np.ndarray = slice(start, stop)
-        else:
-            sl = np.array([s.index for s in slots])
-        t_count = len(slots)
-        k = source.shape[1]
-        params = slots[0].tile.primary.opamp_params
-        dac = slots[0].tile.primary.dac
-        adc = slots[0].tile.primary.adc
-        v_ref = solver.pool.config.dac.v_ref
-
-        # Reusable stage buffers: every array below is either fully
-        # overwritten each call or pad-zeroed per slot, so reuse is safe;
-        # every in-place ufunc chain replays the per-tile expressions'
-        # elementwise sequence exactly (in-place evaluation changes
-        # allocation, never the float ops), keeping the bit contract.
+    def _buffers(self, t_count: int, k: int) -> dict[str, np.ndarray]:
+        """Reusable stage buffers: every array is either fully overwritten
+        each call or pad-zeroed per slot, so reuse is safe; in-place
+        evaluation changes allocation, never the float ops."""
         buf = self._stage_buffers.get((t_count, k))
         if buf is None:
+            if len(self._stage_buffers) >= self._BUFFER_SHAPES:
+                self._stage_buffers.clear()
             shape_in = (t_count, self._off_C, k)
             shape_out = (t_count, self._off_R, k)
             buf = self._stage_buffers[(t_count, k)] = {
@@ -480,114 +593,106 @@ class GridEngine:
                 "v_neg": np.empty(shape_in),
                 "values": np.empty(shape_out),
                 "rescaled": np.empty(shape_out),
-                "abs": np.empty(shape_out),
             }
+        return buf
+
+    def _mvm_stage(
+        self,
+        slots: list[_Slot],
+        source: np.ndarray,
+        stats: SweepStats,
+        scales_in: np.ndarray | None = None,
+    ) -> list[tuple[_Slot, np.ndarray]]:
+        """Attempt-1 MVM of ``slots`` as one stacked chain.
+
+        Returns ``(slot, value)`` pairs in slot order, where ``value`` is
+        the slot's problem-unit product block (fault-corrected, ranged).
+        Each slot's input is ``source[slot.src]`` divided by its
+        per-column scale: the caller's ``scales_in`` ``(k,)`` when given
+        (a handle scales each column once over its whole input),
+        otherwise the slot's own block peak (a grid).
+        """
+        if not slots:
+            return []
+        solver = self._solver
+        t_count = len(slots)
+        sl = _stack_index([s.index for s in slots])
+        k = source.shape[1]
+        primary = slots[0].tile.primary
+        params, dac, adc = primary.opamp_params, primary.dac, primary.adc
 
         # The elementwise chains stream ~30 passes over the stack; running
         # them on sub-ranges of slots keeps each pass inside the cache
         # instead of round-tripping the whole stack through memory.
         # Chunking is bitwise-free: every op below is elementwise or a
         # per-slot reduction, so disjoint slot ranges never interact — and
-        # the per-slot rng noise loops still visit slots in index order.
-        # The same independence lets contiguous runs of chunks (lanes) run
-        # on separate threads; only the two plane matmuls stay whole-stack
-        # on the caller (one dispatch each).
+        # the per-slot noise draws still visit slots in index order.  The
+        # same independence lets contiguous runs of chunks (lanes) run on
+        # separate threads; only the two plane matmuls stay whole-stack on
+        # the caller (one dispatch each).
         width = self._ELEMENTWISE_CHUNK
         lanes = self._lane_bounds(slots)
-        x_raw = buf["x_raw"]
-        v_in = buf["v_in"]
-        v_neg = buf["v_neg"]
-        values = buf["values"]
-        rescaled = buf["rescaled"]
-        abs_buf = buf["abs"]
+        buf = self._buffers(t_count, k)
+        x_raw, v_in, v_neg = buf["x_raw"], buf["v_in"], buf["v_neg"]
+        values, rescaled = buf["values"], buf["rescaled"]
         scales = np.empty((t_count, k))
+        if scales_in is not None:
+            scales[:] = scales_in
         row_peak = np.empty((t_count, k))
         clips_cols = np.empty((t_count, k), dtype=bool)
-        if self._edges_uniform:
-            j_idx = np.fromiter((s.j for s in slots), dtype=np.intp, count=t_count)
-            source_blocks = source.reshape(-1, self._off_C, k)
-        gain = params.a0 / (params.a0 + 2.0)
+        if self._sources_uniform:
+            j_idx = np.fromiter(
+                (s.src.start // self._off_C for s in slots), dtype=np.intp, count=t_count
+            )
+            whole = (source.shape[0] // self._off_C) * self._off_C
+            source_blocks = source[:whole].reshape(-1, self._off_C, k)
         inv_all = self._off_inv[sl] if self._off_any_neg else None
+        col_draws = [(s.tile.primary.rng, s.cols) for s in slots]
+        neg_draws = [(s.tile.primary.rng, s.cols if s.has_neg else 0) for s in slots]
+        row_draws = [(s.tile.primary.rng, s.rows) for s in slots]
 
         def drive(lo: int, hi: int) -> None:
             for c0 in range(lo, hi, width):
                 c = slice(c0, min(c0 + width, hi))
-                xc, vc, ac = x_raw[c], v_in[c], abs_buf[c]
-                # Gather + per-column input scales (the per-tile expressions,
-                # vectorized over the stack; zero-padding cannot raise a peak).
-                if self._edges_uniform:
+                xc, vc = x_raw[c], v_in[c]
+                if self._sources_uniform:
                     # ``np.take`` copies the same block values the per-slot
                     # loop would, bit for bit.
                     np.take(source_blocks, j_idx[c], axis=0, out=xc)
                 else:
                     for t, slot in enumerate(slots[c], start=c0):
-                        x_raw[t, : slot.cols] = source[self._edges[slot.j]]
+                        x_raw[t, : slot.cols] = source[slot.src]
                         if slot.cols < self._off_C:
                             x_raw[t, slot.cols :] = 0.0
-                np.abs(xc, out=ac)
-                peaks = np.max(ac, axis=1)
-                sc = np.where(peaks == 0.0, 1.0, peaks / (solver.headroom * v_ref))
-                np.maximum(sc, MIN_INPUT_SCALE, out=scales[c])
-                sc = scales[c]
-                # DAC stage (the ``quantize_value`` chain, in place).  The
-                # scaled chunks are divided straight into the DAC buffer — the
-                # fast path never needs them again, and the rare ranging/fault
-                # consumers below replay the same division per slot on demand.
-                # Quantizing the zero padding yields half-LSB garbage codes,
-                # which the zero-padded plane columns annihilate exactly.
-                np.divide(xc, sc[:, None, :], out=vc)
-                np.clip(vc, -dac.params.v_ref, dac.params.v_ref, out=vc)
-                vc += dac.params.v_ref
-                vc /= dac.lsb
-                np.rint(vc, out=vc)
-                vc *= dac.lsb
-                vc -= dac.params.v_ref
-                if dac.params.inl_lsb > 0.0:
-                    bow = np.divide(vc, dac.params.v_ref, out=ac)
-                    np.multiply(bow, bow, out=bow)
-                    np.subtract(1.0, bow, out=bow)
-                    np.multiply(bow, dac.params.inl_lsb * dac.lsb, out=bow)
-                    vc += bow
-                if dac.params.noise_sigma > 0.0:
-                    for t, slot in enumerate(slots[c], start=c0):
-                        v_in[t, : slot.cols] += slot.tile.primary.rng.normal(
-                            0.0, dac.params.noise_sigma, size=(slot.cols, k)
-                        )
+                if scales_in is None:
+                    # Zero-padding cannot raise a peak.
+                    solver._input_scales(xc, out=scales[c])
+                # The scaled chunk goes straight into the DAC buffer; the
+                # rare ranging/fault consumers below redo the division per
+                # slot.  Converting the zero padding yields half-LSB garbage
+                # codes, which the zero-padded plane columns annihilate.
+                np.divide(xc, scales[c][:, None, :], out=vc)
+                dac.convert(vc, col_draws[c])
                 # Inverter plane inputs ride the same chunk while it is hot.
                 if self._off_any_neg:
-                    nc = v_neg[c]
-                    np.multiply(vc, -gain, out=nc)
-                    nc += 2.0 * gain * inv_all[c][:, :, None]
-                    if params.noise_sigma > 0.0:
-                        for t, slot in enumerate(slots[c], start=c0):
-                            if slot.has_neg:
-                                v_neg[t, : slot.cols] += slot.tile.primary.rng.normal(
-                                    0.0, params.noise_sigma, size=(slot.cols, k)
-                                )
-                    np.clip(nc, -params.v_sat, params.v_sat, out=nc)
+                    inverter_output(vc, inv_all[c], params, neg_draws[c], out=v_neg[c])
 
         _run_lanes(drive, lanes)
 
         ci = determinism.column_independent()
-        with trace.span(
-            "engine_dispatch", kernel="batched_matmul", slots=t_count, columns=k
-        ):
-            currents = self._backend.batched_matmul(self._off_gp[sl], v_in, ci)
-        solver._record_dispatch(1)
+        matmul = self._backend.batched_matmul
+        currents = self._kernel(
+            "batched_matmul", lambda: matmul(self._off_gp[sl], v_in, ci), slots=t_count, columns=k
+        )
         if self._off_any_neg:
-            with trace.span(
-                "engine_dispatch", kernel="batched_matmul", slots=t_count, columns=k
-            ):
-                np.add(
-                    currents,
-                    self._backend.batched_matmul(self._off_gn[sl], v_neg, ci),
-                    out=currents,
-                )
-            solver._record_dispatch(1)
+            np.add(currents, self._kernel(
+                "batched_matmul", lambda: matmul(self._off_gn[sl], v_neg, ci),
+                slots=t_count, columns=k,
+            ), out=currents)
 
         # TIA stage with the live per-macro ladder value (set_g_f moves
         # are picked up at refresh without any stack invalidation; mid-
-        # solve moves happen only through the ranging branches below,
+        # call moves happen only through the ranging branches below,
         # which re-cache the slot's ladder value after retuning).
         g_f = np.array([slot.g_f for slot in slots])
         gnode_all = self._off_gnode[sl]
@@ -597,67 +702,32 @@ class GridEngine:
         def sample(lo: int, hi: int) -> None:
             for c0 in range(lo, hi, width):
                 c = slice(c0, min(c0 + width, hi))
-                oc, valc = currents[c], values[c]
-                g_f3 = g_f[c][:, None, None]
-                g_sum = gnode_all[c][:, :, None] + g_f3
-                # ``-i + offset·g_sum``: negation then addition is exactly
-                # the one subtraction.
-                np.subtract(tia_all[c][:, :, None] * g_sum, oc, out=oc)
-                oc /= g_f3 + g_sum / params.a0
-                if params.noise_sigma > 0.0:
-                    for t, slot in enumerate(slots[c], start=c0):
-                        currents[t, : slot.rows] += slot.tile.primary.rng.normal(
-                            0.0, params.noise_sigma, size=(slot.rows, k)
-                        )
-                np.clip(oc, -params.v_sat, params.v_sat, out=oc)
-                # Rail and ADC clip tests fold through per-column extrema:
-                # ``max |v|`` is ``max(max v, −min v)`` exactly, rounding
-                # ``v + offset`` is monotone (the shifted extrema are the
-                # extrema of the shifted signal) and sign-symmetric
-                # (``−(m + offset)`` is ``−m − offset``).  The clip test
-                # mirrors ``ADConverter.clips_columns``: the offset-shifted
-                # *clean* signal, before the sampling noise draw.
-                top = np.max(oc, axis=1)
-                low = np.min(oc, axis=1)
-                np.negative(low, out=low)
-                np.maximum(top, low, out=row_peak[c])
-                top += adc.params.offset
-                low -= adc.params.offset
-                np.maximum(top, low, out=top)
-                np.greater(top, adc.params.v_ref, out=clips_cols[c])
-                # ADC stage.
-                np.add(oc, adc.params.offset, out=valc)
-                if adc.params.noise_sigma > 0.0:
-                    for t, slot in enumerate(slots[c], start=c0):
-                        values[t, : slot.rows] += slot.tile.primary.rng.normal(
-                            0.0, adc.params.noise_sigma, size=(slot.rows, k)
-                        )
-                np.clip(valc, -adc.params.v_ref, adc.params.v_ref, out=valc)
-                valc += adc.params.v_ref
-                valc /= adc.lsb
-                np.rint(valc, out=valc)
-                valc *= adc.lsb
-                valc -= adc.params.v_ref
-                # Batched problem-unit rescale — the same left-to-right
-                # elementwise sequence as the per-tile accumulator
-                # ``-values · g_f · value_scale · scale`` (ranging slots
-                # overwrite their row below once the ladder settles);
-                # ``(-v)·g`` is exactly ``v·(-g)``.
+                oc = currents[c]
+                tia_output(oc, gnode_all[c], tia_all[c], g_f[c], params, row_draws[c])
+                # Rail and ADC clip tests fold through per-column extrema
+                # of the clean (pre-sampling-noise) outputs.
+                top = oc.max(axis=1)
+                low = oc.min(axis=1)
+                np.maximum(top, -low, out=row_peak[c])
+                adc.clips_extrema(top, low, out=clips_cols[c])
+                adc.sample(oc, row_draws[c], out=values[c])
+                # Batched problem-unit rescale ``−values · g_f ·
+                # value_scale · scale`` (ranging slots overwrite their row
+                # below once the ladder settles); ``(−v)·g`` is exactly
+                # ``v·(−g)``.
                 rc = rescaled[c]
-                np.multiply(valc, -g_f3, out=rc)
+                np.multiply(values[c], -g_f[c][:, None, None], out=rc)
                 rc *= vscale_all[c][:, None, None]
                 rc *= scales[c][:, None, :]
 
         _run_lanes(sample, lanes)
         outputs = currents
 
-        col_sat = row_peak >= params.v_sat * (1.0 - 1e-9)
-        any_sat = np.any(col_sat, axis=1)
-        peaks_out = np.max(row_peak, axis=1)
-        clips_any = np.any(clips_cols, axis=1)
+        col_sat = params.railed(row_peak)
+        peaks_out = row_peak.max(axis=1)
         target = solver._output_target
-        sat0 = any_sat | clips_any
         col_or_clip = col_sat | clips_cols
+        sat0 = col_or_clip.any(axis=1)
         if solver.max_attempts > 1:
             needs_ranging = sat0 | ((0.0 < peaks_out) & (peaks_out < 0.25 * target))
         else:
@@ -666,161 +736,173 @@ class GridEngine:
         # Settling-time diagnostics feed the ranging solutions, the chip
         # stats, and the always-on cost ledger (analog settling / amp-energy
         # attribution) — two vector ops per stage, so always computed.
-        noise_gain = 1.0 + np.max(gnode_all, axis=1) / g_f
-        settling = noise_gain / (2.0 * np.pi * params.gbw)
+        settling = tia_settling_time(self._off_gmax[sl], g_f, params)
 
         products = []
-        last = k - 1
         for t, slot in enumerate(slots):
             primary = slot.tile.primary
-            # ``AMCMacro._finish`` inlined: buffer the batch's last column
-            # and count the conversion, without the per-slot method call.
-            primary.output_buffer[: slot.rows] = values[t, : slot.rows, last]
-            primary.solve_count += 1
+            primary.latch_output(values[t, : slot.rows, :k])
             value = rescaled[t, : slot.rows, :k]
             if needs_ranging[t]:
                 r, c = slot.rows, slot.cols
-                solution = CircuitSolution(
-                    outputs=outputs[t, :r, :k],
-                    saturated=bool(any_sat[t]),
-                    stable=True,
-                    settling_time=float(settling[t]),
-                    column_saturated=col_sat[t],
-                )
-                result = MacroResult(
-                    values=values[t, :r, :k],
-                    raw=outputs[t, :r, :k],
-                    solution=solution,
-                    mode=AMCMode.MVM,
-                )
-                # Re-enter the shared ranging loop, with this stacked
-                # attempt as its first compute — attempt 2 onward runs the
-                # macro's own compute chain, bit-faithful to the handle path.
-                pending = [result]
-                chunk = x_raw[t, :c, :k] / scales[t]
-
-                def compute(result_stack=pending, primary=primary, chunk=chunk, slot=slot):
-                    if result_stack:
-                        return result_stack.pop()
-                    solver._record_dispatch(1)
-                    with trace.span("engine_dispatch", kernel="pertile_mvm"):
-                        return primary.compute_mvm(chunk, partner=slot.tile.partner)
-
-                partners = (slot.tile.partner,) if slot.tile.partner is not None else ()
+                partner = slot.tile.partner
+                # Re-enter the shared ranging loop with this stacked attempt
+                # as its first result; retries run the macro's one-slot chain.
                 result, attempts, final_saturated = autorange_mvm(
-                    compute,
+                    lambda: self._kernel(
+                        "pertile_mvm",
+                        lambda: primary.compute_mvm(x_raw[t, :c, :k] / scales[t], partner=partner),
+                    ),
                     primary,
-                    partners,
+                    (partner,) if partner is not None else (),
                     target=target,
                     max_attempts=solver.max_attempts,
+                    first=self._attempt(
+                        AMCMode.MVM, values[t, :r, :k], outputs[t, :r, :k], col_sat[t],
+                        saturated=bool(np.any(col_sat[t])), settling_time=float(settling[t]),
+                    ),
                 )
-                tile_columns = (
-                    result.solution.column_saturated
-                    if result.solution.column_saturated is not None
-                    else np.full(k, bool(result.solution.saturated))
-                )
-                column_saturated = np.asarray(tile_columns, dtype=bool) | primary.adc.clips_columns(result.raw)
-                scale = scales[t]
+                column_saturated = column_saturation(result, k) | primary.adc.clips_columns(result.raw)
                 slot.g_f = primary.config.g_f
-                value = -result.values * slot.g_f * slot.tile.mapping.value_scale * scale
-                stats.add(
+                value = -result.values * slot.g_f * slot.tile.mapping.value_scale * scales[t]
+                self._book_ranged(
+                    AMCMode.MVM, slot, stats, k, result,
                     attempts=attempts,
                     stable=True,
                     saturated=bool(final_saturated),
-                    input_scale=float(np.max(scale)),
-                    input_scales=scale,
+                    input_scales=scales[t],
                     column_saturated=column_saturated,
-                )
-                solver._record_solve(
-                    AMCMode.MVM, slot.amps, result.solution.settling_time
-                )
-                solver._record_conversions(
-                    dac=slot.cols * k * attempts,
-                    adc=slot.rows * k * attempts,
-                    macs=slot.rows * slot.cols * k * attempts,
                 )
             fault = slot.tile.fault_correction
             if fault is not None:
+                # Known stuck-cell contributions are subtracted digitally.
                 chunk = x_raw[t, : slot.cols, :k] / scales[t]
                 np.subtract(value, (fault @ chunk) * scales[t], out=value)
             products.append((slot, value))
 
-        # The fast-path slots' diagnostics, folded in one batched update —
-        # every accumulator op (sum, max, or) is associative, so the
-        # aggregate is bitwise the per-slot fold.
-        n_fast = int(np.count_nonzero(fast))
-        if n_fast:
-            stats.add_batch(
-                tiles=n_fast,
-                attempts=n_fast,
-                stable=True,
-                saturated=bool(np.any(sat0[fast])),
-                input_scale=float(np.max(scales[fast])),
-                input_scales=np.max(scales[fast], axis=0),
-                column_saturated=np.any(col_or_clip[fast], axis=0),
-            )
-            for t, slot in enumerate(slots):
-                if fast[t]:
-                    solver._record_solve(AMCMode.MVM, slot.amps, float(settling[t]))
-            # Valid (unpadded) per-slot sizes — the same DAC/ADC/MAC charge
-            # the block handles' own calls book.
-            fast_rows = sum(slot.rows for t, slot in enumerate(slots) if fast[t])
-            fast_cols = sum(slot.cols for t, slot in enumerate(slots) if fast[t])
-            fast_macs = sum(
-                slot.rows * slot.cols for t, slot in enumerate(slots) if fast[t]
-            )
-            solver._record_conversions(
-                dac=fast_cols * k, adc=fast_rows * k, macs=fast_macs * k
-            )
-        solver.solve_counts[AMCMode.MVM.value] += t_count
+        self._book_fast(
+            AMCMode.MVM, slots, stats, k, fast,
+            stable=True,
+            saturated=sat0,
+            scales=scales,
+            column_saturated=col_or_clip,
+            settling=settling,
+        )
         return products
 
-    # ----------------------------------------------------------- diagonal INVs
+    @staticmethod
+    def _attempt(
+        mode: AMCMode, values: np.ndarray, raw: np.ndarray, column_saturated, **solution
+    ) -> MacroResult:
+        """One slot's stacked attempt as the macro result ranging reads."""
+        return MacroResult(
+            values=values,
+            raw=raw,
+            solution=CircuitSolution(outputs=raw, column_saturated=column_saturated, **solution),
+            mode=mode,
+        )
+
+    def _kernel(self, kernel: str, run: Callable[[], object], **attrs):
+        """Run one engine kernel: one ``engine_dispatch`` span, one
+        counted dispatch (a stage's batched kernels and every ranging
+        retry alike)."""
+        with trace.span("engine_dispatch", kernel=kernel, **attrs):
+            out = run()
+        self._solver._record_dispatch(1)
+        return out
+
+    def _book_ranged(
+        self, mode: AMCMode, slot: _Slot, stats: SweepStats, k: int, result, **fields
+    ) -> None:
+        """Account one slot that went through the ranging loop."""
+        attempts = fields["attempts"]
+        stats.add(input_scale=float(np.max(fields["input_scales"])), **fields)
+        solver = self._solver
+        solver._record_solve(mode, slot.amps, result.solution.settling_time)
+        solver._record_conversions(
+            dac=slot.cols * k * attempts,
+            adc=slot.rows * k * attempts,
+            macs=slot.rows * slot.cols * k * attempts,
+        )
+
+    def _book_fast(
+        self,
+        mode: AMCMode,
+        slots: list[_Slot],
+        stats: SweepStats,
+        k: int,
+        fast: np.ndarray,
+        *,
+        stable: bool,
+        saturated: np.ndarray,
+        scales: np.ndarray,
+        column_saturated: np.ndarray,
+        settling: np.ndarray | None,
+    ) -> None:
+        """Account a stage's single-attempt slots in one batched update.
+
+        Every accumulator op (sum, max, or) is associative, so the
+        aggregate is bitwise the per-slot fold; conversions are charged
+        on the valid (unpadded) per-slot sizes.
+        """
+        count = int(np.count_nonzero(fast))
+        if not count:
+            return
+        sel = slice(None) if count == len(slots) else fast
+        input_scales = scales[sel].max(axis=0)
+        stats.add(
+            tiles=count,
+            attempts=count,
+            stable=stable,
+            saturated=bool(saturated[sel].any()),
+            input_scale=float(input_scales.max()),
+            input_scales=input_scales,
+            column_saturated=column_saturated[sel].any(axis=0),
+        )
+        solver = self._solver
+        done = [(t, slot) for t, slot in enumerate(slots) if fast[t]]
+        for t, slot in done:
+            solver._record_solve(mode, slot.amps, None if settling is None else float(settling[t]))
+        solver._record_conversions(
+            dac=sum(slot.cols for _, slot in done) * k,
+            adc=sum(slot.rows for _, slot in done) * k,
+            macs=sum(slot.rows * slot.cols for _, slot in done) * k,
+        )
+
+    # ------------------------------------------------------------- INV stage
 
     def _diag_stage(
-        self, indices: list[int], rhs: np.ndarray, x: np.ndarray, stats: "_SweepStats"
+        self, indices: list[int], rhs: np.ndarray, x: np.ndarray, stats: SweepStats
     ) -> None:
-        """Vectorized attempt-1 INV solve of diagonal blocks ``indices``.
+        """Attempt-1 INV solve of diagonal blocks ``indices`` as one stacked chain.
 
-        ``rhs`` is the zero-padded ``(len(indices), N, k)`` residual stack
-        in problem units; solved blocks are scattered into ``x``.
+        ``rhs`` is the zero-padded ``(len(indices), N, k)`` right-hand-side
+        stack in problem units, scaled per slot and column by its own
+        peak; solved blocks are scattered into ``x``.
         """
         solver = self._solver
         slots = [self._diag_slots[d] for d in indices]
         k = rhs.shape[2]
-        params = slots[0].tile.primary.opamp_params
-        dac = slots[0].tile.primary.dac
-        adc = slots[0].tile.primary.adc
-        v_ref = solver.pool.config.dac.v_ref
+        primary = slots[0].tile.primary
+        params, dac, adc = primary.opamp_params, primary.dac, primary.adc
+        draws = [(slot.tile.primary.rng, slot.rows) for slot in slots]
 
-        peaks = np.max(np.abs(rhs), axis=1)
-        scales = np.where(peaks == 0.0, 1.0, peaks / (solver.headroom * v_ref))
-        scales = np.maximum(scales, MIN_INPUT_SCALE)
-        scaled = rhs / scales[:, None, :]
-
-        v_in = dac.quantize_value(scaled)
-        if dac.params.inl_lsb > 0.0:
-            normalized = v_in / dac.params.v_ref
-            v_in = v_in + dac.params.inl_lsb * dac.lsb * (1.0 - normalized**2)
-        if dac.params.noise_sigma > 0.0:
-            for t, slot in enumerate(slots):
-                v_in[t, : slot.rows] += slot.tile.primary.rng.normal(
-                    0.0, dac.params.noise_sigma, size=(slot.rows, k)
-                )
-
+        scales = solver._input_scales(rhs)
+        v_in = dac.convert(rhs / scales[:, None, :], draws)
+        # Input currents from each slot's g_f ladder, plus the static
+        # offset drive of the equilibrium system.
         g_f = np.array([slot.g_f for slot in slots])
+        sl = _stack_index(indices)
         i_in = g_f[:, None, None] * v_in
-        rhs_c = -i_in + self._diag_offset[indices][:, :, None]
+        rhs_c = -i_in + self._diag_offset[sl][:, :, None]
         if determinism.column_independent():
             self._ensure_diag_inv(indices)
-            with trace.span(
-                "engine_dispatch",
-                kernel="batched_matmul",
+            xs = self._kernel(
+                "batched_matmul",
+                lambda: self._backend.batched_matmul(self._diag_inv[sl], rhs_c, True),
                 slots=len(indices),
                 columns=k,
-            ):
-                xs = self._backend.batched_matmul(self._diag_inv[indices], rhs_c, True)
-            solver._record_dispatch(1)
+            )
         else:
             self._ensure_diag_lu(indices)
             xs = np.zeros_like(rhs_c)
@@ -830,129 +912,74 @@ class GridEngine:
             for n, positions in by_size.items():
                 bucket = self._lu_bucket(n)
                 rows = [bucket["pos"][indices[p]] for p in positions]
-                with trace.span(
-                    "engine_dispatch",
-                    kernel="batched_lu_solve",
+                solved = self._kernel(
+                    "batched_lu_solve",
+                    lambda: self._backend.batched_lu_solve(
+                        bucket["lu"][rows], bucket["piv"][rows], rhs_c[positions][:, :n, :]
+                    ),
                     slots=len(positions),
                     size=n,
                     columns=k,
-                ):
-                    solved = self._backend.batched_lu_solve(
-                        bucket["lu"][rows], bucket["piv"][rows], rhs_c[positions][:, :n, :]
-                    )
-                solver._record_dispatch(1)
+                )
                 for p, block in zip(positions, solved):
                     xs[p, :n] = block
-        if params.noise_sigma > 0.0:
-            for t, slot in enumerate(slots):
-                xs[t, : slot.rows] += slot.tile.primary.rng.normal(
-                    0.0, params.noise_sigma, size=(slot.rows, k)
-                )
-        clipped = params.saturate(xs)
-        railed = np.abs(xs) > params.v_sat
-        col_sat = np.any(railed, axis=1)
-        values = clipped + adc.params.offset
-        if adc.params.noise_sigma > 0.0:
-            for t, slot in enumerate(slots):
-                values[t, : slot.rows] += slot.tile.primary.rng.normal(
-                    0.0, adc.params.noise_sigma, size=(slot.rows, k)
-                )
-        values = np.clip(values, -adc.params.v_ref, adc.params.v_ref)
-        values = np.rint((values + adc.params.v_ref) / adc.lsb) * adc.lsb - adc.params.v_ref
-        peaks_out = np.max(np.abs(clipped), axis=(1, 2))
+        clipped, col_sat = settle_outputs(xs, params, draws)
+        values = adc.sample(clipped, draws)
+        peaks_out = np.abs(clipped).max(axis=(1, 2))
 
         target = solver._output_target
-        slot_sat = np.any(col_sat, axis=1)
-        stable_flags = self._diag_stable[indices]
+        slot_sat = col_sat.any(axis=1)
+        stable_flags = self._diag_stable[sl]
         if solver.max_attempts > 1:
             needs_ranging = slot_sat | ((0.0 < peaks_out) & (peaks_out < 0.25 * target))
         else:
             needs_ranging = np.zeros(len(slots), dtype=bool)
         fast = ~needs_ranging
 
-        # Batched problem-unit rescale, same elementwise sequence as the
-        # per-tile ``-values · scale / (value_scale · g_f)``.
+        # Batched problem-unit rescale ``−values · scale / (value_scale · g_f)``.
         rescaled = -values * scales[:, None, :]
-        rescaled /= (self._diag_vscale[indices] * g_f)[:, None, None]
+        rescaled /= (self._diag_vscale[sl] * g_f)[:, None, None]
 
-        last = k - 1
         for t, slot in enumerate(slots):
             n = slot.rows
             primary = slot.tile.primary
-            # ``AMCMacro._finish`` inlined (see the MVM stage).
-            primary.output_buffer[:n] = values[t, :n, last]
-            primary.solve_count += 1
+            primary.latch_output(values[t, :n, :k])
             value = rescaled[t, :n, :k]
             if needs_ranging[t]:
-                raw = clipped[t, :n, :k]
-                sampled = values[t, :n, :k]
-                solution = CircuitSolution(
-                    outputs=raw,
-                    saturated=bool(slot_sat[t]),
-                    stable=bool(stable_flags[t]),
-                    column_saturated=col_sat[t],
-                )
-                result = MacroResult(values=sampled, raw=raw, solution=solution, mode=AMCMode.INV)
-                scale_row = scales[t]
+                partner = slot.tile.partner
                 vscale = slot.tile.mapping.value_scale
-                pending = [result]
-                block = rhs[t, :n, :k]
-
-                def compute(s, result_stack=pending, primary=primary, block=block, slot=slot):
-                    if result_stack:
-                        return result_stack.pop()
-                    solver._record_dispatch(1)
-                    with trace.span("engine_dispatch", kernel="pertile_inv"):
-                        return primary.compute_inv(block / s, partner=slot.tile.partner)
-
                 outcome = autorange_gain_batch(
-                    compute,
+                    lambda s: self._kernel(
+                        "pertile_inv",
+                        lambda: primary.compute_inv(rhs[t, :n, :k] / s, partner=partner),
+                    ),
                     primary,
-                    lambda result, s, g_f, vscale=vscale: -result.values * s / (vscale * g_f),
-                    scales=scale_row,
+                    lambda result, s, g_f: -result.values * s / (vscale * g_f),
+                    scales=scales[t],
                     target=target,
                     max_attempts=solver.max_attempts,
+                    first=self._attempt(
+                        AMCMode.INV, values[t, :n, :k], clipped[t, :n, :k], col_sat[t],
+                        saturated=bool(slot_sat[t]), stable=bool(stable_flags[t]),
+                    ),
                 )
                 slot.g_f = primary.config.g_f
                 value = outcome.value
-                stats.add(
+                self._book_ranged(
+                    AMCMode.INV, slot, stats, k, outcome.result,
                     attempts=outcome.attempts,
                     stable=bool(outcome.stable),
                     saturated=bool(outcome.saturated),
-                    input_scale=float(np.max(outcome.input_scales)),
                     input_scales=outcome.input_scales,
                     column_saturated=outcome.column_saturated,
                 )
-                solver._record_solve(
-                    AMCMode.INV, slot.amps, outcome.result.solution.settling_time
-                )
-                solver._record_conversions(
-                    dac=n * k * outcome.attempts,
-                    adc=n * k * outcome.attempts,
-                    macs=n * n * k * outcome.attempts,
-                )
             x[self._edges[slot.i]] = value
 
-        n_fast = int(np.count_nonzero(fast))
-        if n_fast:
-            stats.add_batch(
-                tiles=n_fast,
-                attempts=n_fast,
-                stable=bool(np.all(stable_flags[fast])),
-                saturated=bool(np.any(slot_sat[fast])),
-                input_scale=float(np.max(scales[fast])),
-                input_scales=np.max(scales[fast], axis=0),
-                column_saturated=np.any(col_sat[fast], axis=0),
-            )
-            for t, slot in enumerate(slots):
-                if fast[t]:
-                    solver._record_solve(AMCMode.INV, slot.amps, None)
-            # Same charge as one per-tile batched INV solve per fast slot.
-            fast_n = sum(slot.rows for t, slot in enumerate(slots) if fast[t])
-            fast_macs = sum(
-                slot.rows * slot.rows for t, slot in enumerate(slots) if fast[t]
-            )
-            solver._record_conversions(
-                dac=fast_n * k, adc=fast_n * k, macs=fast_macs * k
-            )
-        solver.solve_counts[AMCMode.INV.value] += k * len(slots)
+        self._book_fast(
+            AMCMode.INV, slots, stats, k, fast,
+            stable=bool(np.all(stable_flags[fast])),
+            saturated=slot_sat,
+            scales=scales,
+            column_saturated=col_sat,
+            settling=None,
+        )

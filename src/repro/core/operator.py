@@ -38,12 +38,8 @@ import numpy as np
 from repro.analog.topologies import AMCMode
 from repro.arrays.mapping import DifferentialMapping
 from repro.core.errors import CapacityError, GramcError, InputError, ShapeError
-from repro.core.ranging import (
-    MIN_INPUT_SCALE,
-    autorange_gain,
-    autorange_gain_batch,
-    autorange_mvm,
-)
+from repro.core.grid_engine import GridEngine, SweepStats
+from repro.core.ranging import autorange_gain_batch
 from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result
 from repro.core.results import SolveResult
 from repro.macro.amc_macro import AMCMacro
@@ -91,7 +87,53 @@ class TileBinding:
     hidden O(n²) digital matvec."""
 
 
-class AnalogOperator:
+class _Handle:
+    """Call plumbing shared by the single-array and the tiled handle."""
+
+    _solver: "GramcSolver"
+    macro_ids: tuple[int, ...]
+
+    def _capture_cost(self, result: SolveResult, before, started: float) -> SolveResult:
+        """Attach the solver-ledger delta of this call (plus its
+        wall-clock) as ``result.cost``."""
+        cost = self._solver.cost.delta(before)
+        cost.host_s = time.perf_counter() - started
+        result.cost = cost
+        return result
+
+    def _empty_result(self, mode: AMCMode, reference: np.ndarray, **extra) -> SolveResult:
+        """The zero-column call: nothing runs, metadata arrays are empty."""
+        return SolveResult(
+            mode=mode,
+            value=np.zeros_like(reference),
+            reference=reference,
+            attempts=0,
+            input_scale=1.0,
+            stable=True,
+            saturated=False,
+            macro_ids=self.macro_ids,
+            input_scales=np.zeros(0),
+            per_column_attempts=np.zeros(0, dtype=int),
+            column_saturated=np.zeros(0, dtype=bool),
+            **extra,
+        )
+
+    def _fault_injector(self):
+        """The chip's fault injector, when this call is the *top-level*
+        operation.  Nested calls — a tiled solve's block steps, canary
+        solves, healing retries — run bare: the injector freezes the
+        substrate for the duration of one logical operation, and only
+        that outermost operation is supervised (one tiled solve advances
+        the chip clock exactly once).  ``None`` on a fault-free chip,
+        keeping that path bitwise identical to a build without the
+        faults package."""
+        injector = getattr(self._solver.pool, "fault_injector", None)
+        if injector is None or injector.busy:
+            return None
+        return injector
+
+
+class AnalogOperator(_Handle):
     """A pinned-to-hardware matrix operator with explicit lifetime.
 
     Instances come from :meth:`GramcSolver.compile` /
@@ -144,6 +186,8 @@ class AnalogOperator:
         self._probe: "AnalogOperator | None" = None
         """EGV only: the λ̂-estimate MVM probe; this handle owns one
         reference and releases it on close."""
+        self._engine: GridEngine | None = None
+        """MVM/INV: the handle's tiles as a stage stack (built on first use)."""
 
     # ------------------------------------------------------------- introspection
 
@@ -291,23 +335,6 @@ class AnalogOperator:
             self._transpose.refresh()
         return self
 
-    @staticmethod
-    def _plane_targets(tile: TileBinding) -> list[tuple[AMCMacro, np.ndarray]]:
-        """(macro, intended region conductances) per physical plane of one
-        tile — the same layout dispatch :meth:`AMCMacro.program_mapping`
-        used to write them, reconstructed for re-verification."""
-        mapping = tile.mapping
-        if tile.layout is PlaneLayout.SINGLE:
-            return [(tile.primary, mapping.g_pos)]
-        if tile.layout is PlaneLayout.PAIRED_COLUMNS:
-            rows, cols = mapping.g_pos.shape
-            interleaved = np.empty((rows, 2 * cols))
-            interleaved[:, 0::2] = mapping.g_pos
-            interleaved[:, 1::2] = mapping.g_neg
-            return [(tile.primary, interleaved)]
-        assert tile.partner is not None
-        return [(tile.primary, mapping.g_pos), (tile.partner, mapping.g_neg)]
-
     def reverify_tiles(self, *, band: float, apply: bool = True) -> dict:
         """Targeted re-verify of every resident tile (healing rung 2).
 
@@ -329,7 +356,7 @@ class AnalogOperator:
         region_cells = 0
         assert self._tiles is not None
         for tile in self._tiles:
-            for macro, targets in self._plane_targets(tile):
+            for macro, targets in tile.primary.plane_targets(tile.mapping, tile.partner):
                 stats = macro.array.reverify(targets, band=band, apply=apply)
                 cells_rewritten += stats["cells_rewritten"]
                 max_deviation = max(max_deviation, stats["max_deviation"])
@@ -416,6 +443,7 @@ class AnalogOperator:
         if self._solver._operators.get(self.key) is self:
             self._solver._forget(self)
         self._tiles = None
+        self._engine = None
         self._pin_count = 0
         self._closed = True
         if self._transpose is not None:
@@ -444,15 +472,6 @@ class AnalogOperator:
         config = tile.primary.config
         return config.rows + config.cols
 
-    def _capture_cost(
-        self, result: SolveResult, before, started: float
-    ) -> SolveResult:
-        """Attach the solver-ledger delta of this call as ``result.cost``."""
-        cost = self._solver.cost.delta(before)
-        cost.host_s = time.perf_counter() - started
-        result.cost = cost
-        return result
-
     def _require_mode(self, expected: AMCMode, operation: str) -> None:
         if self.mode is not expected:
             raise GramcError(
@@ -460,42 +479,13 @@ class AnalogOperator:
                 f"this handle is configured for {self.mode.value}"
             )
 
-    def _empty_batch_result(self, reference: np.ndarray) -> SolveResult:
-        """The zero-column solve: nothing runs, metadata arrays are empty."""
-        return SolveResult(
-            mode=self.mode,
-            value=np.zeros_like(reference),
-            reference=reference,
-            attempts=0,
-            input_scale=1.0,
-            stable=True,
-            saturated=False,
-            macro_ids=self.macro_ids,
-            input_scales=np.zeros(0),
-            per_column_attempts=np.zeros(0, dtype=int),
-            column_saturated=np.zeros(0, dtype=bool),
-        )
-
-    def _fault_injector(self):
-        """The chip's fault injector, when this call is the *top-level*
-        operation.  Nested calls — a tiled solve's block steps, canary
-        solves, healing retries — run bare: the injector freezes the
-        substrate for the duration of one logical operation, and only
-        that outermost operation is supervised.  ``None`` on a fault-free
-        chip, keeping that path bitwise identical to a build without the
-        faults package."""
-        injector = getattr(self._solver.pool, "fault_injector", None)
-        if injector is None or injector.busy:
-            return None
-        return injector
-
     def mvm(self, x: np.ndarray) -> SolveResult:
         """Analog product ``A·x`` with full diagnostics (``x``: vector or batch).
 
-        A batch ``(n, k)`` is dispatched as **one engine call per tile**:
-        the resident circuit applies the programmed matrix to every column
-        at once (the crossbar's defining property), with per-column input
-        scales and one shared ``g_f`` ranged by the worst column.
+        The handle's tiles run as one stacked MVM stage — the grid
+        engine's — with per-column input scales over the whole ``x`` and
+        one ``g_f`` per tile ranged by its worst column.  A vector is a
+        batch of one column.
         """
         x = finite_input(x, "x")
         injector = self._fault_injector()
@@ -513,83 +503,24 @@ class AnalogOperator:
         started = time.perf_counter()
         before = self._solver.cost.snapshot()
         self._ensure_programmed()
-        solver = self._solver
         reference = self.matrix @ x
-        batched = x.ndim == 2
-        if batched and x.shape[1] == 0:
+        if x.ndim == 2 and x.shape[1] == 0:
             return self._capture_cost(
-                self._empty_batch_result(reference), before, started
+                self._empty_result(self.mode, reference), before, started
             )
-        k = x.shape[1] if batched else 1
-
-        v_ref = solver.pool.config.dac.v_ref
-        if batched:
-            scale = np.maximum(solver._input_scales(x, v_ref), MIN_INPUT_SCALE)
-        else:
-            scale = max(solver._input_scale(x, v_ref), MIN_INPUT_SCALE)
-        accumulator = np.zeros((self.shape[0],) + x.shape[1:])
-        any_saturated = False
-        column_saturated = np.zeros(x.shape[1], dtype=bool) if batched else None
-        total_attempts = 0
-        tiles = self._tiles
-        assert tiles is not None
-        with trace.span("mvm", shape=str(self.shape), columns=k, tiles=len(tiles)):
-            for tile in tiles:
-                chunk = x[tile.col_slice] / scale
-                partners = (tile.partner,) if tile.partner is not None else ()
-                result, attempts, saturated = autorange_mvm(
-                    lambda: tile.primary.compute_mvm(chunk, partner=tile.partner),
-                    tile.primary,
-                    partners,
-                    target=solver._output_target,
-                    max_attempts=solver.max_attempts,
-                )
-                total_attempts += attempts
-                solver._record_dispatch(attempts)
-                n_rows = tile.row_slice.stop - tile.row_slice.start
-                width = tile.col_slice.stop - tile.col_slice.start
-                solver._record_conversions(
-                    dac=width * k * attempts,
-                    adc=n_rows * k * attempts,
-                    macs=n_rows * width * k * attempts,
-                )
-                any_saturated |= saturated
-                if column_saturated is not None:
-                    tile_columns = (
-                        result.solution.column_saturated
-                        if result.solution.column_saturated is not None
-                        else np.full(x.shape[1], bool(result.solution.saturated))
-                    )
-                    column_saturated |= np.asarray(tile_columns, dtype=bool)
-                    column_saturated |= tile.primary.adc.clips_columns(result.raw)
-                g_f = tile.primary.config.g_f
-                accumulator[tile.row_slice] += (
-                    -result.values * g_f * tile.mapping.value_scale * scale
-                )
-                if tile.fault_correction is not None:
-                    # Known stuck-cell contributions are subtracted digitally.
-                    accumulator[tile.row_slice] -= (tile.fault_correction @ chunk) * scale
-                solver._record_solve(
-                    AMCMode.MVM,
-                    self._tile_amplifiers(tile),
-                    result.solution.settling_time,
-                )
-        solver.solve_counts[AMCMode.MVM.value] += 1
-        return self._capture_cost(SolveResult(
-            mode=AMCMode.MVM,
-            value=accumulator,
-            reference=reference,
-            attempts=total_attempts,
-            input_scale=float(np.max(scale)) if batched else scale,
-            stable=True,
-            saturated=any_saturated,
-            macro_ids=self._resident_macro_ids(),
-            input_scales=np.asarray(scale) if batched else None,
-            per_column_attempts=(
-                np.full(x.shape[1], total_attempts) if batched else None
-            ),
-            column_saturated=column_saturated,
-        ), before, started)
+        big_x = x if x.ndim == 2 else x[:, None]
+        k = big_x.shape[1]
+        stats = SweepStats(k)
+        out = np.zeros((self.shape[0], k))
+        assert self._tiles is not None
+        with trace.span("mvm", shape=str(self.shape), columns=k, tiles=len(self._tiles)):
+            stack = self._stack()
+            scales = self._solver._input_scales(big_x)
+            for slot, value in stack._mvm_stage(stack._off_slots, big_x, stats, scales):
+                out[slot.tile.row_slice] += value
+        return self._capture_cost(
+            stats.result(self.mode, out, reference, self._resident_macro_ids(), x.ndim == 2), before, started
+        )
 
     def solve(
         self,
@@ -679,54 +610,31 @@ class AnalogOperator:
         """The raw one-step analog solve (no refinement)."""
         self._require_mode(AMCMode.INV, "solve")
         n = self.shape[0]
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ShapeError(f"b must have leading dimension {n} (vector or batch)")
         if self._ref_inverse is None:
             # One factorization of the immutable matrix covers every solve's
             # digital reference (program-once / solve-many, digitally too).
             self._ref_inverse = np.linalg.inv(self.matrix)
-        if b.ndim == 2:
-            if b.shape[0] != n:
-                raise ShapeError(f"b must have leading dimension {n}")
-            return self._solve_batch(b)
-        if b.shape != (n,):
-            raise ShapeError(f"b must have length {n}")
-        self._ensure_programmed()
-        solver = self._solver
-        assert self._tiles is not None
-        tile = self._tiles[0]
         reference = self._ref_inverse @ b if _reference is None else _reference
+        return self._solve_batch(b if b.ndim == 2 else b[:, None], reference, b.ndim == 2)
 
-        # Inputs use the full DAC range; output ranging happens through the
-        # input-conductance ladder (INV output ∝ g_f).
-        outcome = autorange_gain(
-            lambda s: tile.primary.compute_inv(b / s, partner=tile.partner),
-            tile.primary,
-            lambda result, s, g_f: -result.values * s / (tile.mapping.value_scale * g_f),
-            scale=max(solver._input_scale(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE),
-            target=solver._output_target,
-            max_attempts=solver.max_attempts,
-        )
-        solver.solve_counts[AMCMode.INV.value] += 1
-        solver._record_dispatch(outcome.attempts)
-        solver._record_conversions(
-            dac=n * outcome.attempts,
-            adc=n * outcome.attempts,
-            macs=n * n * outcome.attempts,
-        )
-        solver._record_solve(
-            AMCMode.INV,
-            self._tile_amplifiers(tile),
-            outcome.result.solution.settling_time,
-        )
-        return SolveResult(
-            mode=AMCMode.INV,
-            value=outcome.value,
-            reference=reference,
-            attempts=outcome.attempts,
-            input_scale=outcome.input_scale,
-            stable=outcome.stable,
-            saturated=outcome.saturated,
-            macro_ids=self._resident_macro_ids(),
-        )
+    def _solve_batch(
+        self, b: np.ndarray, reference: np.ndarray | None = None, batched: bool = True
+    ) -> SolveResult:
+        """Matrix right-hand side through the INV loop as a one-slot INV
+        stage: all ``k`` columns share the resident circuit's one
+        factorization — "the feedback loop settles once for the whole
+        block"."""
+        if reference is None:
+            reference = self._ref_inverse @ b
+        if b.shape[1] == 0:
+            return self._empty_result(self.mode, reference)
+        self._ensure_programmed()
+        stats = SweepStats(b.shape[1])
+        x = np.empty(b.shape)
+        self._stack()._diag_stage([0], b[None], x, stats)
+        return stats.result(self.mode, x, reference, self._resident_macro_ids(), batched)
 
     def lstsq(self, b: np.ndarray, _reference: np.ndarray | None = None) -> SolveResult:
         """Analog least squares ``min‖A·y − b‖`` (``b``: vector or batch)."""
@@ -739,7 +647,8 @@ class AnalogOperator:
     def _lstsq_impl(
         self, b: np.ndarray, _reference: np.ndarray | None = None
     ) -> SolveResult:
-        """The unsupervised lstsq body (see :meth:`lstsq`)."""
+        """The unsupervised lstsq body (see :meth:`lstsq`): the PINV loop
+        in one engine call, a vector as a batch of one column."""
         self._require_mode(AMCMode.PINV, "lstsq")
         if self._transpose is None:
             raise GramcError(
@@ -747,68 +656,65 @@ class AnalogOperator:
                 "compile the tall matrix itself to run lstsq"
             )
         m = self.shape[0]
+        if b.ndim not in (1, 2) or b.shape[0] != m:
+            raise ShapeError(f"b must have leading dimension {m} (vector or batch)")
         started = time.perf_counter()
         before = self._solver.cost.snapshot()
         if self._ref_pinv is None:
             # One pseudoinverse of the immutable matrix covers every solve.
             self._ref_pinv = np.linalg.pinv(self.matrix)
-        if b.ndim == 2:
-            if b.shape[0] != m:
-                raise ShapeError(f"b must have leading dimension {m}")
-            with trace.span(
-                "solve", mode=self.mode.value, shape=str(self.shape), columns=b.shape[1]
-            ):
-                return self._capture_cost(self._lstsq_batch(b), before, started)
-        if b.shape != (m,):
-            raise ShapeError(f"b must have length {m}")
-        self._ensure_programmed()
-        solver = self._solver
-        assert self._tiles is not None and self._transpose._tiles is not None
-        tile_a = self._tiles[0]
-        tile_at = self._transpose._tiles[0]
         reference = self._ref_pinv @ b if _reference is None else _reference
-
-        with trace.span("solve", mode=self.mode.value, shape=str(self.shape), columns=1):
-            outcome = autorange_gain(
+        batched = b.ndim == 2
+        big_b = b if batched else b[:, None]
+        k = big_b.shape[1]
+        with trace.span("solve", mode=self.mode.value, shape=str(self.shape), columns=k):
+            if k == 0:
+                return self._capture_cost(
+                    self._empty_result(self.mode, reference), before, started
+                )
+            self._ensure_programmed()
+            solver = self._solver
+            assert self._tiles is not None and self._transpose._tiles is not None
+            tile_a = self._tiles[0]
+            tile_at = self._transpose._tiles[0]
+            outcome = autorange_gain_batch(
                 lambda s: tile_a.primary.compute_pinv(
-                    b / s,
+                    big_b / s,
                     partner_t=tile_at.primary,
                     partner_neg=tile_a.partner,
                     partner_t_neg=tile_at.partner,
                 ),
                 tile_a.primary,
                 lambda result, s, g_f: -result.values * s / (tile_a.mapping.value_scale * g_f),
-                scale=max(solver._input_scale(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE),
+                scales=solver._input_scales(big_b),
                 target=solver._output_target,
                 max_attempts=solver.max_attempts,
             )
-            solver.solve_counts[AMCMode.PINV.value] += 1
             solver._record_dispatch(outcome.attempts)
             m_rows, n_cols = self.shape
             solver._record_conversions(
-                dac=m_rows * outcome.attempts,
-                adc=n_cols * outcome.attempts,
-                macs=2 * m_rows * n_cols * outcome.attempts,
+                dac=m_rows * k * outcome.attempts,
+                adc=n_cols * k * outcome.attempts,
+                macs=2 * m_rows * n_cols * k * outcome.attempts,
             )
             solver._record_solve(
                 AMCMode.PINV,
                 self._tile_amplifiers(tile_a) + self._tile_amplifiers(tile_at),
                 outcome.result.solution.settling_time,
             )
-        return self._capture_cost(
-            SolveResult(
-                mode=AMCMode.PINV,
-                value=outcome.value,
-                reference=reference,
-                attempts=outcome.attempts,
-                input_scale=outcome.input_scale,
-                stable=outcome.stable,
-                saturated=outcome.saturated,
-                macro_ids=self._resident_macro_ids(),
-            ),
-            before,
-            started,
+        stats = SweepStats(k)
+        stats.add(
+            attempts=outcome.attempts,
+            stable=outcome.stable,
+            saturated=outcome.saturated,
+            input_scale=float(np.max(outcome.input_scales)),
+            input_scales=outcome.input_scales,
+            column_saturated=outcome.column_saturated,
         )
+        result = stats.result(
+            self.mode, outcome.value, reference, self._resident_macro_ids(), batched
+        )
+        return self._capture_cost(result, before, started)
 
     def eigvec(self, transient: bool = False) -> SolveResult:
         """Dominant eigenvector via the EGV topology (unit norm)."""
@@ -846,7 +752,6 @@ class AnalogOperator:
         if float(value @ reference) < 0.0:
             value = -value
 
-        solver.solve_counts[AMCMode.EGV.value] += 1
         solver._record_dispatch(1)
         n = self.shape[0]
         solver._record_conversions(adc=n, macs=n * n)
@@ -871,107 +776,12 @@ class AnalogOperator:
             started,
         )
 
-    def _batch_solve_result(self, outcome, reference: np.ndarray) -> SolveResult:
-        """Assemble a :class:`SolveResult` from a batched ranging outcome."""
-        columns = reference.shape[1]
-        return SolveResult(
-            mode=self.mode,
-            value=outcome.value,
-            reference=reference,
-            attempts=outcome.attempts,
-            input_scale=float(np.max(outcome.input_scales)),
-            stable=outcome.stable,
-            saturated=outcome.saturated,
-            macro_ids=self._resident_macro_ids(),
-            input_scales=outcome.input_scales,
-            per_column_attempts=np.full(columns, outcome.attempts),
-            column_saturated=outcome.column_saturated,
-        )
-
-    def _solve_batch(self, b: np.ndarray) -> SolveResult:
-        """Matrix right-hand side through the INV loop in one engine call.
-
-        The resident circuit's ``M`` is programming-frozen, so all ``k``
-        columns share one eigendecomposition and one LU factorization —
-        the simulated analogue of "the feedback loop settles once for the
-        whole block".
-        """
-        assert self._ref_inverse is not None
-        reference = self._ref_inverse @ b
-        if b.shape[1] == 0:
-            return self._empty_batch_result(reference)
-        self._ensure_programmed()
-        solver = self._solver
-        assert self._tiles is not None
-        tile = self._tiles[0]
-        scales = np.maximum(
-            solver._input_scales(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE
-        )
-        outcome = autorange_gain_batch(
-            lambda s: tile.primary.compute_inv(b / s, partner=tile.partner),
-            tile.primary,
-            lambda result, s, g_f: -result.values * s / (tile.mapping.value_scale * g_f),
-            scales=scales,
-            target=solver._output_target,
-            max_attempts=solver.max_attempts,
-        )
-        solver.solve_counts[AMCMode.INV.value] += b.shape[1]
-        solver._record_dispatch(outcome.attempts)
-        n, k = b.shape[0], b.shape[1]
-        solver._record_conversions(
-            dac=n * k * outcome.attempts,
-            adc=n * k * outcome.attempts,
-            macs=n * n * k * outcome.attempts,
-        )
-        solver._record_solve(
-            AMCMode.INV,
-            self._tile_amplifiers(tile),
-            outcome.result.solution.settling_time,
-        )
-        return self._batch_solve_result(outcome, reference)
-
-    def _lstsq_batch(self, b: np.ndarray) -> SolveResult:
-        """Matrix right-hand side through the PINV loop in one engine call."""
-        assert self._ref_pinv is not None and self._transpose is not None
-        reference = self._ref_pinv @ b
-        if b.shape[1] == 0:
-            return self._empty_batch_result(reference)
-        self._ensure_programmed()
-        solver = self._solver
-        assert self._tiles is not None and self._transpose._tiles is not None
-        tile_a = self._tiles[0]
-        tile_at = self._transpose._tiles[0]
-        scales = np.maximum(
-            solver._input_scales(b, solver.pool.config.dac.v_ref), MIN_INPUT_SCALE
-        )
-        outcome = autorange_gain_batch(
-            lambda s: tile_a.primary.compute_pinv(
-                b / s,
-                partner_t=tile_at.primary,
-                partner_neg=tile_a.partner,
-                partner_t_neg=tile_at.partner,
-            ),
-            tile_a.primary,
-            lambda result, s, g_f: -result.values * s / (tile_a.mapping.value_scale * g_f),
-            scales=scales,
-            target=solver._output_target,
-            max_attempts=solver.max_attempts,
-        )
-        solver.solve_counts[AMCMode.PINV.value] += b.shape[1]
-        solver._record_dispatch(outcome.attempts)
-        m_rows, n_cols = self.shape
-        k = b.shape[1]
-        solver._record_conversions(
-            dac=m_rows * k * outcome.attempts,
-            adc=n_cols * k * outcome.attempts,
-            macs=2 * m_rows * n_cols * k * outcome.attempts,
-        )
-        solver._record_solve(
-            AMCMode.PINV,
-            self._tile_amplifiers(tile_a) + self._tile_amplifiers(tile_at),
-            outcome.result.solution.settling_time,
-        )
-        return self._batch_solve_result(outcome, reference)
+    def _stack(self) -> GridEngine:
+        """This handle as a stack of its tiles, re-synced for this call."""
+        if self._engine is None:
+            self._engine = GridEngine.for_handle(self)
+        self._engine.refresh()
+        return self._engine
 
     # -------------------------------------------------------------- numpy sugar
 

@@ -2,9 +2,11 @@
 
 The digital controller's one cheap knob during a solve is the feedback /
 input-conductance ladder ``g_f`` — rewriting it touches a register, never
-the programmed conductances.  The seed implementation carried three
-near-identical copies of the ranging loop (MVM, INV, PINV); this module is
-the single shared implementation.
+the programmed conductances.  Every tile runs its first attempt inside a
+stacked stage of :mod:`repro.core.grid_engine`; only a tile whose attempt
+railed or under-used the converters enters the loops below, which take
+that attempt as their first result and run each retry through the
+macro's one-slot chain (``compute_mvm`` / ``compute_inv``).
 
 Two gain senses exist:
 
@@ -14,14 +16,13 @@ Two gain senses exist:
 * **INV / PINV** — the output amplitude is proportional to ``g_f``
   directly, and when the ladder floor is reached while still railed the
   controller falls back to shrinking the inputs, trading DAC resolution
-  for range (:func:`autorange_gain`, and its matrix-right-hand-side
-  sibling :func:`autorange_gain_batch`).
+  for range (:func:`autorange_gain_batch`).
 
 Batch semantics: the ladder is one register per tile, so a batched solve
 shares a single ``g_f`` chosen by the *worst* column (any railed column
 shrinks it; the largest column peak drives re-gaining), while the
 input-shrink fallback is applied per column — only the columns that
-actually railed lose DAC resolution.
+actually railed lose DAC resolution.  A vector is a batch of one column.
 """
 
 from __future__ import annotations
@@ -49,16 +50,18 @@ def autorange_mvm(
     *,
     target: float,
     max_attempts: int,
+    first: MacroResult | None = None,
 ) -> tuple[MacroResult, int, bool]:
     """Range one tile's multiply (TIA gain ∝ 1/g_f).
 
     Returns ``(result, attempts, saturated)`` where ``result`` is the last
     conversion and ``saturated`` reflects its post-ranging clip state.
     ``compute`` may return batched conversions ``(rows, k)``; the shared
-    ladder then follows the worst column.
+    ladder then follows the worst column.  ``first`` is an attempt that
+    already ran (a stacked stage's); ``compute`` then runs the retries.
     """
     with trace.span("autorange", kind="mvm") as sp:
-        result = compute()
+        result = first if first is not None else compute()
         attempts = 1
         while attempts < max_attempts:
             saturated = result.solution.saturated or primary.adc.clips(result.raw)
@@ -83,80 +86,6 @@ def autorange_mvm(
 
 
 @dataclass
-class GainRangingOutcome:
-    """Final state of an INV/PINV ranging loop."""
-
-    result: MacroResult
-    value: np.ndarray
-    attempts: int
-    input_scale: float
-    stable: bool
-    saturated: bool
-
-
-def autorange_gain(
-    compute: Callable[[float], MacroResult],
-    primary: AMCMacro,
-    to_value: Callable[[MacroResult, float, float], np.ndarray],
-    *,
-    scale: float,
-    target: float,
-    max_attempts: int,
-) -> GainRangingOutcome:
-    """Range a feedback solve (output ∝ g_f) with the input-shrink fallback.
-
-    ``compute(scale)`` runs the circuit with inputs divided by ``scale``;
-    ``to_value(result, scale, g_f)`` converts its raw output back to
-    problem units using the ``g_f`` that was active *during* that solve
-    (the ladder may move afterwards without a re-run — the caller must see
-    the value consistent with the result it pairs with).
-    """
-    if max_attempts < 1:
-        raise ValueError("auto-ranging needs at least one attempt")
-    value = np.zeros(0)
-    stable, saturated = True, False
-    result: MacroResult | None = None
-    attempts = 0
-    applied_scale = scale
-    with trace.span("autorange", kind="gain") as sp:
-        for attempts in range(1, max_attempts + 1):
-            result = compute(scale)
-            applied_scale = scale
-            g_f = primary.config.g_f
-            value = to_value(result, scale, g_f)
-            stable = result.solution.stable
-            saturated = result.solution.saturated
-            peak = float(np.max(np.abs(result.raw)))
-            if saturated:
-                desired = g_f / 4.0
-            elif 0.0 < peak < 0.25 * target:
-                desired = g_f * target / peak
-            else:
-                break
-            actual = primary.set_g_f(desired)
-            if abs(actual - g_f) < 1e-15:
-                if saturated:
-                    # Ladder floor reached and still railed: fall back to
-                    # shrinking the inputs (trading DAC resolution for range).
-                    scale *= 2.0
-                    continue
-                break  # ladder limit reached
-        sp.set(attempts=attempts, saturated=saturated)
-    assert result is not None
-    return GainRangingOutcome(
-        result=result,
-        value=value,
-        attempts=attempts,
-        # The scale the returned solve actually ran with: when the attempt
-        # budget runs out right after an input-shrink, the doubled scale
-        # was never applied and must not be reported.
-        input_scale=applied_scale,
-        stable=stable,
-        saturated=saturated,
-    )
-
-
-@dataclass
 class BatchGainRangingOutcome:
     """Final state of a batched INV/PINV ranging loop."""
 
@@ -175,7 +104,7 @@ class BatchGainRangingOutcome:
     """Per-column post-ranging clip state ``(k,)``."""
 
 
-def _column_saturation(result: MacroResult, columns: int) -> np.ndarray:
+def column_saturation(result: MacroResult, columns: int) -> np.ndarray:
     """Per-column clip state of one batched conversion."""
     per_column = result.solution.column_saturated
     if per_column is not None:
@@ -191,6 +120,7 @@ def autorange_gain_batch(
     scales: np.ndarray,
     target: float,
     max_attempts: int,
+    first: MacroResult | None = None,
 ) -> BatchGainRangingOutcome:
     """Range a matrix-right-hand-side feedback solve through one circuit.
 
@@ -200,7 +130,9 @@ def autorange_gain_batch(
     register, so the *worst* column picks ``g_f``: any railed column
     shrinks it, and only when every column is under-ranged does the gain
     grow (sized by the largest peak).  At the ladder floor the input-shrink
-    fallback halves the range of exactly the railed columns.
+    fallback halves the range of exactly the railed columns.  ``first``
+    is an attempt that already ran at ``scales``; ``compute`` then runs
+    the retries.
     """
     if max_attempts < 1:
         raise ValueError("auto-ranging needs at least one attempt")
@@ -214,12 +146,12 @@ def autorange_gain_batch(
     applied_scales = scales
     with trace.span("autorange", kind="gain_batch", columns=columns) as sp:
         for attempts in range(1, max_attempts + 1):
-            result = compute(scales)
+            result = first if attempts == 1 and first is not None else compute(scales)
             applied_scales = scales
             g_f = primary.config.g_f
             value = to_value(result, scales, g_f)
             stable = result.solution.stable
-            column_saturated = _column_saturation(result, columns)
+            column_saturated = column_saturation(result, columns)
             peak = float(np.max(np.abs(result.raw))) if result.raw.size else 0.0
             if np.any(column_saturated):
                 desired = g_f / 4.0
@@ -242,8 +174,9 @@ def autorange_gain_batch(
         result=result,
         value=value,
         attempts=attempts,
-        # As in autorange_gain: report the scales the final solve actually
-        # ran with, not a shrink that never got its re-run.
+        # The scales the final solve actually ran with: when the attempt
+        # budget runs out right after an input-shrink, the doubled scales
+        # were never applied and must not be reported.
         input_scales=applied_scales,
         stable=stable,
         saturated=bool(np.any(column_saturated)),

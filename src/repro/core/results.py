@@ -61,12 +61,13 @@ class SolveResult:
     """Blocked solves: digital-engine kernel dispatches this solve issued.
     The stacked grid engine pays a constant number per sweep (one batched
     kernel per stage); the per-tile baseline pays one per tile per sweep.
-    ``None`` for direct solves."""
+    Read from the cost ledger (``cost.engine_dispatches``); ``None`` for
+    direct solves."""
     stack_rebuilds: int | None = None
     """Blocked solves: stacked slices (re)built for this solve — 0 in
     steady state, >0 exactly when a crossbar version bump (programming,
-    refresh, preemption) invalidated cached circuit state.  ``None`` for
-    direct solves and the per-tile engine."""
+    refresh, preemption) invalidated cached circuit state.  Read from the
+    cost ledger; ``None`` for direct solves."""
     refine_steps: int | None = None
     """Refined solves (``solve(b, rtol=...)``): digital iterative-
     refinement steps applied on top of the analog answer (0 when the

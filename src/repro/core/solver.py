@@ -46,6 +46,7 @@ from repro.arrays.mapping import DifferentialMapping
 from repro.core.backend import Backend, backend_or_default
 from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
 from repro.core.operator import AnalogOperator, TileBinding
+from repro.core.ranging import MIN_INPUT_SCALE
 from repro.obs import trace
 from repro.obs.cost import CostAccumulator
 from repro.core.pool import MacroPool, PoolConfig
@@ -129,6 +130,14 @@ def _operand_key(matrix: np.ndarray, mode: AMCMode, tag: str = "") -> str:
     return digest.hexdigest()
 
 
+def _ledger_count(name: str) -> property:
+    """A read-only solver counter backed by ``cost.total.<name>``."""
+    return property(
+        lambda self: getattr(self.cost.total, name),
+        doc=f"``{name}`` so far, read from the cost ledger.",
+    )
+
+
 class GramcSolver:
     """General-purpose analog matrix solver on a pool of AMC macros."""
 
@@ -150,9 +159,6 @@ class GramcSolver:
         self.stats = stats
         self.backend = backend_or_default(backend)
         self._operators: dict[str, AnalogOperator] = {}
-        self.solve_counts: dict[str, int] = {m.value: 0 for m in AMCMode}
-        self.stack_rebuilds = 0
-        self.refine_dispatches = 0
         self.cost = CostAccumulator()
         injector = getattr(self.pool, "fault_injector", None)
         if injector is not None:
@@ -161,15 +167,11 @@ class GramcSolver:
             # keeps the faults package dependency-free of this module.
             injector.monitor.bind_solver(self)
 
-    @property
-    def engine_dispatches(self) -> int:
-        """Digital-engine kernel dispatches so far (read from the ledger)."""
-        return self.cost.total.engine_dispatches
-
-    @property
-    def refine_steps(self) -> int:
-        """Iterative-refinement steps so far (read from the ledger)."""
-        return self.cost.total.refine_steps
+    # Lifetime counters: read-only views of the one cost ledger.
+    engine_dispatches = _ledger_count("engine_dispatches")
+    refine_steps = _ledger_count("refine_steps")
+    refine_dispatches = _ledger_count("refine_dispatches")
+    stack_rebuilds = _ledger_count("stack_rebuilds")
 
     @property
     def health_monitor(self):
@@ -196,23 +198,21 @@ class GramcSolver:
     def _macros_for(self, layout: PlaneLayout) -> int:
         return 1 if layout is PlaneLayout.PAIRED_COLUMNS else 2
 
-    def _input_scale(self, values: np.ndarray, v_ref: float) -> float:
-        peak = float(np.max(np.abs(values)))
-        if peak == 0.0:
-            return 1.0
-        return peak / (self.headroom * v_ref)
-
-    def _input_scales(self, values: np.ndarray, v_ref: float) -> np.ndarray:
-        """Per-column DAC scaling for a matrix right-hand side ``(n, k)``.
+    def _input_scales(
+        self, values: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-column DAC divisors of ``(…, n, k)`` inputs, over the ``n`` axis.
 
         Each column gets its own divisor (a small column must not inherit a
-        huge sibling's scale and lose its DAC resolution); all-zero columns
-        scale by 1.
+        huge sibling's scale and lose its DAC resolution): its peak over the
+        headroom-derated DAC range, 1 for an all-zero column, floored at
+        :data:`~repro.core.ranging.MIN_INPUT_SCALE`.
         """
-        if values.shape[0] == 0:
-            return np.ones(values.shape[1])
-        peaks = np.max(np.abs(values), axis=0)
-        return np.where(peaks == 0.0, 1.0, peaks / (self.headroom * v_ref))
+        peaks = np.abs(values).max(axis=-2)
+        scales = np.where(
+            peaks == 0.0, 1.0, peaks / (self.headroom * self.pool.config.dac.v_ref)
+        )
+        return np.maximum(scales, MIN_INPUT_SCALE, out=out)
 
     @property
     def _output_target(self) -> float:
@@ -229,7 +229,7 @@ class GramcSolver:
             self.stats.record_solve(mode.value, amplifiers, settling_time)
 
     def _record_dispatch(self, count: int = 1) -> None:
-        """Count digital-engine kernel dispatches (batched or per-tile)."""
+        """Count digital-engine kernel dispatches (stage kernels and ranging retries)."""
         self.cost.add_dispatches(count)
         if self.stats is not None:
             self.stats.record_dispatches(count)
@@ -249,7 +249,7 @@ class GramcSolver:
 
     def _record_stack_rebuilds(self, count: int = 1) -> None:
         """Count grid-engine stacked slices invalidated and recopied."""
-        self.stack_rebuilds += count
+        self.cost.add_stack_rebuilds(count)
         if self.stats is not None:
             self.stats.record_stack_rebuilds(count)
 
@@ -261,8 +261,7 @@ class GramcSolver:
         work split of the ``rtol`` contract is observable per chip;
         ``macs`` is the float64 residual/correction arithmetic those
         steps executed on the digital side."""
-        self.refine_dispatches += dispatches
-        self.cost.add_refine(steps, macs)
+        self.cost.add_refine(steps, macs, dispatches)
         if self.stats is not None:
             self.stats.record_refinement(steps, dispatches, macs)
 

@@ -44,8 +44,8 @@ import numpy as np
 
 from repro.analog.topologies import AMCMode
 from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
-from repro.core.grid_engine import GridEngine
-from repro.core.operator import finite_input
+from repro.core.grid_engine import GridEngine, SweepStats
+from repro.core.operator import _Handle, finite_input
 from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result, scaled_norm
 from repro.core.results import SolveResult
 from repro.obs import trace
@@ -57,70 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _METHODS = ("gauss-seidel", "jacobi")
 
 
-class _SweepStats:
-    """Per-engine-call diagnostics accumulated across a blocked solve.
-
-    The grid engine feeds it the fields of each ranging tile
-    (:meth:`add`) and of each stage's single-attempt tiles at once
-    (:meth:`add_batch`).
-    """
-
-    def __init__(self, columns: int):
-        self.total_attempts = 0
-        self.stable = True
-        self.saturated = False
-        self.worst_scale = 0.0
-        self.col_scales = np.zeros(columns)
-        self.col_attempts = np.zeros(columns, dtype=int)
-        self.col_saturated = np.zeros(columns, dtype=bool)
-
-    def add(
-        self,
-        *,
-        attempts: int,
-        stable: bool,
-        saturated: bool,
-        input_scale: float,
-        input_scales: np.ndarray,
-        column_saturated: np.ndarray,
-    ) -> None:
-        self.total_attempts += attempts
-        self.stable &= stable
-        self.saturated |= saturated
-        self.worst_scale = max(self.worst_scale, input_scale)
-        np.maximum(self.col_scales, input_scales, out=self.col_scales)
-        self.col_attempts += attempts
-        self.col_saturated |= np.asarray(column_saturated, dtype=bool)
-
-    def add_batch(
-        self,
-        *,
-        tiles: int,
-        attempts: int,
-        stable: bool,
-        saturated: bool,
-        input_scale: float,
-        input_scales: np.ndarray,
-        column_saturated: np.ndarray,
-    ) -> None:
-        """Fold a whole stage's single-attempt tiles at once.
-
-        Every accumulator op is associative (sum, max, or), so this is
-        bitwise the per-tile :meth:`add` fold: ``input_scale`` /
-        ``input_scales`` arrive pre-maxed over the stage, ``attempts``
-        pre-summed, and each of the ``tiles`` slots contributed one
-        attempt to every column.
-        """
-        self.total_attempts += attempts
-        self.stable &= stable
-        self.saturated |= saturated
-        self.worst_scale = max(self.worst_scale, input_scale)
-        np.maximum(self.col_scales, input_scales, out=self.col_scales)
-        self.col_attempts += tiles
-        self.col_saturated |= np.asarray(column_saturated, dtype=bool)
-
-
-class TiledOperator:
+class TiledOperator(_Handle):
     """A square matrix blocked across a grid of programmed array tiles.
 
     Diagonal blocks are compiled as INV handles, nonzero off-diagonal
@@ -405,30 +342,14 @@ class TiledOperator:
 
     # --------------------------------------------------------------- execution
 
-    def _capture_cost(self, result: SolveResult, before, started: float) -> SolveResult:
-        """Attach this call's cost delta (plus wall-clock) to the result."""
-        cost = self._solver.cost.delta(before)
-        cost.host_s = time.perf_counter() - started
-        result.cost = cost
-        return result
-
     def _grid_engine(self) -> GridEngine:
         """The stacked engine, built lazily and re-synced for this solve."""
         if self._engine is None:
-            self._engine = GridEngine(self, self._solver.backend)
-        self._engine.refresh()
+            self._engine = GridEngine.for_grid(self, self._solver.backend)
+        rebuilt = self._engine.refresh()
+        if rebuilt:
+            self._solver._record_stack_rebuilds(rebuilt)
         return self._engine
-
-    def _fault_injector(self):
-        """The chip's fault injector when this call is top-level (see
-        :meth:`AnalogOperator._fault_injector`).  The blocked solve is
-        supervised as *one* logical operation: its per-block INV/MVM
-        steps see ``injector.busy`` and run bare, so one tiled solve
-        advances the chip clock exactly once."""
-        injector = getattr(self._solver.pool, "fault_injector", None)
-        if injector is None or injector.busy:
-            return None
-        return injector
 
     def solve(
         self,
@@ -528,7 +449,9 @@ class TiledOperator:
         reference = self._ref_inverse @ b
         batched = b.ndim == 2
         if batched and b.shape[1] == 0:
-            empty = self._empty_result(AMCMode.INV, reference)
+            empty = self._empty_result(
+                AMCMode.INV, reference, sweeps=0, residual_floor=0.0, converged=True
+            )
             if rtol is not None:
                 empty = replace(
                     empty,
@@ -539,8 +462,6 @@ class TiledOperator:
                     per_column_residual=np.zeros(0),
                 )
             return self._capture_cost(empty, before, started)
-        dispatches_before = solver.engine_dispatches
-        rebuilds_before = solver.stack_rebuilds
         self._ensure_programmed()
 
         if len(self._edges) == 1:
@@ -554,15 +475,13 @@ class TiledOperator:
                 inner, sweeps=1, residual_floor=floor,
                 converged=True if rtol is None else inner.converged,
                 macro_ids=self.macro_ids,
-                engine_dispatches=solver.engine_dispatches - dispatches_before,
-                stack_rebuilds=solver.stack_rebuilds - rebuilds_before,
             )
-            return self._capture_cost(inner, before, started)
+            return self._capture_counted(inner, before, started)
 
         big_b = b if batched else b[:, None]
         columns = big_b.shape[1]
         gauss_seidel = method == "gauss-seidel"
-        stats = _SweepStats(columns)
+        stats = SweepStats(columns)
         grid = self._grid_engine()
 
         with trace.span(
@@ -582,21 +501,10 @@ class TiledOperator:
                 gauss_seidel=gauss_seidel, grid=grid,
             )
 
-            value = x if batched else x[:, 0]
-            result = SolveResult(
-                mode=AMCMode.INV,
-                value=value,
-                reference=reference,
-                attempts=stats.total_attempts,
-                input_scale=stats.worst_scale if stats.worst_scale > 0.0 else 1.0,
-                stable=stats.stable,
-                saturated=stats.saturated,
-                macro_ids=self.macro_ids,
-                input_scales=stats.col_scales if batched else None,
-                per_column_attempts=stats.col_attempts if batched else None,
-                column_saturated=stats.col_saturated if batched else None,
+            result = stats.result(
+                AMCMode.INV, x, reference, self.macro_ids, batched,
                 sweeps=sweeps,
-                residual_floor=self._residual_floor(b, value),
+                residual_floor=self._residual_floor(b, x if batched else x[:, 0]),
                 converged=converged,
             )
 
@@ -611,7 +519,7 @@ class TiledOperator:
 
                 def correction(residual: np.ndarray, k: int) -> SimpleNamespace:
                     nonlocal correction_sweeps
-                    corr_stats = _SweepStats(residual.shape[1])
+                    corr_stats = SweepStats(residual.shape[1])
                     xc, csweeps, _ = self._run_sweeps(
                         residual, corr_stats,
                         sweeps=k, tolerance=None,
@@ -641,18 +549,20 @@ class TiledOperator:
                     residual_floor=self._residual_floor(b, result.value),
                 )
             sp.set(sweeps=result.sweeps, converged=bool(result.converged))
+        return self._capture_counted(result, before, started)
 
-        result = replace(
-            result,
-            engine_dispatches=solver.engine_dispatches - dispatches_before,
-            stack_rebuilds=solver.stack_rebuilds - rebuilds_before,
-        )
-        return self._capture_cost(result, before, started)
+    def _capture_counted(self, result: SolveResult, before, started: float) -> SolveResult:
+        """Capture the call's cost and report its engine dispatches and
+        stack rebuilds from that same ledger delta."""
+        result = self._capture_cost(result, before, started)
+        result.engine_dispatches = result.cost.engine_dispatches
+        result.stack_rebuilds = result.cost.stack_rebuilds
+        return result
 
     def _run_sweeps(
         self,
         big_b: np.ndarray,
-        stats: _SweepStats,
+        stats: SweepStats,
         *,
         sweeps: int,
         tolerance: float | None,
@@ -748,27 +658,6 @@ class TiledOperator:
         if b_norm == 0.0:
             return scaled_norm(value)
         return scaled_norm(b - self.matrix @ value) / b_norm
-
-    def _empty_result(self, mode: AMCMode, reference: np.ndarray) -> SolveResult:
-        solve_mode = mode is AMCMode.INV
-        return SolveResult(
-            mode=mode,
-            value=np.zeros_like(reference),
-            reference=reference,
-            attempts=0,
-            input_scale=1.0,
-            stable=True,
-            saturated=False,
-            macro_ids=self.macro_ids,
-            input_scales=np.zeros(0),
-            per_column_attempts=np.zeros(0, dtype=int),
-            column_saturated=np.zeros(0, dtype=bool),
-            # Sweep metadata belongs to solves only — an MVM product has
-            # no sweeps, so its empty result must not claim any.
-            sweeps=0 if solve_mode else None,
-            residual_floor=0.0 if solve_mode else None,
-            converged=True if solve_mode else None,
-        )
 
     # ------------------------------------------------------------ application
 

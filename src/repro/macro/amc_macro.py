@@ -7,7 +7,15 @@ planes for signed (differential) mappings and for the PINV transpose array,
 mirroring the paper's macro *group* where two arrays share the OPA column.
 
 Unit convention at this layer: **volts in, volts out** — digital scaling
-to/from problem units lives in :mod:`repro.core.solver`.
+to/from problem units lives in :mod:`repro.core`.
+
+**One chain.** Operator handles and tiled grids evaluate MVM and INV
+through the stacked stages of :mod:`repro.core.grid_engine`, which read
+each macro's resident circuit (:meth:`AMCMacro.resident_mvm_circuit` /
+:meth:`AMCMacro.resident_inv_circuit`).  ``compute_mvm``/``compute_inv``
+run the same converter and amplifier blocks on a one-slot view — the
+path of an auto-ranging retry and of the ISA controller's ``EXE``.
+PINV and EGV keep their own circuit solves and share the DAC/ADC.
 
 **Persistent circuits.** The conductances are frozen between programming
 events, so each macro keeps the circuit model of its current configuration
@@ -32,7 +40,7 @@ import numpy as np
 from repro.analog.egv import EgvCircuit
 from repro.analog.inv import InvCircuit
 from repro.analog.mvm import MVMCircuit
-from repro.analog.opamp import OpAmpBank, OpAmpParams
+from repro.analog.opamp import OpAmpBank, OpAmpParams, one_slot
 from repro.analog.pinv import PinvCircuit
 from repro.analog.results import CircuitSolution
 from repro.analog.topologies import AMCMode
@@ -96,8 +104,8 @@ class AMCMacro:
         )
         self.row_amps = OpAmpBank.sample(rows, self.opamp_params, self.rng)
         self.col_amps = OpAmpBank.sample(cols, self.opamp_params, self.rng)
-        self.dac = DAC(dac_params or DACParams(), rng=self.rng)
-        self.adc = ADC(adc_params or ADCParams(), rng=self.rng)
+        self.dac = DAC(dac_params or DACParams())
+        self.adc = ADC(adc_params or ADCParams())
         self.registers = RegisterArray()
         self.output_buffer = np.zeros(rows)
         self.layout = PlaneLayout.SINGLE
@@ -105,7 +113,7 @@ class AMCMacro:
         self._circuits: dict[str, tuple[tuple, object]] = {}
         """Resident circuit per topology, stored as ``(key, circuit)``;
         the key encodes everything the circuit was built from (register
-        word, array versions, noise mode) so any change rebuilds."""
+        word, array versions, partners) so any change rebuilds."""
 
     # -- configuration -------------------------------------------------------------
 
@@ -194,34 +202,38 @@ class AMCMacro:
         self, mapping: DifferentialMapping, partner: "AMCMacro | None" = None
     ) -> None:
         """Program a signed mapping according to the configured layout."""
+        for macro, targets in self.plane_targets(mapping, partner):
+            macro.program_targets(targets)
+
+    def plane_targets(
+        self, mapping: DifferentialMapping, partner: "AMCMacro | None" = None
+    ) -> list[tuple["AMCMacro", np.ndarray]]:
+        """``(macro, region conductance targets)`` per physical plane of
+        ``mapping`` under the configured layout."""
         if self.layout is PlaneLayout.SINGLE:
-            self.program_targets(mapping.g_pos)
-        elif self.layout is PlaneLayout.PAIRED_COLUMNS:
+            return [(self, mapping.g_pos)]
+        if self.layout is PlaneLayout.PAIRED_COLUMNS:
             rows, cols = mapping.shape
             interleaved = np.empty((rows, 2 * cols))
             interleaved[:, 0::2] = mapping.g_pos
             interleaved[:, 1::2] = mapping.g_neg
-            self.program_targets(interleaved)
-        elif self.layout is PlaneLayout.PAIRED_ARRAYS:
-            if partner is None:
-                raise ValueError("PAIRED_ARRAYS layout needs a partner macro")
-            self.program_targets(mapping.g_pos)
-            partner.program_targets(mapping.g_neg)
-        else:  # pragma: no cover - enum exhausts layouts
-            raise ValueError(f"unknown layout {self.layout!r}")
+            return [(self, interleaved)]
+        if partner is None:
+            raise ValueError("PAIRED_ARRAYS layout needs a partner macro")
+        return [(self, mapping.g_pos), (partner, mapping.g_neg)]
 
     # -- plane access -----------------------------------------------------------------
 
-    def planes(self, partner: "AMCMacro | None" = None, noisy: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """(g_pos, g_neg) views of the stored conductances for this solve."""
-        plane = self.array.conductances(noisy=noisy)
+    def planes(self, partner: "AMCMacro | None" = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """(g_pos, g_neg): one read-noise draw of the stored conductances."""
+        plane = self.array.conductances(noisy=True)
         if self.layout is PlaneLayout.SINGLE:
             return plane, None
         if self.layout is PlaneLayout.PAIRED_COLUMNS:
             return plane[:, 0::2], plane[:, 1::2]
         if partner is None:
             raise ValueError("PAIRED_ARRAYS layout needs a partner macro")
-        return plane, partner.array.conductances(noisy=noisy)
+        return plane, partner.array.conductances(noisy=True)
 
     def _active_row_amps(self, count: int) -> OpAmpBank:
         return OpAmpBank(self.opamp_params, self.row_amps.offsets[:count])
@@ -273,36 +285,41 @@ class AMCMacro:
         self._circuits[kind] = (key, circuit)
         return circuit
 
-    def _inverter_source(self, partner: "AMCMacro | None") -> "AMCMacro":
-        return partner if self.layout is PlaneLayout.PAIRED_ARRAYS and partner else self
+    def _inverter_bank(
+        self, partner: "AMCMacro | None", g_neg: np.ndarray | None, count: int
+    ) -> OpAmpBank | None:
+        """The column amplifiers re-driving the negative plane (the
+        partner's under paired arrays), or ``None`` for a single plane."""
+        if g_neg is None:
+            return None
+        source = partner if self.layout is PlaneLayout.PAIRED_ARRAYS and partner else self
+        return source._active_col_amps(count)
+
+    def _plane_key(self, partner: "AMCMacro | None") -> tuple:
+        """Residency key of a circuit whose matrices ignore ``g_f``."""
+        return (
+            self._word_key(include_g_f=False),
+            self.array.version,
+            self._partner_fingerprint(partner),
+        )
 
     def resident_mvm_circuit(
-        self, partner: "AMCMacro | None" = None, noisy: bool = True
+        self, partner: "AMCMacro | None" = None
     ) -> tuple[MVMCircuit, tuple]:
         """The cached MVM circuit plus its residency key.
 
         The key is ``(register word sans g_f, crossbar version, partner
-        fingerprint, noisy)`` — exactly what decides whether the cached
+        fingerprint)`` — exactly what decides whether the cached
         planes are still the programmed ones.  The grid engine stores it
         per stacked slice so that programming, ``refresh`` or preemption
         invalidates exactly the affected slice, while ``set_g_f`` ladder
         moves (masked out of the word) never do.
         """
         config = self._check_mode(AMCMode.MVM)
-        key = (
-            self._word_key(include_g_f=False),
-            self.array.version,
-            self._partner_fingerprint(partner),
-            noisy,
-        )
+        key = self._plane_key(partner)
 
         def build() -> MVMCircuit:
-            g_pos, g_neg = self.planes(partner, noisy=noisy)
-            inverter_bank = None
-            if g_neg is not None:
-                inverter_bank = self._inverter_source(partner)._active_col_amps(
-                    g_pos.shape[1]
-                )
+            g_pos, g_neg = self.planes(partner)
             return MVMCircuit(
                 g_pos,
                 g_neg,
@@ -310,7 +327,7 @@ class AMCMacro:
                 g_f=config.g_f,
                 rng=self.rng,
                 row_amps=self._active_row_amps(g_pos.shape[0]),
-                col_amps=inverter_bank,
+                col_amps=self._inverter_bank(partner, g_neg, g_pos.shape[1]),
             )
 
         circuit: MVMCircuit = self._resident_circuit("mvm", key, build)
@@ -318,53 +335,41 @@ class AMCMacro:
         return circuit, key
 
     def compute_mvm(
-        self, x_values: np.ndarray, partner: "AMCMacro | None" = None, noisy: bool = True
+        self, x_values: np.ndarray, partner: "AMCMacro | None" = None
     ) -> MacroResult:
         """One analog multiply: input voltages → ADC'd TIA outputs.
 
         ``x_values`` may be 1-D ``(cols,)`` or 2-D ``(cols, batch)``; the
         batch streams through the resident circuit in one engine call.
         """
-        circuit, _ = self.resident_mvm_circuit(partner, noisy=noisy)
-        v_in = self.dac.convert(x_values, noisy=noisy)
-        solution = circuit.solve(v_in, noisy=noisy)
-        values = self.adc.sample(solution.outputs, noisy=noisy)
-        self._finish(values)
-        return MacroResult(values=values, raw=solution.outputs, solution=solution, mode=AMCMode.MVM)
+        circuit, _ = self.resident_mvm_circuit(partner)
+        v_in = self._convert(x_values)
+        solution = circuit.solve(v_in)
+        return self._finish(solution, AMCMode.MVM)
 
     def resident_inv_circuit(
-        self, partner: "AMCMacro | None" = None, noisy: bool = True
+        self, partner: "AMCMacro | None" = None
     ) -> tuple[InvCircuit, tuple]:
         """The cached INV circuit plus its residency key (see the MVM twin)."""
         self._check_mode(AMCMode.INV)
-        key = (
-            self._word_key(include_g_f=False),
-            self.array.version,
-            self._partner_fingerprint(partner),
-            noisy,
-        )
+        key = self._plane_key(partner)
 
         def build() -> InvCircuit:
-            g_pos, g_neg = self.planes(partner, noisy=noisy)
-            inverter_bank = None
-            if g_neg is not None:
-                inverter_bank = self._inverter_source(partner)._active_col_amps(
-                    g_pos.shape[0]
-                )
+            g_pos, g_neg = self.planes(partner)
             return InvCircuit(
                 g_pos,
                 g_neg,
                 params=self.opamp_params,
                 rng=self.rng,
                 row_amps=self._active_row_amps(g_pos.shape[0]),
-                inverter_amps=inverter_bank,
+                inverter_amps=self._inverter_bank(partner, g_neg, g_pos.shape[0]),
             )
 
         circuit: InvCircuit = self._resident_circuit("inv", key, build)
         return circuit, key
 
     def compute_inv(
-        self, b_values: np.ndarray, partner: "AMCMacro | None" = None, noisy: bool = True
+        self, b_values: np.ndarray, partner: "AMCMacro | None" = None
     ) -> MacroResult:
         """One-step inversion: input voltages become currents via ``g_f``.
 
@@ -373,13 +378,11 @@ class AMCMacro:
         stability eigendecomposition (``g_f`` scales only the inputs here,
         so auto-ranging keeps the decomposition too).
         """
-        circuit, _ = self.resident_inv_circuit(partner, noisy=noisy)
-        v_in = self.dac.convert(b_values, noisy=noisy)
-        i_in = self.config.g_f * v_in  # input conductances from the g_f ladder
-        solution = circuit.static_solve(i_in, noisy=noisy)
-        values = self.adc.sample(solution.outputs, noisy=noisy)
-        self._finish(values)
-        return MacroResult(values=values, raw=solution.outputs, solution=solution, mode=AMCMode.INV)
+        circuit, _ = self.resident_inv_circuit(partner)
+        v_in = self._convert(b_values)
+        # Input conductances from the g_f ladder.
+        solution = circuit.static_solve(self.config.g_f * v_in)
+        return self._finish(solution, AMCMode.INV)
 
     def compute_pinv(
         self,
@@ -387,7 +390,6 @@ class AMCMacro:
         partner_t: "AMCMacro",
         partner_neg: "AMCMacro | None" = None,
         partner_t_neg: "AMCMacro | None" = None,
-        noisy: bool = True,
     ) -> MacroResult:
         """Least squares: this macro holds G, ``partner_t`` holds Gᵀ.
 
@@ -405,12 +407,11 @@ class AMCMacro:
             self._partner_fingerprint(partner_t),
             self._partner_fingerprint(partner_neg),
             self._partner_fingerprint(partner_t_neg),
-            noisy,
         )
 
         def build() -> PinvCircuit:
-            g1_pos, g1_neg = self.planes(partner_neg, noisy=noisy)
-            g2_pos, g2_neg = partner_t.planes(partner_t_neg, noisy=noisy)
+            g1_pos, g1_neg = self.planes(partner_neg)
+            g2_pos, g2_neg = partner_t.planes(partner_t_neg)
             m, n = g1_pos.shape
             return PinvCircuit(
                 g1_pos,
@@ -425,29 +426,21 @@ class AMCMacro:
             )
 
         circuit: PinvCircuit = self._resident_circuit("pinv", key, build)
-        v_in = self.dac.convert(b_values, noisy=noisy)
-        i_in = config.g_f * v_in
-        solution = circuit.static_solve(i_in, noisy=noisy)
-        values = self.adc.sample(solution.outputs, noisy=noisy)
-        self._finish(values)
-        return MacroResult(values=values, raw=solution.outputs, solution=solution, mode=AMCMode.PINV)
+        v_in = self._convert(b_values)
+        solution = circuit.static_solve(config.g_f * v_in)
+        return self._finish(solution, AMCMode.PINV)
 
     def compute_egv(
-        self, partner: "AMCMacro | None" = None, noisy: bool = True, transient: bool = False
+        self, partner: "AMCMacro | None" = None, transient: bool = False
     ) -> MacroResult:
         """Dominant eigenvector; λ comes from the register ladder."""
         config = self._check_mode(AMCMode.EGV)
         if config.g_lambda <= 0.0:
             raise RuntimeError("EGV mode requires a positive g_lambda in the registers")
-        key = (
-            self._word_key(include_g_f=False),
-            self.array.version,
-            self._partner_fingerprint(partner),
-            noisy,
-        )
+        key = self._plane_key(partner)
 
         def build() -> EgvCircuit:
-            g_pos, g_neg = self.planes(partner, noisy=noisy)
+            g_pos, g_neg = self.planes(partner)
             return EgvCircuit(
                 g_pos,
                 g_neg,
@@ -458,21 +451,41 @@ class AMCMacro:
             )
 
         circuit: EgvCircuit = self._resident_circuit("egv", key, build)
-        solution = circuit.transient_solve() if transient else circuit.static_solve(noisy=noisy)
+        solution = circuit.transient_solve() if transient else circuit.static_solve()
         eigvec = circuit.eigenvector(solution)
         # The ADC sees the railed amplifier outputs; normalisation happens
         # digitally, so sample the raw outputs and renormalise after.
-        sampled = self.adc.sample(solution.outputs, noisy=noisy)
+        sampled = self._sample(solution.outputs)
         norm = np.linalg.norm(sampled)
         values = sampled / norm if norm > 0 else sampled
         pivot = int(np.argmax(np.abs(values)))
         if values[pivot] < 0:
             values = -values
-        self._finish(values)
+        self.latch_output(values)
         return MacroResult(values=values, raw=eigvec, solution=solution, mode=AMCMode.EGV)
 
-    def _finish(self, values: np.ndarray) -> None:
-        # For batched conversions the output buffer holds the most recent one.
+    # -- converters: one-slot views of the stacked DAC/ADC --------------------------
+
+    def _convert(self, values: np.ndarray) -> np.ndarray:
+        """DAC conversion of a copy of ``values`` (vector or batch)."""
+        v_in = np.array(values, dtype=float)
+        self.dac.convert(one_slot(v_in), [(self.rng, v_in.shape[0])])
+        return v_in
+
+    def _sample(self, outputs: np.ndarray) -> np.ndarray:
+        """ADC conversion of amplifier ``outputs`` (vector or batch)."""
+        return self.adc.sample(one_slot(outputs), [(self.rng, outputs.shape[0])]).reshape(
+            outputs.shape
+        )
+
+    def _finish(self, solution: CircuitSolution, mode: AMCMode) -> MacroResult:
+        values = self._sample(solution.outputs)
+        self.latch_output(values)
+        return MacroResult(values=values, raw=solution.outputs, solution=solution, mode=mode)
+
+    def latch_output(self, values: np.ndarray) -> None:
+        """Latch one conversion's ADC values into the output buffer (the
+        last column of a batch) and count it."""
         latest = values[:, -1] if values.ndim == 2 else values
         self.output_buffer[: latest.size] = latest
         self.solve_count += 1

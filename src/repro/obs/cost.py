@@ -15,7 +15,7 @@ AMC/IMC literature):
   (mixed-signal; counted per column element per ranging attempt);
 * **digital engine** — multiply-accumulates executed by the digital
   engine's batched kernels (the grid engine's stacked MVM/LU stages and
-  the per-tile fallback), at ``DIGITAL_MACS_PER_CYCLE`` per cycle;
+  their ranging retries), at ``DIGITAL_MACS_PER_CYCLE`` per cycle;
 * **refinement** — float64 residual/correction MACs of the iterative
   refinement loop (a subset of digital work, attributed separately
   because the ``rtol`` contract buys accuracy with exactly these);
@@ -53,6 +53,10 @@ class SolveCost:
     """Float64 MACs spent by iterative-refinement residuals/corrections."""
     engine_dispatches: int = 0
     refine_steps: int = 0
+    refine_dispatches: int = 0
+    """The slice of ``engine_dispatches`` issued by refinement corrections."""
+    stack_rebuilds: int = 0
+    """Grid-engine stacked slices invalidated and recopied."""
     cells_programmed: int = 0
     write_pulses: int = 0
     queue_wait_s: float = 0.0
@@ -136,9 +140,13 @@ class CostAccumulator:
     def add_engine_macs(self, macs: int) -> None:
         self.total.engine_macs += macs
 
-    def add_refine(self, steps: int, macs: int) -> None:
+    def add_refine(self, steps: int, macs: int, dispatches: int = 0) -> None:
         self.total.refine_steps += steps
         self.total.refine_macs += macs
+        self.total.refine_dispatches += dispatches
+
+    def add_stack_rebuilds(self, count: int) -> None:
+        self.total.stack_rebuilds += count
 
     def add_dispatches(self, count: int = 1) -> None:
         self.total.engine_dispatches += count

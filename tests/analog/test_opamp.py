@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog.opamp import IDEAL_OPAMP, OpAmpBank, OpAmpParams
+from repro.analog.opamp import IDEAL_OPAMP, OpAmpBank, OpAmpParams, draw_noise
 
 
 class TestParams:
@@ -46,11 +46,11 @@ class TestBank:
         assert np.all(bank.offsets == 0.0)
 
     def test_output_noise_draws(self):
-        params = OpAmpParams(noise_sigma=1e-3)
-        bank = OpAmpBank.sample(1000, params, np.random.default_rng(1))
-        noise = bank.output_noise(np.random.default_rng(2))
+        noise = np.zeros((1, 1000, 1))
+        draw_noise(noise, 1e-3, [(np.random.default_rng(2), 1000)])
         assert np.std(noise) == pytest.approx(1e-3, rel=0.2)
 
     def test_output_noise_disabled(self):
-        bank = OpAmpBank.sample(10, OpAmpParams(noise_sigma=0.0), np.random.default_rng(1))
-        assert np.all(bank.output_noise(np.random.default_rng(2)) == 0.0)
+        noise = np.zeros((1, 10, 1))
+        draw_noise(noise, 0.0, [(np.random.default_rng(2), 10)])
+        assert np.all(noise == 0.0)

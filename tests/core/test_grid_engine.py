@@ -25,7 +25,7 @@ from repro.analog.topologies import AMCMode
 from repro.converters.adc import ADCParams
 from repro.converters.dac import DACParams
 from repro.core import grid_engine
-from repro.core.grid_engine import GridEngine
+from repro.core.grid_engine import GridEngine, SweepStats
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.core.tiled import TiledOperator
@@ -136,6 +136,37 @@ class TestEquivalence:
         assert np.array_equal(values[0], values[1])
 
 
+class TestOneChain:
+    """A tile inside a padded, ragged multi-slot stack equals the same tile
+    run alone through its handle: the stacked stages are the one chain,
+    and a handle is a stack of its own tiles."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_stacked_slot_equals_handle_alone(self, noisy):
+        matrix, b = _problem()
+        source = np.random.default_rng(5).uniform(-1, 1, (N, COLUMNS))
+        with determinism.column_independent_apply(True):
+            stacked = _solver(noisy).compile(matrix, AMCMode.INV)
+            alone = _solver(noisy).compile(matrix, AMCMode.INV)
+            grid = stacked._grid_engine()
+            edges = stacked.block_slices
+            blocks = list(range(len(edges)))
+            products = [
+                (slot, value.copy())
+                for slot, value in grid._mvm_stage(grid._off_slots, source, SweepStats(COLUMNS))
+            ]
+            x = np.zeros_like(b)
+            grid._diag_stage(blocks, grid._rhs_stack(b, blocks), x, SweepStats(COLUMNS))
+            assert grid._off_R == TILE and edges[-1] == slice(96, 100)  # padded slots
+            for slot, value in products:
+                product = alone._off[(slot.i, slot.j)].mvm(source[edges[slot.j]])
+                assert np.array_equal(value, product.value)
+            for i, rows in enumerate(edges):
+                assert np.array_equal(x[rows], alone._diag[i].solve(b[rows]).value)
+            stacked.close()
+            alone.close()
+
+
 class TestInvalidation:
     def test_set_g_f_retune_needs_no_rebuild(self):
         """Ladder moves between solves must neither rebuild stacks nor
@@ -230,9 +261,10 @@ class TestDispatchScaling:
         op = solver.compile(matrix, AMCMode.INV)
         with per_tile_sweeps():
             result = op.solve(b, method="jacobi")
-        # 4×4 grid: 12 coupling MVMs + 4 diagonal solves per sweep,
-        # minus the 12 zero-source MVMs skipped on sweep 1.
-        assert result.engine_dispatches == 16 * result.sweeps - 12
+        # 4×4 grid: 12 coupling MVM handle calls (two plane kernels each)
+        # + 4 diagonal solves per sweep, minus the 12 zero-source MVMs
+        # skipped on sweep 1.
+        assert result.engine_dispatches == 28 * result.sweeps - 24
         op.close()
 
     def test_chip_stats_carry_the_counters(self):

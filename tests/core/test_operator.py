@@ -364,3 +364,62 @@ class TestPinning:
         assert probe._refs == 1  # only this fresh holder
         probe.close()
         assert small_solver.pool.free_count == free_before
+
+
+class TestVectorIsOneColumn:
+    """A vector call runs the batched chain on one column and squeezes it:
+    bitwise the 1-column batch, call after call, in both engine modes."""
+
+    @staticmethod
+    def _solver():
+        from repro.converters.adc import ADCParams
+        from repro.converters.dac import DACParams
+        from repro.core.pool import MacroPool
+        from repro.core.solver import GramcSolver
+
+        config = PoolConfig(
+            num_macros=16, rows=32, cols=32,
+            dac=DACParams(bits=10, inl_lsb=0.4, noise_sigma=3e-4),
+            adc=ADCParams(bits=10, noise_sigma=3e-4, offset=1e-4),
+        )
+        return GramcSolver(
+            pool=MacroPool(config, rng=np.random.default_rng(5)),
+            rng=np.random.default_rng(9),
+        )
+
+    @pytest.mark.parametrize("column_independent", [False, True], ids=["blas", "ci"])
+    def test_vector_equals_one_column_batch(self, column_independent):
+        from repro.analog import determinism
+
+        rng = np.random.default_rng(3)
+        square = wishart(24, rng=rng) + 0.5 * np.eye(24)
+        wide = rng.uniform(-1, 1, (24, 70))  # three tiles on 32-wide arrays
+        tall = rng.uniform(-1, 1, (24, 10))
+        inputs = [
+            (rng.uniform(-1, 1, 24) * scale, rng.uniform(-1, 1, 70) * scale,
+             rng.uniform(-1, 1, 24) * scale)
+            for scale in (1.0, 1e-3, 40.0, 1.0, 0.5)
+        ]
+        runs = []
+        with determinism.column_independent_apply(column_independent):
+            for as_batch in (False, True):
+                solver = self._solver()
+                inv = solver.compile(square, AMCMode.INV)
+                mvm = solver.compile(wide)
+                pinv = solver.compile(tall, AMCMode.PINV)
+                shape = (lambda v: v[:, None]) if as_batch else (lambda v: v)
+                runs.append([
+                    (inv.solve(shape(b)), mvm.mvm(shape(x)), pinv.lstsq(shape(c)),
+                     mvm @ shape(x))
+                    for b, x, c in inputs
+                ])
+        for vector_calls, batch_calls in zip(*runs):
+            for vec, bat in zip(vector_calls[:3], batch_calls[:3]):
+                assert np.array_equal(vec.value, bat.value[:, 0])
+                assert vec.attempts == bat.attempts
+                assert vec.input_scale == bat.input_scale
+                assert vec.saturated == bat.saturated
+                assert vec.input_scales is None
+                assert vec.per_column_attempts is None
+                assert vec.column_saturated is None
+            assert np.array_equal(vector_calls[3], batch_calls[3][:, 0])

@@ -55,9 +55,15 @@ class TestMVM:
             small_solver.compile(np.eye(4)).mvm(np.zeros(5))
 
     def test_solve_counts(self, small_solver, rng):
-        before = small_solver.solve_counts["mvm"]
-        small_solver.compile(rng.uniform(-1, 1, (6, 6))).mvm(rng.uniform(-1, 1, 6))
-        assert small_solver.solve_counts["mvm"] == before + 1
+        """One MVM call books one conversion per line and attempt, and at
+        least one engine dispatch per attempt, in the cost ledger."""
+        op = small_solver.compile(rng.uniform(-1, 1, (6, 6)))
+        before = small_solver.cost.snapshot()
+        result = op.mvm(rng.uniform(-1, 1, 6))
+        delta = small_solver.cost.delta(before)
+        assert delta.dac_conversions == delta.adc_conversions == 6 * result.attempts
+        assert delta.engine_dispatches >= result.attempts > 0
+        assert delta.analog_settling_s > 0.0
 
 
 class TestINV:
