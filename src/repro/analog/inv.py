@@ -241,12 +241,9 @@ class InvCircuit:
         if t_end is None:
             t_end = 10.0 * base.time_constant() if base.is_stable else 50.0 * self.params.tau / self.params.a0
         result = base.trajectory(x0, t_end, num_points=num_points, b=self._rhs(i_in))
-        noise = (
-            self.rng.normal(0.0, self.params.noise_sigma, size=result.final.shape)
-            if self.params.noise_sigma > 0.0
-            else 0.0
-        )
-        outputs = self.params.saturate(result.final + noise)
+        outputs = np.array(result.final)
+        draw_noise(one_slot(outputs), self.params.noise_sigma, [(self.rng, self.n)])
+        outputs = self.params.saturate(outputs)
         railed = np.abs(result.final) > self.params.v_sat
         return CircuitSolution(
             outputs=outputs,

@@ -19,7 +19,10 @@ loop never rebuilds the circuit.
 
 The inverter drive and the TIA transfer are the stacked blocks of
 :mod:`repro.analog.blocks`; ``solve`` runs them on a one-slot view, and
-the grid engine runs the same blocks over whole tile stacks.
+the grid engine runs the same blocks over whole tile stacks.  Read noise
+is output-referred: one Gaussian per row and column at the TIA, whose
+per-row sigma carries the (noiseless) inverter plane's share through the
+cached row sums ``Σ_j g_neg[i,j]²`` (:meth:`MVMCircuit.neg_square_sums`).
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ class MVMCircuit:
                 raise ValueError("column amplifier bank size must match column count")
             self.col_amps = col_amps
         self._g_node: np.ndarray | None = None
+        self._g_neg_sq: np.ndarray | None = None
 
     def set_g_f(self, g_f: float) -> None:
         """Retune the feedback ladder in place (auto-ranging's cheap knob)."""
@@ -88,6 +92,14 @@ class MVMCircuit:
             self._g_node = total
         return self._g_node
 
+    def neg_square_sums(self) -> np.ndarray | None:
+        """Per-row ``Σ_j g_neg[i,j]²`` (programming-frozen, cached), which
+        refers the inverter plane's read noise to the TIA output; ``None``
+        for an unsigned tile."""
+        if self._g_neg_sq is None and self.g_neg is not None:
+            self._g_neg_sq = np.einsum("ij,ij->i", self.g_neg, self.g_neg)
+        return self._g_neg_sq
+
     def solve(self, v_in: np.ndarray, noisy: bool = True) -> CircuitSolution:
         """One analog multiply: column voltages in, TIA row voltages out.
 
@@ -100,15 +112,10 @@ class MVMCircuit:
                 f"expected {self.g_pos.shape[1]} input voltages "
                 f"(optionally batched), got shape {v_in.shape}"
             )
-        rows, cols = self.g_pos.shape
         currents = determinism.apply_matrix(self.g_pos, v_in)
+        g_neg_sq = self.neg_square_sums()
         if self.g_neg is not None:
-            v_neg = inverter_output(
-                one_slot(v_in),
-                self.col_amps.offsets[None],
-                self.params,
-                [(self.rng, cols)] if noisy else (),
-            )
+            v_neg = inverter_output(one_slot(v_in), self.col_amps.offsets[None], self.params)
             currents = currents + determinism.apply_matrix(
                 self.g_neg, v_neg.reshape(v_in.shape)
             )
@@ -120,7 +127,8 @@ class MVMCircuit:
             self.row_amps.offsets[None],
             np.array([self.g_f]),
             self.params,
-            [(self.rng, rows)] if noisy else (),
+            [(self.rng, self.g_pos.shape[0])] if noisy else (),
+            None if g_neg_sq is None else g_neg_sq[None],
         )
         railed = self.params.railed(np.abs(outputs))
         # Feed-forward topology: settling is one closed-loop TIA time constant.

@@ -12,7 +12,9 @@ standard single-pole macro-model:
   a *static* fabrication artifact);
 * output saturation ``±v_sat`` (essential: it is what fixes the eigenvector
   amplitude in the EGV topology);
-* output-referred noise per solve.
+* output-referred noise per solve (Gaussian, ``noise_sigma`` at each
+  amplifier output; a feed-forward chain refers every upstream draw to
+  its output stage, see :func:`repro.analog.blocks.tia_output`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,20 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OpAmpParams:
-    """Electrical parameters shared by all amplifiers in a bank."""
+    """Electrical parameters shared by all amplifiers in a bank.
+
+    ``noise_sigma`` is each amplifier's output-referred read noise per
+    evaluation.  Where one amplifier feeds another through a linear
+    network — the MVM inverter driving the negative plane into the TIAs —
+    the upstream draw is referred to the last output: the TIA on row
+    ``i`` draws once with
+
+    ``σ_i = noise_sigma · sqrt(1 + Σ_j g_neg[i,j]² / den_i²)``,
+    ``den_i = g_f + (g_node_i + g_f)/a0``,
+
+    the variance of an inverter draw per column pushed through the
+    negative plane and the TIA transfer, plus the TIA's own.
+    """
 
     a0: float = 1e5
     gbw: float = 1e7
@@ -61,21 +76,34 @@ Draws = Sequence[tuple[np.random.Generator, int]]
 """Per-slot noise streams of a stack: ``(generator, valid lines)`` each."""
 
 
-def draw_noise(stack: np.ndarray, sigma: float, draws: Draws) -> None:
+def draw_noise(
+    stack: np.ndarray,
+    sigma: "float | np.ndarray",
+    draws: Draws,
+    scratch: np.ndarray | None = None,
+) -> None:
     """Add one Gaussian draw per slot to a ``(slots, lines, k)`` stack, in place.
 
-    ``draws`` pairs each slot with the random stream of the macro it runs
-    on and its valid (unpadded) line count; a slot with zero lines draws
-    nothing.  Each draw is ``(lines, k)`` from that slot's own stream, so a
-    slot consumes exactly the values it would consume running alone.
-    An empty ``draws`` is the noiseless evaluation.
+    ``draws`` pairs each slot of the stack with the random stream of the
+    macro it runs on and its valid (unpadded) line count; a slot with
+    zero lines draws nothing.  Each draw is ``(lines, k)`` standard
+    normals from that slot's own stream, so a slot consumes exactly the
+    values it would consume running alone; ``sigma`` — a scalar, or
+    per-line sigmas ``(slots, lines)`` — scales them.  The draws land in
+    ``scratch`` (a reusable stack-shaped buffer) when given; padded lines
+    add exactly zero.  An empty ``draws`` is the noiseless evaluation.
     """
-    if sigma <= 0.0:
+    per_line = np.ndim(sigma) > 0
+    if not draws or (not per_line and sigma <= 0.0):
         return
-    k = stack.shape[-1]
+    noise = np.empty(stack.shape) if scratch is None else scratch
+    width = stack.shape[1]
     for t, (rng, lines) in enumerate(draws):
-        if lines:
-            stack[t, :lines] += rng.normal(0.0, sigma, size=(lines, k))
+        rng.standard_normal(out=noise[t, :lines])
+        if lines < width:
+            noise[t, lines:] = 0.0
+    noise *= sigma[:, :, None] if per_line else sigma
+    stack += noise
 
 
 def one_slot(values: np.ndarray) -> np.ndarray:

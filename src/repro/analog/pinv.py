@@ -31,7 +31,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
 from repro.analog.dynamics import LinearFeedbackSystem
-from repro.analog.opamp import OpAmpBank, OpAmpParams
+from repro.analog.opamp import OpAmpBank, OpAmpParams, draw_noise, one_slot
 from repro.analog.results import CircuitSolution
 
 
@@ -140,9 +140,8 @@ class PinvCircuit:
             if self._lhs_lu is None:
                 self._lhs_lu = lu_factor(self._equilibrium_lhs())
             solution = lu_solve(self._lhs_lu, rhs)
-        w, x = solution[:m], solution[m:]
-        if noisy and self.params.noise_sigma > 0.0:
-            x = x + self.rng.normal(0.0, self.params.noise_sigma, size=x.shape)
+        x = np.array(solution[m:])
+        draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, n)] if noisy else ())
         railed = np.abs(solution) > self.params.v_sat
         column_saturated = np.any(railed, axis=0) if i_in.ndim == 2 else None
         return CircuitSolution(
@@ -224,13 +223,9 @@ class PinvCircuit:
             t_end = 10.0 * base.time_constant() if base.is_stable else 1e-3
         x0 = np.zeros(m + n if i_in.ndim == 1 else (m + n, i_in.shape[1]))
         result = base.trajectory(x0, t_end, num_points=num_points, b=self._rhs(i_in))
-        x = result.final[m:]
-        noise = (
-            self.rng.normal(0.0, self.params.noise_sigma, size=x.shape)
-            if self.params.noise_sigma > 0.0
-            else 0.0
-        )
-        outputs = self.params.saturate(x + noise)
+        x = np.array(result.final[m:])
+        draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, n)])
+        outputs = self.params.saturate(x)
         railed = np.abs(result.final) > self.params.v_sat
         return CircuitSolution(
             outputs=outputs,

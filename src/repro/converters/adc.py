@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analog.opamp import Draws, draw_noise
+from repro.converters.quantizer import BipolarQuantizer
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,10 @@ class ADCParams:
     offset: float = 0.0
 
 
-class ADC:
+class ADC(BipolarQuantizer):
     """Vectorised bipolar ADC."""
 
-    def __init__(self, params: ADCParams):
-        if params.bits < 1:
-            raise ValueError("ADC needs at least 1 bit")
-        self.params = params
-        self.lsb = 2.0 * params.v_ref / (2**params.bits - 1)
-        """Voltage of one code step."""
+    kind = "ADC"
 
     def sample(
         self,
@@ -51,15 +47,12 @@ class ADC:
         noise; ``out`` may alias ``voltages``.
         """
         p = self.params
+        if p.offset == 0.0 and p.noise_sigma <= 0.0:
+            # Nothing lands before the converter: quantize straight into ``out``.
+            return self.quantize(voltages, out=out)
         out = np.add(voltages, p.offset, out=out)
         draw_noise(out, p.noise_sigma, draws)
-        out.clip(-p.v_ref, p.v_ref, out=out)
-        out += p.v_ref
-        out /= self.lsb
-        np.rint(out, out=out)
-        out *= self.lsb
-        out -= p.v_ref
-        return out
+        return self.quantize(out, out=out)
 
     def codes(self, voltages: np.ndarray) -> np.ndarray:
         """Raw integer output codes in ``[0, 2**bits − 1]`` (noiseless)."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analog.opamp import Draws, draw_noise
+from repro.converters.quantizer import BipolarQuantizer
 
 
 @dataclass(frozen=True)
@@ -27,15 +28,10 @@ class DACParams:
     """Output noise per conversion (volts)."""
 
 
-class DAC:
+class DAC(BipolarQuantizer):
     """Vectorised bipolar DAC."""
 
-    def __init__(self, params: DACParams):
-        if params.bits < 1:
-            raise ValueError("DAC needs at least 1 bit")
-        self.params = params
-        self.lsb = 2.0 * params.v_ref / (2**params.bits - 1)
-        """Voltage of one code step."""
+    kind = "DAC"
 
     def convert(
         self, v: np.ndarray, draws: Draws = ()
@@ -48,12 +44,7 @@ class DAC:
         lines, k)`` stack; without, any shape converts noiselessly.
         """
         p = self.params
-        v.clip(-p.v_ref, p.v_ref, out=v)
-        v += p.v_ref
-        v /= self.lsb
-        np.rint(v, out=v)
-        v *= self.lsb
-        v -= p.v_ref
+        self.quantize(v, out=v)
         if p.inl_lsb > 0.0:
             # Parabolic bow: zero at the rails, maximal mid-scale.
             bow = v / p.v_ref

@@ -36,12 +36,14 @@ re-read from the registers at every call.
 
 Numerical contract: a slot's answer depends only on its own tile, its own
 inputs and its own macro's noise stream — noise is drawn per slot, over
-its valid lines only, in the fixed per-slot stage order (DAC, inverter,
-TIA, ADC).  So a tile solved inside a padded multi-slot stack is bit for
-bit the same tile run alone through its handle, and under the
-deterministic engine mode (:func:`repro.analog.determinism.column_independent`)
-a column's answer does not depend on its batch siblings either — the
-contract serve coalescing relies on.  A slot whose first attempt railed or
+its valid lines only, in the fixed per-slot stage order (DAC, TIA, ADC;
+the inverter drive is noiseless because its read noise is referred to
+the TIA output, see :mod:`repro.analog.blocks`).  So a tile solved
+inside a padded multi-slot stack is bit for bit the same tile run alone
+through its handle, and under the deterministic engine mode
+(:func:`repro.analog.determinism.column_independent`) a column's answer
+does not depend on its batch siblings either — the contract serve
+coalescing relies on.  A slot whose first attempt railed or
 under-used the converters re-enters the shared ranging loops
 (:mod:`repro.core.ranging`) with that attempt as their first result;
 retries run through the macro's one-slot chain
@@ -52,10 +54,11 @@ DAC and inverter drive before the plane matmuls; TIA, ADC and rescale
 after them) run on contiguous lanes of ``_ELEMENTWISE_CHUNK``-slot
 chunks — one lane on the caller, the rest on a lazily created
 module-level thread pool, one lane per usable CPU.  NumPy ufuncs and
-``Generator.normal`` release the GIL, slot ranges never interact, and a
-lane owns every slot that draws from a given macro's stream (stacks
-whose lanes would share a stream run serially), so each stream sees its
-draws in the serial order and the bitwise contract is unchanged.  The
+``Generator.standard_normal`` release the GIL, slot ranges never
+interact, and a lane owns every slot that draws from a given macro's
+stream (stacks whose lanes would share a stream run serially), so each
+stream sees its draws in the serial order and the bitwise contract is
+unchanged.  The
 plane matmuls, ranging, fault correction and all accounting stay on the
 caller thread.
 """
@@ -347,6 +350,7 @@ class GridEngine:
         self._off_gp = np.zeros((t_off, self._off_R, self._off_C))
         self._off_gn = np.zeros((t_off, self._off_R, self._off_C))
         self._off_gnode = np.zeros((t_off, self._off_R))
+        self._off_gneg_sq = np.zeros((t_off, self._off_R))
         self._off_gmax = np.zeros(t_off)
         self._off_tia = np.zeros((t_off, self._off_R))
         self._off_inv = np.zeros((t_off, self._off_C))
@@ -434,9 +438,11 @@ class GridEngine:
         self._put(self._off_gp, t, circuit.g_pos)
         self._off_gn[t] = 0.0
         self._off_inv[t] = 0.0
+        self._off_gneg_sq[t] = 0.0
         if slot.has_neg:
             self._put(self._off_gn, t, circuit.g_neg)
             self._put(self._off_inv, t, circuit.col_amps.offsets)
+            self._put(self._off_gneg_sq, t, circuit.neg_square_sums())
             self._off_any_neg = True
         self._put(self._off_gnode, t, circuit.node_conductance())
         self._off_gmax[t] = np.max(circuit.node_conductance())
@@ -648,7 +654,6 @@ class GridEngine:
             source_blocks = source[:whole].reshape(-1, self._off_C, k)
         inv_all = self._off_inv[sl] if self._off_any_neg else None
         col_draws = [(s.tile.primary.rng, s.cols) for s in slots]
-        neg_draws = [(s.tile.primary.rng, s.cols if s.has_neg else 0) for s in slots]
         row_draws = [(s.tile.primary.rng, s.rows) for s in slots]
 
         def drive(lo: int, hi: int) -> None:
@@ -675,7 +680,7 @@ class GridEngine:
                 dac.convert(vc, col_draws[c])
                 # Inverter plane inputs ride the same chunk while it is hot.
                 if self._off_any_neg:
-                    inverter_output(vc, inv_all[c], params, neg_draws[c], out=v_neg[c])
+                    inverter_output(vc, inv_all[c], params, out=v_neg[c])
 
         _run_lanes(drive, lanes)
 
@@ -696,29 +701,32 @@ class GridEngine:
         # which re-cache the slot's ladder value after retuning).
         g_f = np.array([slot.g_f for slot in slots])
         gnode_all = self._off_gnode[sl]
+        gneg_sq_all = self._off_gneg_sq[sl] if self._off_any_neg else None
         tia_all = self._off_tia[sl]
-        vscale_all = self._off_vscale[sl]
+        # The problem-unit rescale ``−values · g_f · value_scale · scale``
+        # as one per-slot factor times the per-column scale.
+        factor = -g_f * self._off_vscale[sl]
 
         def sample(lo: int, hi: int) -> None:
             for c0 in range(lo, hi, width):
                 c = slice(c0, min(c0 + width, hi))
-                oc = currents[c]
-                tia_output(oc, gnode_all[c], tia_all[c], g_f[c], params, row_draws[c])
+                oc, vc = currents[c], values[c]
+                # The TIA's noise draws land in the ADC buffer, which the
+                # sample below overwrites.
+                tia_output(
+                    oc, gnode_all[c], tia_all[c], g_f[c], params, row_draws[c],
+                    None if gneg_sq_all is None else gneg_sq_all[c], scratch=vc,
+                )
                 # Rail and ADC clip tests fold through per-column extrema
                 # of the clean (pre-sampling-noise) outputs.
                 top = oc.max(axis=1)
                 low = oc.min(axis=1)
                 np.maximum(top, -low, out=row_peak[c])
                 adc.clips_extrema(top, low, out=clips_cols[c])
-                adc.sample(oc, row_draws[c], out=values[c])
-                # Batched problem-unit rescale ``−values · g_f ·
-                # value_scale · scale`` (ranging slots overwrite their row
-                # below once the ladder settles); ``(−v)·g`` is exactly
-                # ``v·(−g)``.
-                rc = rescaled[c]
-                np.multiply(values[c], -g_f[c][:, None, None], out=rc)
-                rc *= vscale_all[c][:, None, None]
-                rc *= scales[c][:, None, :]
+                adc.sample(oc, row_draws[c], out=vc)
+                # Batched problem-unit rescale in one pass (ranging slots
+                # overwrite their row below once the ladder settles).
+                np.multiply(vc, (factor[c][:, None] * scales[c])[:, None, :], out=rescaled[c])
 
         _run_lanes(sample, lanes)
         outputs = currents
@@ -764,7 +772,7 @@ class GridEngine:
                 )
                 column_saturated = column_saturation(result, k) | primary.adc.clips_columns(result.raw)
                 slot.g_f = primary.config.g_f
-                value = -result.values * slot.g_f * slot.tile.mapping.value_scale * scales[t]
+                value = result.values * (-slot.g_f * slot.tile.mapping.value_scale * scales[t])
                 self._book_ranged(
                     AMCMode.MVM, slot, stats, k, result,
                     attempts=attempts,

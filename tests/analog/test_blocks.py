@@ -1,10 +1,17 @@
-"""Unit tests for the TIA and inverter blocks (one-slot and stacked)."""
+"""Unit tests for the TIA and inverter blocks (one-slot and stacked), and
+for the output-referred read-noise model they implement."""
 
 import numpy as np
 import pytest
 
 from repro.analog.blocks import inverter_output, tia_output
+from repro.analog.mvm import MVMCircuit
 from repro.analog.opamp import IDEAL_OPAMP, OpAmpBank, OpAmpParams, one_slot
+from repro.analog.topologies import AMCMode
+from repro.converters.adc import ADCParams
+from repro.converters.dac import DACParams
+from repro.core.pool import MacroPool, PoolConfig
+from repro.core.solver import GramcSolver
 
 
 def _ideal_bank(n: int) -> OpAmpBank:
@@ -127,3 +134,122 @@ class TestInverter:
         v = np.array([0.1, -0.2])
         _invert(_ideal_bank(2), v)
         np.testing.assert_array_equal(v, [0.1, -0.2])
+
+
+def _row_sigma(noise_sigma, g_neg, g_node, g_f, a0):
+    """Closed-form output-referred read noise per row (volts)."""
+    den = g_f + (g_node + g_f) / a0
+    return noise_sigma * np.sqrt(1.0 + (g_neg**2).sum(axis=1) / den**2)
+
+
+# Draws per row: the variance estimate's relative spread is sqrt(2/N)
+# (2 % here), so a 10 % band is about five standard deviations wide.
+DRAWS = 5000
+VARIANCE_RTOL = 0.10
+
+
+class TestOutputReferredNoise:
+    """One TIA draw per (row, column) carries the inverter plane's share:
+    the per-row variance of noisy − noiseless outputs matches
+    ``σ_i² = noise_sigma² · (1 + Σ_j g_neg[i,j]² / den_i²)``."""
+
+    PARAMS = OpAmpParams(noise_sigma=1e-3)
+
+    def _circuit(self, signed: bool) -> MVMCircuit:
+        rng = np.random.default_rng(3)
+        g_pos = rng.uniform(0.0, 1e-4, (12, 10))
+        g_neg = rng.uniform(0.0, 1e-4, (12, 10)) if signed else None
+        return MVMCircuit(g_pos, g_neg, params=self.PARAMS, g_f=5e-5, rng=rng)
+
+    def _circuit_variance(self, circuit: MVMCircuit) -> np.ndarray:
+        v_in = np.tile(np.random.default_rng(4).uniform(-0.02, 0.02, (10, 1)), DRAWS)
+        noisy = circuit.solve(v_in).outputs
+        clean = circuit.solve(v_in, noisy=False).outputs
+        assert np.abs(clean).max() < 0.5 * self.PARAMS.v_sat  # no rail in play
+        return np.mean((noisy - clean) ** 2, axis=1)
+
+    def test_signed_circuit_rows_match_closed_form(self):
+        circuit = self._circuit(signed=True)
+        sigma = _row_sigma(
+            self.PARAMS.noise_sigma, circuit.g_neg, circuit.node_conductance(),
+            circuit.g_f, self.PARAMS.a0,
+        )
+        # The inverter share is large here, so the check can tell the
+        # models apart: every row sits well above the TIA's own sigma.
+        assert np.all(sigma > 1.5 * self.PARAMS.noise_sigma)
+        np.testing.assert_allclose(
+            self._circuit_variance(circuit), sigma**2, rtol=VARIANCE_RTOL
+        )
+
+    def test_unsigned_circuit_keeps_the_tia_sigma(self):
+        circuit = self._circuit(signed=False)
+        assert circuit.neg_square_sums() is None
+        np.testing.assert_allclose(
+            self._circuit_variance(circuit),
+            np.full(12, self.PARAMS.noise_sigma**2),
+            rtol=VARIANCE_RTOL,
+        )
+
+    def test_signed_handle_rows_match_closed_form(self):
+        """Through a handle's stacked stage, with ideal converters: every
+        column carries the same input, so the noiseless output is common
+        to all columns and the per-row variance across them is that of
+        noisy − noiseless.  It matches ``σ_i`` scaled to problem units by
+        the tile's ``g_f · value_scale · input scale``."""
+        config = PoolConfig(
+            num_macros=4, rows=16, cols=16,
+            opamp=OpAmpParams(noise_sigma=1e-3),
+            dac=DACParams(bits=16), adc=ADCParams(bits=16),
+        )
+        solver = GramcSolver(
+            pool=MacroPool(config, rng=np.random.default_rng(5)),
+            rng=np.random.default_rng(6),
+        )
+        rng = np.random.default_rng(7)
+        matrix = rng.uniform(-1.0, 1.0, (12, 12))
+        # One dominant input entry keeps the products small, so ranging
+        # settles on a low ``g_f`` and the inverter share is sizeable.
+        column = rng.uniform(-0.05, 0.05, (12, 1))
+        column[0] = 1.0
+        op = solver.compile(matrix, AMCMode.MVM)
+        op.mvm(column)  # warm: program and range once
+        result = op.mvm(np.tile(column, DRAWS))
+        tile = op._tiles[0]
+        g_f = tile.primary.config.g_f
+        circuit, _ = tile.primary.resident_mvm_circuit(tile.partner)
+        assert circuit.g_neg is not None
+        sigma = _row_sigma(1e-3, circuit.g_neg, circuit.node_conductance(), g_f, circuit.params.a0)
+        assert np.median(sigma) > 1.2e-3
+        assert np.all(result.per_column_attempts == 1)  # one evaluation per column
+        scale = g_f * tile.mapping.value_scale * result.input_scales[0]
+        variance = np.var(result.value, axis=1, ddof=1)
+        np.testing.assert_allclose(variance, (sigma * scale) ** 2, rtol=VARIANCE_RTOL)
+
+    def test_padded_rows_draw_nothing(self):
+        """A ragged slot draws for its valid rows only, from its own
+        stream: its padded row keeps the noiseless transfer, its valid
+        rows equal the slot run alone, and the stream advanced by exactly
+        ``rows · k`` normals."""
+        params = OpAmpParams(noise_sigma=1e-3)
+        rng = np.random.default_rng(8)
+        currents = rng.uniform(-1e-4, 1e-4, (2, 4, 3))
+        g_node = rng.uniform(1e-4, 1e-3, (2, 4))
+        offsets = rng.normal(0.0, 1e-4, (2, 4))
+        g_neg_sq = rng.uniform(1e-9, 1e-8, (2, 4))  # nonzero on the pad too
+        g_f = np.array([1e-3, 4e-4])
+        clean = tia_output(currents.copy(), g_node, offsets, g_f, params)
+        streams = [np.random.default_rng(20), np.random.default_rng(21)]
+        noisy = tia_output(
+            currents.copy(), g_node, offsets, g_f, params,
+            [(streams[0], 4), (streams[1], 3)], g_neg_sq,
+        )
+        assert noisy[1, 3].tobytes() == clean[1, 3].tobytes()
+        assert not np.array_equal(noisy[1, :3], clean[1, :3])
+        alone = tia_output(
+            currents[1:, :3].copy(), g_node[1:, :3], offsets[1:, :3], g_f[1:], params,
+            [(np.random.default_rng(21), 3)], g_neg_sq[1:, :3],
+        )
+        np.testing.assert_array_equal(noisy[1, :3], alone[0])
+        after = np.random.default_rng(21)
+        after.standard_normal((3, 3))
+        assert streams[1].standard_normal() == after.standard_normal()

@@ -11,6 +11,10 @@ what a production path does in one batched step, kept only as an oracle.
   bit for bit.
 * :func:`column_loop` — one handle call per right-hand-side column, the
   baseline of the batched single-array engine.
+* :func:`two_draw_read_noise` — the MVM read-noise model before it was
+  output-referred: every inverter output draws its own Gaussian and each
+  TIA draws at the plain ``noise_sigma``.  Its solve-error distribution
+  is the reference the one-draw model must match.
 
 Import as ``from tests.reference_engines import ...`` (the repo root is
 on ``sys.path`` whenever pytest runs from it).
@@ -18,10 +22,13 @@ on ``sys.path`` whenever pytest runs from it).
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
 
+from repro.analog import blocks, mvm
+from repro.core import grid_engine
 from repro.core.results import SolveResult
 from repro.core.tiled import TiledOperator
 
@@ -103,3 +110,36 @@ def column_loop(op, b: np.ndarray, single, reference: np.ndarray) -> SolveResult
         per_column_attempts=np.array([r.attempts for r in results]),
         column_saturated=np.array([r.saturated for r in results]),
     )
+
+
+@contextmanager
+def two_draw_read_noise(seed: int):
+    """Context manager: MVM evaluations use the two-draw read-noise model.
+
+    Each inverter output adds ``N(0, noise_sigma²)`` before its rail
+    clamp, and each TIA draws ``N(0, noise_sigma²)`` with no inverter
+    share.  The inverter draws come from one private stream seeded with
+    ``seed`` (padded columns draw too; their zero plane columns discard
+    it), so the evaluation runs on one lane to keep that stream's order
+    fixed.
+    """
+    rng = np.random.default_rng(seed)
+
+    def inverter(v, offsets, params, out=None):
+        gain = params.a0 / (params.a0 + 2.0)
+        out = np.multiply(v, -gain, out=out)
+        out += 2.0 * gain * offsets[:, :, None]
+        if params.noise_sigma > 0.0:
+            out += rng.normal(0.0, params.noise_sigma, size=out.shape)
+        out.clip(-params.v_sat, params.v_sat, out=out)
+        return out
+
+    def tia(currents, g_node, offsets, g_f, params, draws=(), g_neg_sq=None, scratch=None):
+        return blocks.tia_output(currents, g_node, offsets, g_f, params, draws, None, scratch)
+
+    with ExitStack() as patches:
+        for module in (grid_engine, mvm):
+            patches.enter_context(mock.patch.object(module, "inverter_output", inverter))
+            patches.enter_context(mock.patch.object(module, "tia_output", tia))
+        patches.enter_context(mock.patch.object(grid_engine.GridEngine, "_LANES", 1))
+        yield
