@@ -741,9 +741,9 @@ class GridEngine:
         else:
             needs_ranging = np.zeros(t_count, dtype=bool)
         fast = ~needs_ranging
-        # Settling-time diagnostics feed the ranging solutions, the chip
-        # stats, and the always-on cost ledger (analog settling / amp-energy
-        # attribution) — two vector ops per stage, so always computed.
+        # Settling-time diagnostics feed the ranging solutions and the
+        # always-on cost ledger (analog settling / amp-energy attribution)
+        # — two vector ops per stage, so always computed.
         settling = tia_settling_time(self._off_gmax[sl], g_f, params)
 
         products = []
@@ -816,7 +816,7 @@ class GridEngine:
         retry alike)."""
         with trace.span("engine_dispatch", kernel=kernel, **attrs):
             out = run()
-        self._solver._record_dispatch(1)
+        self._solver.cost.add_dispatches(1)
         return out
 
     def _book_ranged(
@@ -825,13 +825,10 @@ class GridEngine:
         """Account one slot that went through the ranging loop."""
         attempts = fields["attempts"]
         stats.add(input_scale=float(np.max(fields["input_scales"])), **fields)
-        solver = self._solver
-        solver._record_solve(mode, slot.amps, result.solution.settling_time)
-        solver._record_conversions(
-            dac=slot.cols * k * attempts,
-            adc=slot.rows * k * attempts,
-            macs=slot.rows * slot.cols * k * attempts,
-        )
+        cost = self._solver.cost
+        cost.add_analog(mode.value, slot.amps, result.solution.settling_time)
+        cost.add_conversions(dac=slot.cols * k * attempts, adc=slot.rows * k * attempts)
+        cost.add_engine_macs(slot.rows * slot.cols * k * attempts)
 
     def _book_fast(
         self,
@@ -849,9 +846,10 @@ class GridEngine:
     ) -> None:
         """Account a stage's single-attempt slots in one batched update.
 
-        Every accumulator op (sum, max, or) is associative, so the
-        aggregate is bitwise the per-slot fold; conversions are charged
-        on the valid (unpadded) per-slot sizes.
+        Every accumulator op (sum, max, or) is associative, so the sweep
+        stats are bitwise the per-slot fold; the ledger takes the slots'
+        count, ``Σ settling`` and ``Σ amps·settling`` in one update, and
+        conversions are charged on the valid (unpadded) per-slot sizes.
         """
         count = int(np.count_nonzero(fast))
         if not count:
@@ -867,15 +865,18 @@ class GridEngine:
             input_scales=input_scales,
             column_saturated=column_saturated[sel].any(axis=0),
         )
-        solver = self._solver
-        done = [(t, slot) for t, slot in enumerate(slots) if fast[t]]
-        for t, slot in done:
-            solver._record_solve(mode, slot.amps, None if settling is None else float(settling[t]))
-        solver._record_conversions(
-            dac=sum(slot.cols for _, slot in done) * k,
-            adc=sum(slot.rows for _, slot in done) * k,
-            macs=sum(slot.rows * slot.cols for _, slot in done) * k,
+        done = [slot for slot, hit in zip(slots, fast) if hit]
+        cost = self._solver.cost
+        if settling is None:
+            cost.add_solves(mode.value, count)
+        else:
+            times = settling[sel]
+            amps = np.array([slot.amps for slot in done], dtype=float)
+            cost.add_solves(mode.value, count, float(times.sum()), float(amps @ times))
+        cost.add_conversions(
+            dac=sum(slot.cols for slot in done) * k, adc=sum(slot.rows for slot in done) * k
         )
+        cost.add_engine_macs(sum(slot.rows * slot.cols for slot in done) * k)
 
     # ------------------------------------------------------------- INV stage
 

@@ -363,12 +363,8 @@ class AnalogOperator(_Handle):
                 out_of_band += stats["out_of_band"]
                 stuck_cells += stats["stuck_cells"]
                 region_cells += stats["region_cells"]
-                if stats["cells_rewritten"]:
-                    # Same ledger as _program_tiles: ~9 verify pulses/cell.
-                    cells = stats["cells_rewritten"]
-                    solver.cost.add_programming(cells, int(round(cells * 9.0)))
-                    if solver.stats is not None:
-                        solver.stats.record_programming(cells)
+                # Same ledger entry as _program_tiles.
+                solver.cost.add_programming(stats["cells_rewritten"])
         if self._transpose is not None:
             inner = self._transpose.reverify_tiles(band=band, apply=apply)
             cells_rewritten += inner["cells_rewritten"]
@@ -690,15 +686,15 @@ class AnalogOperator(_Handle):
                 target=solver._output_target,
                 max_attempts=solver.max_attempts,
             )
-            solver._record_dispatch(outcome.attempts)
+            cost = solver.cost
+            cost.add_dispatches(outcome.attempts)
             m_rows, n_cols = self.shape
-            solver._record_conversions(
-                dac=m_rows * k * outcome.attempts,
-                adc=n_cols * k * outcome.attempts,
-                macs=2 * m_rows * n_cols * k * outcome.attempts,
+            cost.add_conversions(
+                dac=m_rows * k * outcome.attempts, adc=n_cols * k * outcome.attempts
             )
-            solver._record_solve(
-                AMCMode.PINV,
+            cost.add_engine_macs(2 * m_rows * n_cols * k * outcome.attempts)
+            cost.add_analog(
+                AMCMode.PINV.value,
                 self._tile_amplifiers(tile_a) + self._tile_amplifiers(tile_at),
                 outcome.result.solution.settling_time,
             )
@@ -752,13 +748,13 @@ class AnalogOperator(_Handle):
         if float(value @ reference) < 0.0:
             value = -value
 
-        solver._record_dispatch(1)
+        cost = solver.cost
+        cost.add_dispatches(1)
         n = self.shape[0]
-        solver._record_conversions(adc=n, macs=n * n)
-        solver._record_solve(
-            AMCMode.EGV,
-            self._tile_amplifiers(tile),
-            result.solution.settling_time,
+        cost.add_conversions(adc=n)
+        cost.add_engine_macs(n * n)
+        cost.add_analog(
+            AMCMode.EGV.value, self._tile_amplifiers(tile), result.solution.settling_time
         )
         return self._capture_cost(
             SolveResult(

@@ -65,7 +65,7 @@ the analog first guess, and a ``resolve(residual_columns, sweeps)``
 callable.
 :meth:`AnalogOperator.solve` and :meth:`TiledOperator.solve` own the
 wiring (and the dispatch accounting that makes the analog/digital work
-split observable in :class:`~repro.system.stats.ChipStats`).
+split observable in the solver's cost ledger).
 """
 
 from __future__ import annotations
@@ -409,8 +409,8 @@ def refine_solve_result(
     (≤ ``max_sweeps``; single-array solves ignore it).  The returned
     result carries the refined value, the aggregated scalar diagnostics,
     the refinement metadata and ``converged`` set to the contract's
-    verdict; ``solver`` is charged the step/dispatch accounting (the
-    analog/digital work split in :class:`~repro.system.stats.ChipStats`).
+    verdict; ``solver``'s cost ledger is charged the step/dispatch
+    accounting (the analog/digital work split of the contract).
     """
     vector = b.ndim == 1
     big_b = b[:, None] if vector else b
@@ -442,16 +442,12 @@ def refine_solve_result(
             max_steps=max_steps, max_sweeps=max_sweeps,
         )
     except ConvergenceError as error:
-        solver._record_refinement(
-            error.steps or 0,
-            solver.engine_dispatches - dispatches_before,
-            macs=digital_macs(),
+        solver.cost.add_refine(
+            error.steps or 0, solver.engine_dispatches - dispatches_before, digital_macs()
         )
         raise
-    solver._record_refinement(
-        report.steps,
-        solver.engine_dispatches - dispatches_before,
-        macs=digital_macs(),
+    solver.cost.add_refine(
+        report.steps, solver.engine_dispatches - dispatches_before, digital_macs()
     )
     return replace(
         base,

@@ -45,10 +45,10 @@ from repro.analog.topologies import AMCMode
 from repro.arrays.mapping import DifferentialMapping
 from repro.core.backend import Backend, backend_or_default
 from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
-from repro.core.operator import AnalogOperator, TileBinding
+from repro.core.operator import AnalogOperator, TileBinding, finite_input
 from repro.core.ranging import MIN_INPUT_SCALE
 from repro.obs import trace
-from repro.obs.cost import CostAccumulator
+from repro.obs.cost import CostAccumulator, ledger_count
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.tiled import TiledOperator
 from repro.macro.amc_macro import AMCMacro
@@ -130,14 +130,6 @@ def _operand_key(matrix: np.ndarray, mode: AMCMode, tag: str = "") -> str:
     return digest.hexdigest()
 
 
-def _ledger_count(name: str) -> property:
-    """A read-only solver counter backed by ``cost.total.<name>``."""
-    return property(
-        lambda self: getattr(self.cost.total, name),
-        doc=f"``{name}`` so far, read from the cost ledger.",
-    )
-
-
 class GramcSolver:
     """General-purpose analog matrix solver on a pool of AMC macros."""
 
@@ -159,7 +151,9 @@ class GramcSolver:
         self.stats = stats
         self.backend = backend_or_default(backend)
         self._operators: dict[str, AnalogOperator] = {}
-        self.cost = CostAccumulator()
+        # One ledger per chip: a solver bound to a chip's stats writes
+        # the chip's ledger, a bare solver keeps its own.
+        self.cost = stats.cost if stats is not None else CostAccumulator()
         injector = getattr(self.pool, "fault_injector", None)
         if injector is not None:
             # The monitor's canary sweeps need the compile cache; binding
@@ -168,10 +162,10 @@ class GramcSolver:
             injector.monitor.bind_solver(self)
 
     # Lifetime counters: read-only views of the one cost ledger.
-    engine_dispatches = _ledger_count("engine_dispatches")
-    refine_steps = _ledger_count("refine_steps")
-    refine_dispatches = _ledger_count("refine_dispatches")
-    stack_rebuilds = _ledger_count("stack_rebuilds")
+    engine_dispatches = ledger_count("engine_dispatches")
+    refine_steps = ledger_count("refine_steps")
+    refine_dispatches = ledger_count("refine_dispatches")
+    stack_rebuilds = ledger_count("stack_rebuilds")
 
     @property
     def health_monitor(self):
@@ -218,52 +212,6 @@ class GramcSolver:
     def _output_target(self) -> float:
         """Desired output peak: most of the ADC range without clipping."""
         return 0.6 * min(self.pool.config.opamp.v_sat, self.pool.config.adc.v_ref)
-
-    def _record_solve(
-        self, mode: AMCMode, amplifiers: int = 0, settling_time: float | None = None
-    ) -> None:
-        """Runtime-path solve accounting, matching the controller's EXE
-        bookkeeping (amplifiers = active rows + cols of the macro config)."""
-        self.cost.add_analog(amplifiers, settling_time)
-        if self.stats is not None:
-            self.stats.record_solve(mode.value, amplifiers, settling_time)
-
-    def _record_dispatch(self, count: int = 1) -> None:
-        """Count digital-engine kernel dispatches (stage kernels and ranging retries)."""
-        self.cost.add_dispatches(count)
-        if self.stats is not None:
-            self.stats.record_dispatches(count)
-
-    def _record_conversions(self, dac: int = 0, adc: int = 0, macs: int = 0) -> None:
-        """Account the mixed-signal boundary of one engine call: DAC/ADC
-        conversions at the tile edges and the multiply-accumulates its
-        digital kernel executed (these feed the per-solve breakdown and,
-        via :data:`~repro.system.stats.DIGITAL_MACS_PER_CYCLE`, the chip's
-        digital-cycle energy/latency estimates)."""
-        self.cost.add_conversions(dac, adc)
-        if macs:
-            self.cost.add_engine_macs(macs)
-        if self.stats is not None:
-            self.stats.record_conversions(dac, adc)
-            self.stats.record_digital_work(macs)
-
-    def _record_stack_rebuilds(self, count: int = 1) -> None:
-        """Count grid-engine stacked slices invalidated and recopied."""
-        self.cost.add_stack_rebuilds(count)
-        if self.stats is not None:
-            self.stats.record_stack_rebuilds(count)
-
-    def _record_refinement(self, steps: int, dispatches: int, macs: int = 0) -> None:
-        """Account one refined solve's steps and correction dispatches.
-
-        ``dispatches`` is the slice of ``engine_dispatches`` issued by
-        the refinement loop's correction re-solves, so the analog/digital
-        work split of the ``rtol`` contract is observable per chip;
-        ``macs`` is the float64 residual/correction arithmetic those
-        steps executed on the digital side."""
-        self.cost.add_refine(steps, macs, dispatches)
-        if self.stats is not None:
-            self.stats.record_refinement(steps, dispatches, macs)
 
     # --------------------------------------------------------------- compilation
 
@@ -335,9 +283,11 @@ class GramcSolver:
         _transpose_plane: bool = False,
         _egv_auto: bool = False,
     ) -> AnalogOperator | TiledOperator:
-        original = np.asarray(matrix, dtype=float)
+        original = finite_input(matrix, "matrix")
         if original.ndim != 2:
             raise ShapeError("operands must be 2-D matrices")
+        if original.size == 0:
+            raise ShapeError(f"operands must be non-empty; got shape {original.shape}")
         if mode is AMCMode.INV and (
             tile is not None or original.shape[0] > self._tile_max
         ):
@@ -672,10 +622,7 @@ class GramcSolver:
                     )
                 primary.program_mapping(mapping, partner=partner)
                 # Both conductance planes of the differential pair.
-                cells = 2 * n_rows * width
-                self.cost.add_programming(cells, int(round(cells * 9.0)))
-                if self.stats is not None:
-                    self.stats.record_programming(cells)
+                self.cost.add_programming(2 * n_rows * width)
                 tiles.append(
                     TileBinding(
                         row_slice=row_slice,

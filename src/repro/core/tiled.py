@@ -348,7 +348,7 @@ class TiledOperator(_Handle):
             self._engine = GridEngine.for_grid(self, self._solver.backend)
         rebuilt = self._engine.refresh()
         if rebuilt:
-            self._solver._record_stack_rebuilds(rebuilt)
+            self._solver.cost.add_stack_rebuilds(rebuilt)
         return self._engine
 
     def solve(

@@ -16,7 +16,7 @@ chip-to-serve pipeline:
   analog/conversion/digital/refinement/queue-wait time-and-energy table.
 """
 
-from repro.obs import trace
+from repro.obs import report, trace
 from repro.obs.cost import CostAccumulator, SolveCost
 from repro.obs.export import (
     ChromeTraceSink,
@@ -27,6 +27,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.registry import MetricFamily, MetricsRegistry
+from repro.obs.report import solve_breakdown
 from repro.obs.trace import Span, Tracer, configure, configure_from_env, get_tracer, set_tracer
 
 __all__ = [
@@ -51,17 +52,3 @@ __all__ = [
     "write_chrome_trace",
 ]
 
-
-def __getattr__(name: str):
-    # ``report`` imports ``repro.system.stats`` (for the cost-model
-    # constants), which itself imports ``repro.obs.registry`` — loading
-    # it lazily keeps the package import acyclic and cheap.
-    if name == "report":
-        from repro.obs import report
-
-        return report
-    if name == "solve_breakdown":
-        from repro.obs.report import solve_breakdown
-
-        return solve_breakdown
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")

@@ -1,13 +1,17 @@
 """Per-solve cost capture: what one solve spent, by physical category.
 
-:class:`ChipStats` accumulates *chip-lifetime* totals; this module
-captures the **delta attributable to one solve** so
+:class:`CostAccumulator` is the chip's **one ledger** of hardware
+activity: every analog solve, DAC/ADC conversion, engine kernel,
+refinement step and write pulse is written to it exactly once, by the
+operator handles, the grid engine and the ISA controller alike.
+``ChipStats`` reads (and prices) its chip-lifetime totals; a solve
+captures the **delta attributable to it** so
 :func:`repro.obs.report.solve_breakdown` can answer "where did *this*
 solve spend its time and energy" — the question every perf PR must
 answer before claiming a speedup.
 
-The model (constants in :mod:`repro.system.stats`, figures from the
-AMC/IMC literature):
+The model (constants and pricing in :mod:`repro.obs.report`, figures
+from the AMC/IMC literature):
 
 * **analog settling** — Σ settling time over analog tile solves;
   energy is the amp-seconds integral × ``POWER_OPAMP``;
@@ -25,15 +29,18 @@ AMC/IMC literature):
   (zero energy; filled in by the serve layer).
 
 Capture is **always on** (a handful of float adds per dispatch — no
-measurable overhead) and independent of whether a ``ChipStats`` is
-attached, so ``result.cost`` is never None-surprising.
+measurable overhead), so ``result.cost`` is never None-surprising.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
-__all__ = ["CostAccumulator", "SolveCost"]
+__all__ = ["CostAccumulator", "PULSES_PER_CELL", "SolveCost", "ledger_count"]
+
+PULSES_PER_CELL = 9
+"""Mean write-verify pulses per programmed cell (the physical model's)."""
 
 
 @dataclass
@@ -44,6 +51,11 @@ class SolveCost:
     """Σ settling time across analog tile solves (serialised model)."""
     amp_seconds: float = 0.0
     """Σ (active amplifiers × settling time) — drives op-amp energy."""
+    mvm_solves: int = 0
+    """Analog tile solves by mode (one field per ``AMCMode`` value)."""
+    inv_solves: int = 0
+    pinv_solves: int = 0
+    egv_solves: int = 0
     dac_conversions: int = 0
     adc_conversions: int = 0
     engine_macs: int = 0
@@ -65,28 +77,20 @@ class SolveCost:
     """Wall-clock of the host-side solve call (simulator time, not part
     of the modeled hardware latency; kept for calibration)."""
 
-    def __add__(self, other: "SolveCost") -> "SolveCost":
+    def _zip(self, other: object, op) -> "SolveCost":
+        # Instance dicts hold exactly the fields, in declaration order.
         if not isinstance(other, SolveCost):
             return NotImplemented
-        return SolveCost(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(SolveCost)
-            }
-        )
+        return SolveCost(*map(op, vars(self).values(), vars(other).values()))
+
+    def __add__(self, other: "SolveCost") -> "SolveCost":
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "SolveCost") -> "SolveCost":
-        if not isinstance(other, SolveCost):
-            return NotImplemented
-        return SolveCost(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(SolveCost)
-            }
-        )
+        return self._zip(other, operator.sub)
 
     def copy(self) -> "SolveCost":
-        return SolveCost(**self.as_dict())
+        return SolveCost(*vars(self).values())
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(SolveCost)}
@@ -106,13 +110,13 @@ class SolveCost:
 
 
 class CostAccumulator:
-    """The solver's always-on cost ledger.
+    """The chip's always-on cost ledger.
 
-    One per :class:`~repro.core.solver.GramcSolver`; every dispatch site
-    adds into :attr:`total`, and a solve captures its own share with
-    ``snapshot()`` before / ``delta(before)`` after.  Thread-safety is
-    by construction: the serve layer funnels all chip work through one
-    executor thread, matching the rest of the solver's counters.
+    ``ChipStats`` owns one per chip and a ``GramcSolver(stats=...)``
+    adopts it (a bare solver keeps its own).  Every accounting site adds
+    into :attr:`total`; a solve captures its share with ``snapshot()`` /
+    ``delta(before)``.  The serve layer funnels all chip work through one
+    executor thread, so no lock is needed.
     """
 
     __slots__ = ("total",)
@@ -128,10 +132,22 @@ class CostAccumulator:
 
     # -- recording (called from solver/engine hot paths) ---------------------
 
-    def add_analog(self, amplifiers: int, settling_time: "float | None") -> None:
-        if settling_time is not None:
-            self.total.analog_settling_s += settling_time
-            self.total.amp_seconds += amplifiers * settling_time
+    def add_analog(self, mode: str, amplifiers: int, settling_time: "float | None") -> None:
+        """One analog solve of ``mode`` (an ``AMCMode`` value) with
+        ``amplifiers`` active op-amps; a ``None`` settling time counts
+        the solve but adds no time."""
+        settling = 0.0 if settling_time is None else settling_time
+        self.add_solves(mode, 1, settling, amplifiers * settling)
+
+    def add_solves(
+        self, mode: str, count: int, settling_s: float = 0.0, amp_seconds: float = 0.0
+    ) -> None:
+        """``count`` analog solves of ``mode`` in one update, with their
+        summed settling time and amp-seconds."""
+        field = f"{mode}_solves"
+        setattr(self.total, field, getattr(self.total, field) + count)
+        self.total.analog_settling_s += settling_s
+        self.total.amp_seconds += amp_seconds
 
     def add_conversions(self, dac: int = 0, adc: int = 0) -> None:
         self.total.dac_conversions += dac
@@ -140,7 +156,9 @@ class CostAccumulator:
     def add_engine_macs(self, macs: int) -> None:
         self.total.engine_macs += macs
 
-    def add_refine(self, steps: int, macs: int, dispatches: int = 0) -> None:
+    def add_refine(self, steps: int, dispatches: int, macs: int) -> None:
+        """One refined solve: its steps, the slice of ``engine_dispatches``
+        its correction re-solves issued, and its float64 residual MACs."""
         self.total.refine_steps += steps
         self.total.refine_macs += macs
         self.total.refine_dispatches += dispatches
@@ -151,6 +169,15 @@ class CostAccumulator:
     def add_dispatches(self, count: int = 1) -> None:
         self.total.engine_dispatches += count
 
-    def add_programming(self, cells: int, pulses: int) -> None:
+    def add_programming(self, cells: int) -> None:
+        """A bulk write of ``cells`` cells at :data:`PULSES_PER_CELL`."""
         self.total.cells_programmed += cells
-        self.total.write_pulses += pulses
+        self.total.write_pulses += PULSES_PER_CELL * cells
+
+
+def ledger_count(name: str) -> property:
+    """A read-only counter of a ledger owner, backed by ``cost.total.<name>``."""
+    return property(
+        lambda self: getattr(self.cost.total, name),
+        doc=f"``{name}`` so far, read from the cost ledger.",
+    )

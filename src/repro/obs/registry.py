@@ -1,23 +1,23 @@
 """Unified metrics registry: counters/gauges/histograms with labels.
 
-One :class:`MetricsRegistry` per chip is the single home for every
-telemetry number the stack produces.  ``ChipStats`` and ``ServiceStats``
-(:mod:`repro.system.stats`) are *views* over one registry instead of
-parallel bespoke dicts — the same cell that feeds
-``ChipStats.summary()`` feeds the Prometheus dump
-(:func:`repro.obs.export.prometheus_text`), so the numbers can never
-drift apart.
+One :class:`MetricsRegistry` per chip publishes every telemetry number
+the stack produces.  ``ServiceStats`` (:mod:`repro.system.stats`) keeps
+its counters in registry cells; ``ChipStats`` binds read-through cells
+(:meth:`MetricFamily.bind`) to the chip's cost ledger.  Either way the
+number ``summary()`` reports is the one the Prometheus dump
+(:func:`repro.obs.export.prometheus_text`) exports.
 
 Zero dependencies, and deliberately small: a metric family owns children
 keyed by label values; a child is a bare mutable cell (``value`` /
-``inc`` / ``set``) so hot-path increments are one attribute add.  A
-family declared with no label names acts as its own single cell.
+``inc`` / ``set``) so hot-path increments are one attribute add, or a
+read-through cell whose ``value`` reads its source.  A family declared
+with no label names acts as its own single cell.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "HistogramCell",
@@ -47,6 +47,20 @@ class _Cell:
 
     def set(self, value: float) -> None:
         self.value = value
+
+
+class _ReadCell:
+    """A counter sample with no state of its own: ``value`` reads its
+    source (for example a cost ledger) at export time."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        return float(self.read())
 
 
 class HistogramCell:
@@ -130,6 +144,11 @@ class MetricFamily:
             with self._lock:
                 child = self._children.setdefault(key, self._new_cell())
         return child
+
+    def bind(self, read: Callable[[], float], *values: object) -> None:
+        """Make the sample for label ``values`` a read-through of ``read()``:
+        the registry exports the source's value and keeps no copy."""
+        self._children[tuple(str(v) for v in values)] = _ReadCell(read)
 
     # -- zero-label shortcuts ------------------------------------------------
 

@@ -200,13 +200,9 @@ class CoalescedBatch:
             # it: an rtol-less rider is never touched by correction
             # solves, so refining siblings split that work by column.
             refining = sum(r.columns for r in self.requests if r.rtol is not None)
-            if request.rtol is None:
-                cost.refine_macs = 0
-                cost.refine_steps = 0
-            elif refining:
-                share = request.columns / refining
-                cost.refine_macs = round(result.cost.refine_macs * share)
-                cost.refine_steps = round(result.cost.refine_steps * share)
+            share = 0.0 if request.rtol is None else request.columns / max(refining, 1)
+            for name in ("refine_macs", "refine_steps", "refine_dispatches"):
+                setattr(cost, name, round(getattr(result.cost, name) * share))
         if request.vector:
             return SolveResult(
                 mode=result.mode,

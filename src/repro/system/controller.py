@@ -223,7 +223,7 @@ class Controller:
             mask = failing
         self.flag = Flag.EQUAL if verified else Flag.NOT_EQUAL
         self.stats.record_instruction("WRV", cycles=count)
-        self.stats.record_programming(count)
+        self.stats.cost.add_programming(count)
 
     def _execute_exe(self, instruction: Instruction) -> None:
         """System solution path (red arrows in Fig. 3)."""
@@ -255,10 +255,10 @@ class Controller:
         else:  # pragma: no cover
             raise ExecutionError(f"unknown mode {mode!r}")
 
-        amplifier_count = config.rows + config.cols
         self.stats.record_instruction("EXE", cycles=8)
-        self.stats.record_solve(mode.value, amplifier_count, result.solution.settling_time)
-        self.stats.record_conversions(dac=inputs.size, adc=result.values.size)
+        cost = self.stats.cost
+        cost.add_analog(mode.value, config.rows + config.cols, result.solution.settling_time)
+        cost.add_conversions(dac=inputs.size, adc=result.values.size)
 
     def _optional(self, macro_id: int | None) -> AMCMacro | None:
         return None if macro_id is None else self._macro(macro_id)

@@ -13,8 +13,10 @@ Three ways to drive the chip:
   :class:`~repro.core.solver.GramcSolver` bound to the same macro pool
   (``chip.solver.compile(a, mode)`` and the handle it returns).
 
-Both runtime paths account programming and solve activity into
-:attr:`GramcChip.stats`, alongside the compiled path's counters.
+The chip keeps one cost ledger (``chip.stats.cost``, which
+``chip.solver.cost`` is): all three paths write their programming,
+conversion and solve activity there once, and :attr:`GramcChip.stats`
+reads and prices it, next to the compiled path's instruction counts.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class GramcChip:
         grid of INV diagonal tiles and MVM coupling tiles whose
         ``solve(B)`` runs batched block-Jacobi / block-Gauss-Seidel
         sweeps across this chip's macros — programming and solve
-        activity lands in :attr:`GramcChip.stats` either way.
+        activity lands in the chip's one ledger either way.
         """
         return self.solver.compile(matrix, mode, **kwargs)
 

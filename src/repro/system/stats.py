@@ -1,111 +1,21 @@
-"""Cycle/energy/latency accounting for the GRAMC system.
+"""Chip and serve counters for the GRAMC system.
 
-The paper reports no performance table, so these estimates are an
-*extension*: they use published AMC component figures (documented per
-constant) to let users compare configurations.  The ablation bench
-``benchmarks/test_ablation_settling.py`` builds on the latency side.
-
-Since the observability PR, :class:`ChipStats`, :class:`TenantCounters`
-and :class:`ServiceStats` are **views over one**
-:class:`~repro.obs.registry.MetricsRegistry` instead of parallel
-bespoke dicts: the same cells that feed ``summary()`` feed the
-Prometheus dump (:func:`repro.obs.export.prometheus_text`), so chip
-counters, serve counters and exported metrics can never drift apart.
-The public surface (field reads, ``+=`` updates, ``record_*`` methods,
-``summary()``/``as_dict()`` key sets) is unchanged.
+:class:`ChipStats` is a view over the chip's one cost ledger: its
+counters read it and its estimates price it with the breakdown's model
+(:mod:`repro.obs.report`).  Chip and serve counters publish through
+one :class:`~repro.obs.registry.MetricsRegistry`, so ``summary()`` and
+the Prometheus dump (:func:`repro.obs.export.prometheus_text`) never
+drift apart.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 
-from repro.obs.registry import MetricFamily, MetricsRegistry
-
-# Energy model constants (order-of-magnitude figures from the AMC/IMC
-# literature; see e.g. ISAAC/PRIME-class accelerator papers).
-ENERGY_DAC_CONVERSION = 2e-12
-"""Joules per 8-bit DAC conversion."""
-
-ENERGY_ADC_CONVERSION = 8e-12
-"""Joules per 8-bit ADC conversion."""
-
-ENERGY_WRITE_PULSE = 1e-11
-"""Joules per programming pulse (SET/RESET, 30 ns at ~100 µA·V scale)."""
-
-POWER_OPAMP = 5e-4
-"""Watts per active OPA during an analog solve."""
-
-DIGITAL_CYCLE_TIME = 1e-9
-"""Seconds per digital controller cycle (1 GHz)."""
-
-ENERGY_DIGITAL_CYCLE = 5e-12
-"""Joules per digital controller cycle."""
-
-# Time model constants for the per-solve breakdown (same literature; the
-# conversion times bracket published 8-bit SAR ADC / current-steering
-# DAC figures, the write-pulse time is the 30 ns SET/RESET pulse).
-TIME_DAC_CONVERSION = 5e-9
-"""Seconds per 8-bit DAC conversion."""
-
-TIME_ADC_CONVERSION = 1e-8
-"""Seconds per 8-bit ADC conversion."""
-
-TIME_WRITE_PULSE = 3e-8
-"""Seconds per programming pulse."""
-
-DIGITAL_MACS_PER_CYCLE = 128
-"""Multiply-accumulates the digital engine retires per cycle (a modest
-128-lane MAC array — how engine kernels convert to cycles)."""
-
-
-class _CounterMap:
-    """Counter-like view over a labeled counter family (0-default reads).
-
-    Presents ``stats.instructions["EXE"] += 1`` / ``.values()`` /
-    ``.items()`` on top of per-label registry cells, preserving the
-    :class:`collections.Counter` surface the seed exposed.
-    """
-
-    __slots__ = ("_family",)
-
-    def __init__(self, family: MetricFamily) -> None:
-        self._family = family
-
-    def __getitem__(self, key: str) -> int:
-        child = self._family._children.get((str(key),))
-        return int(child.value) if child is not None else 0
-
-    def __setitem__(self, key: str, value: int) -> None:
-        self._family.labels(str(key)).set(value)
-
-    def __contains__(self, key: str) -> bool:
-        return (str(key),) in self._family._children
-
-    def __iter__(self):
-        return (key[0] for key in self._family._children)
-
-    def __len__(self) -> int:
-        return len(self._family._children)
-
-    def get(self, key: str, default: int = 0) -> int:
-        return self[key] if key in self else default
-
-    def keys(self):
-        return [key[0] for key in self._family._children]
-
-    def values(self):
-        return [int(cell.value) for cell in self._family._children.values()]
-
-    def items(self):
-        return [
-            (key[0], int(cell.value)) for key, cell in self._family._children.items()
-        ]
-
-    def total(self) -> int:
-        return sum(self.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({dict(self.items())!r})"
+from repro.analog.topologies import AMCMode
+from repro.obs.cost import CostAccumulator, ledger_count
+from repro.obs.registry import MetricsRegistry
+from repro.obs.report import DIGITAL_CYCLE_TIME, ENERGY_DIGITAL_CYCLE, _component_costs, _cycles
 
 
 def _scalar_property(attr: str, cast=int):
@@ -120,135 +30,115 @@ def _scalar_property(attr: str, cast=int):
     return property(getter, setter)
 
 
-class ChipStats:
-    """Mutable counters updated by the controller and macros.
+#: (metric family, ``ChipStats`` attribute, help) of the counters the
+#: registry reads through from the ledger at export time.
+_LEDGER_METRICS = (
+    ("gramc_digital_cycles_total", "digital_cycles", "Digital controller cycles"),
+    ("gramc_analog_solve_seconds_total", "analog_solve_time", "Summed analog settling time (s)"),
+    (
+        "gramc_amp_seconds_total", "amp_solve_integral",
+        "Sum of (active amplifiers x settling time) over all solves",
+    ),
+    ("gramc_dac_conversions_total", "dac_conversions", "DAC conversions"),
+    ("gramc_adc_conversions_total", "adc_conversions", "ADC conversions"),
+    ("gramc_write_pulses_total", "write_pulses", "Programming pulses applied"),
+    ("gramc_cells_programmed_total", "cells_programmed", "Crossbar cells programmed"),
+    (
+        "gramc_engine_dispatches_total", "engine_dispatches",
+        "Digital-engine kernel dispatches (batched array kernels or per-tile compute calls) "
+        "— the vectorized grid engine's O(1)-per-sweep claim is asserted against this counter",
+    ),
+    (
+        "gramc_stack_rebuilds_total", "stack_rebuilds",
+        "Stacked-slice rebuilds in the grid engine (slices recopied after a crossbar "
+        "version bump)",
+    ),
+    (
+        "gramc_refine_steps_total", "refine_steps",
+        "Digital iterative-refinement steps across all solve(rtol=...) calls",
+    ),
+    (
+        "gramc_refine_dispatches_total", "refine_dispatches",
+        "Engine kernel dispatches issued by refinement steps (a subset of "
+        "gramc_engine_dispatches_total)",
+    ),
+)
 
-    A view over a :class:`MetricsRegistry` — pass one to share it with
-    the serve layer (``GramcChip`` shares a single registry between its
-    ``ChipStats`` and its service's ``ServiceStats``).
+
+class ChipStats:
+    """The chip's counters: a view over its one cost ledger.
+
+    ``ChipStats`` owns the chip's ledger (:attr:`cost`): the chip's
+    solver and its ISA controller write every hardware event there once,
+    and every hardware counter here is a read of it.  Its own state is
+    the ISA's alone: instructions by name and their controller cycles
+    (:meth:`record_instruction`).  The ``gramc_*`` families of
+    :attr:`registry` read the same numbers at export time; pass a
+    registry to share it with the serve layer.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.cost = CostAccumulator()
+        self.instructions: Counter[str] = Counter()
+        self._isa_cycles = 0
         r = self.registry
-        self.instructions = _CounterMap(
-            r.counter("gramc_instructions_total", "ISA instructions executed", ("name",))
+        self._instructions = r.counter(
+            "gramc_instructions_total", "ISA instructions executed", ("name",)
         )
-        self.analog_solves = _CounterMap(
-            r.counter("gramc_analog_solves_total", "Analog solves by mode", ("mode",))
-        )
-        self._digital_cycles = r.counter(
-            "gramc_digital_cycles_total", "Digital controller cycles"
-        )
-        self._analog_solve_time = r.counter(
-            "gramc_analog_solve_seconds_total", "Summed analog settling time (s)"
-        )
-        self._amp_solve_integral = r.counter(
-            "gramc_amp_seconds_total",
-            "Sum of (active amplifiers x settling time) over all solves",
-        )
-        self._dac_conversions = r.counter(
-            "gramc_dac_conversions_total", "DAC conversions"
-        )
-        self._adc_conversions = r.counter(
-            "gramc_adc_conversions_total", "ADC conversions"
-        )
-        self._write_pulses = r.counter(
-            "gramc_write_pulses_total", "Programming pulses applied"
-        )
-        self._cells_programmed = r.counter(
-            "gramc_cells_programmed_total", "Crossbar cells programmed"
-        )
-        self._engine_dispatches = r.counter(
-            "gramc_engine_dispatches_total",
-            "Digital-engine kernel dispatches (batched array kernels or "
-            "per-tile compute calls) — the vectorized grid engine's "
-            "O(1)-per-sweep claim is asserted against this counter",
-        )
-        self._stack_rebuilds = r.counter(
-            "gramc_stack_rebuilds_total",
-            "Stacked-slice rebuilds in the grid engine (slices recopied "
-            "after a crossbar version bump)",
-        )
-        self._refine_steps = r.counter(
-            "gramc_refine_steps_total",
-            "Digital iterative-refinement steps across all solve(rtol=...) "
-            "calls",
-        )
-        self._refine_dispatches = r.counter(
-            "gramc_refine_dispatches_total",
-            "Engine kernel dispatches issued by refinement steps (a subset "
-            "of gramc_engine_dispatches_total)",
-        )
+        solves = r.counter("gramc_analog_solves_total", "Analog solves by mode", ("mode",))
+        for mode in AMCMode:
+            solves.bind(lambda mode=mode.value: self.analog_solves[mode], mode.value)
+        for name, attr, help in _LEDGER_METRICS:
+            r.counter(name, help).bind(lambda attr=attr: getattr(self, attr))
 
-    digital_cycles = _scalar_property("_digital_cycles")
-    analog_solve_time = _scalar_property("_analog_solve_time", float)
-    amp_solve_integral = _scalar_property("_amp_solve_integral", float)
-    dac_conversions = _scalar_property("_dac_conversions")
-    adc_conversions = _scalar_property("_adc_conversions")
-    write_pulses = _scalar_property("_write_pulses")
-    cells_programmed = _scalar_property("_cells_programmed")
-    engine_dispatches = _scalar_property("_engine_dispatches")
-    stack_rebuilds = _scalar_property("_stack_rebuilds")
-    refine_steps = _scalar_property("_refine_steps")
-    refine_dispatches = _scalar_property("_refine_dispatches")
+    analog_solve_time = ledger_count("analog_settling_s")
+    amp_solve_integral = ledger_count("amp_seconds")
+    dac_conversions = ledger_count("dac_conversions")
+    adc_conversions = ledger_count("adc_conversions")
+    write_pulses = ledger_count("write_pulses")
+    cells_programmed = ledger_count("cells_programmed")
+    engine_dispatches = ledger_count("engine_dispatches")
+    stack_rebuilds = ledger_count("stack_rebuilds")
+    refine_steps = ledger_count("refine_steps")
+    refine_dispatches = ledger_count("refine_dispatches")
+
+    @property
+    def analog_solves(self) -> dict[str, int]:
+        """Analog solves by ``AMCMode`` value."""
+        total = self.cost.total
+        return {mode.value: getattr(total, f"{mode.value}_solves") for mode in AMCMode}
+
+    @property
+    def digital_cycles(self) -> int:
+        """ISA cycles plus the ledger's engine and refinement MACs in cycles."""
+        total = self.cost.total
+        return self._isa_cycles + _cycles(total.engine_macs) + _cycles(total.refine_macs)
 
     def record_instruction(self, name: str, cycles: int = 1) -> None:
+        if name not in self.instructions:
+            self._instructions.bind(lambda: self.instructions[name], name)
         self.instructions[name] += 1
-        self._digital_cycles.inc(cycles)
+        self._isa_cycles += cycles
 
-    def record_dispatches(self, count: int = 1) -> None:
-        self._engine_dispatches.inc(count)
-
-    def record_stack_rebuilds(self, count: int = 1) -> None:
-        self._stack_rebuilds.inc(count)
-
-    def record_digital_work(self, macs: int) -> None:
-        """Account ``macs`` multiply-accumulates executed by the digital
-        engine (converted to controller cycles at
-        :data:`DIGITAL_MACS_PER_CYCLE` per cycle), so engine kernels feed
-        the energy/latency estimates like ISA instructions do."""
-        if macs > 0:
-            self._digital_cycles.inc(math.ceil(macs / DIGITAL_MACS_PER_CYCLE))
-
-    def record_refinement(self, steps: int, dispatches: int, macs: int = 0) -> None:
-        """Account one refined solve: its step count, the engine dispatches
-        those correction re-solves issued, and the float64 residual MACs
-        (which feed the digital-cycle energy/latency estimates)."""
-        self._refine_steps.inc(steps)
-        self._refine_dispatches.inc(dispatches)
-        self.record_digital_work(macs)
-
-    def record_solve(self, mode: str, amplifiers: int, settling_time: float | None) -> None:
-        self.analog_solves[mode] += 1
-        if settling_time is not None:
-            self._analog_solve_time.inc(settling_time)
-            self._amp_solve_integral.inc(amplifiers * settling_time)
-
-    def record_conversions(self, dac: int = 0, adc: int = 0) -> None:
-        self._dac_conversions.inc(dac)
-        self._adc_conversions.inc(adc)
-
-    def record_programming(self, cells: int, pulses_per_cell: float = 9.0) -> None:
-        """Account a bulk write (mean pulse count from the physical model)."""
-        self._cells_programmed.inc(cells)
-        self._write_pulses.inc(int(round(cells * pulses_per_cell)))
-
-    # -- estimates --------------------------------------------------------------
+    def _priced(self) -> tuple[float, float]:
+        """(time_s, energy_J): the ledger under the breakdown's model,
+        queue wait left out, plus the ISA cycles."""
+        costs = _component_costs(self.cost.total)
+        del costs["queue_wait"]
+        return (
+            sum(t for t, _ in costs.values()) + self._isa_cycles * DIGITAL_CYCLE_TIME,
+            sum(e for _, e in costs.values()) + self._isa_cycles * ENERGY_DIGITAL_CYCLE,
+        )
 
     def estimated_energy(self) -> float:
         """Total energy estimate in joules."""
-        return (
-            self.dac_conversions * ENERGY_DAC_CONVERSION
-            + self.adc_conversions * ENERGY_ADC_CONVERSION
-            + self.write_pulses * ENERGY_WRITE_PULSE
-            + self.amp_solve_integral * POWER_OPAMP
-            + self.digital_cycles * ENERGY_DIGITAL_CYCLE
-        )
+        return self._priced()[1]
 
     def estimated_latency(self) -> float:
-        """Serialised latency estimate in seconds."""
-        return self.digital_cycles * DIGITAL_CYCLE_TIME + self.analog_solve_time
+        """Serialised latency estimate in seconds: settling, conversions,
+        write pulses and digital cycles."""
+        return self._priced()[0]
 
     def summary(self) -> dict[str, float]:
         """Flat dictionary for report tables."""

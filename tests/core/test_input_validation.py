@@ -4,20 +4,24 @@ NaN, infinity and complex values must be refused with a structured error
 before any engine call: NaN/inf raises :class:`InputError` (a
 ``GramcError`` and a ``ValueError``), a complex array raises
 ``TypeError``.  None of them may leak a library error from inside a
-kernel, come back as a NaN answer, or be silently cast to real."""
+kernel, come back as a NaN answer, or be silently cast to real.  The
+same holds for the operand at compile, where an empty matrix is a
+:class:`ShapeError`."""
 
 from __future__ import annotations
 
+import asyncio
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.analog.topologies import AMCMode
-from repro.core.errors import GramcError, InputError
+from repro.core.errors import GramcError, InputError, ShapeError
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.core.tiled import TiledOperator
+from repro.serve import ServeConfig, SolveService, TenantQuota
 from repro.workloads.matrices import block_dominant
 
 N = 8
@@ -83,6 +87,61 @@ def test_bad_values_are_refused_at_the_entry_point(entry, kind):
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         with pytest.raises(expected, match="complex" if kind == "complex" else "NaN"):
             call(solver, _bad(kind, n))
+
+
+def _bad_operand(kind: str) -> np.ndarray:
+    if kind == "empty":
+        return np.zeros((0, 0))
+    matrix = 2.0 * np.eye(N)
+    if kind == "complex":
+        return matrix + 1j
+    matrix[1, 2] = np.nan if kind == "nan" else np.inf
+    return matrix
+
+
+#: Refused compile operands: kind -> (error, message fragment).
+OPERAND_REFUSALS = {
+    "nan": (InputError, "NaN"),
+    "inf": (InputError, "NaN"),
+    "complex": (TypeError, "complex"),
+    "empty": (ShapeError, "non-empty"),
+}
+
+
+def _service_compile(solver, matrix, mode, **kwargs):
+    async def run():
+        service = SolveService(solver, ServeConfig())
+        service.register_tenant("t", TenantQuota())
+        async with service:
+            await service.compile("t", matrix, mode, **kwargs)
+
+    asyncio.run(run())
+
+
+COMPILERS = {
+    "solver": lambda solver, matrix, mode, **kw: solver.compile(matrix, mode, **kw),
+    "service": _service_compile,
+}
+
+
+@pytest.mark.parametrize("via", sorted(COMPILERS))
+@pytest.mark.parametrize(
+    "mode, options",
+    [(AMCMode.MVM, {}), (AMCMode.INV, {}), (AMCMode.INV, {"tile": 4})],
+    ids=["mvm", "inv", "inv_tiled"],
+)
+@pytest.mark.parametrize("kind", sorted(OPERAND_REFUSALS))
+def test_bad_operands_are_refused_at_compile(kind, mode, options, via):
+    """A refused compile claims no macro and writes nothing to the ledger."""
+    solver = _solver()
+    free, before = solver.pool.free_count, solver.cost.snapshot()
+    expected, match = OPERAND_REFUSALS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(expected, match=match):
+            COMPILERS[via](solver, _bad_operand(kind), mode, **options)
+    assert solver.pool.free_count == free
+    assert solver.cost.total == before
 
 
 def test_input_error_is_a_structured_value_error():

@@ -44,8 +44,9 @@ class TestSolveCost:
         before = acc.snapshot()
         acc.add_conversions(dac=2)
         acc.add_engine_macs(64)
-        acc.add_analog(amplifiers=8, settling_time=1e-6)
+        acc.add_analog("mvm", amplifiers=8, settling_time=1e-6)
         delta = acc.delta(before)
+        assert delta.mvm_solves == 1
         assert delta.dac_conversions == 2
         assert delta.adc_conversions == 0
         assert delta.engine_macs == 64
@@ -53,8 +54,9 @@ class TestSolveCost:
 
     def test_accumulator_ignores_none_settling(self):
         acc = CostAccumulator()
-        acc.add_analog(amplifiers=8, settling_time=None)
+        acc.add_analog("egv", amplifiers=8, settling_time=None)
         assert acc.total.analog_settling_s == 0.0
+        assert acc.total.egv_solves == 1
 
 
 def _sample_cost() -> SolveCost:

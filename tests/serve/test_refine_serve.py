@@ -50,10 +50,12 @@ async def test_mixed_rtol_window_refines_independently(solver_twins):
     async with service:
         op = await service.compile("precise", a, AMCMode.INV)
         await service.solve("precise", op, b)  # same warm-up batch
+        refine_dispatches = serve_solver.refine_dispatches
         refined, plain = await asyncio.gather(
             service.solve("precise", op, b[:, :3], rtol=1e-10),
             service.solve("casual", op, b[:, 3]),
         )
+        refine_dispatches = serve_solver.refine_dispatches - refine_dispatches
     # The window coalesced: one batched engine call carried both.
     assert service.stats.engine_calls == 2  # warm-up + the window
     assert refined.refined_residual <= 1e-10
@@ -64,6 +66,13 @@ async def test_mixed_rtol_window_refines_independently(solver_twins):
     assert plain.refine_steps is None
     assert plain.per_column_converged is None
     assert np.array_equal(plain.value, expected_plain)
+    # Refinement is billed to the caller that contracted for it: the
+    # plain rider pays none of the window's refine work.
+    assert refine_dispatches > 0
+    assert refined.cost.refine_dispatches == refine_dispatches
+    assert plain.cost.refine_dispatches == 0
+    assert plain.cost.refine_steps == 0
+    assert plain.cost.refine_macs == 0
 
 
 async def test_each_refining_caller_gets_its_own_verdict(solver_twins):

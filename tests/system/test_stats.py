@@ -2,20 +2,24 @@
 
 import pytest
 
-from repro.system.stats import (
-    ChipStats,
+from repro.obs.cost import PULSES_PER_CELL
+from repro.obs.report import (
     DIGITAL_CYCLE_TIME,
     DIGITAL_MACS_PER_CYCLE,
     ENERGY_ADC_CONVERSION,
     ENERGY_DAC_CONVERSION,
     ENERGY_DIGITAL_CYCLE,
     ENERGY_WRITE_PULSE,
-    ServiceStats,
-    TenantCounters,
+    TIME_ADC_CONVERSION,
+    TIME_DAC_CONVERSION,
+    TIME_WRITE_PULSE,
 )
+from repro.system.stats import ChipStats, ServiceStats, TenantCounters
 
 
 class TestCounters:
+    """Every hardware counter is a read of the ledger ``stats.cost``."""
+
     def test_instruction_recording(self):
         stats = ChipStats()
         stats.record_instruction("EXE", cycles=8)
@@ -26,39 +30,59 @@ class TestCounters:
 
     def test_solve_recording(self):
         stats = ChipStats()
-        stats.record_solve("inv", amplifiers=256, settling_time=2e-6)
+        stats.cost.add_analog("inv", amplifiers=256, settling_time=2e-6)
         assert stats.analog_solves["inv"] == 1
         assert stats.analog_solve_time == pytest.approx(2e-6)
         assert stats.amp_solve_integral == pytest.approx(256 * 2e-6)
 
     def test_solve_without_settling_time(self):
         stats = ChipStats()
-        stats.record_solve("egv", amplifiers=128, settling_time=None)
+        stats.cost.add_analog("egv", amplifiers=128, settling_time=None)
         assert stats.analog_solves["egv"] == 1
         assert stats.analog_solve_time == 0.0
 
     def test_programming_estimate(self):
         stats = ChipStats()
-        stats.record_programming(100, pulses_per_cell=9.0)
+        stats.cost.add_programming(100)
         assert stats.cells_programmed == 100
-        assert stats.write_pulses == 900
+        assert stats.write_pulses == 100 * PULSES_PER_CELL
+
+    def test_digital_cycles_round_once_over_the_ledger(self):
+        """Engine and refinement MACs convert to cycles over the ledger
+        totals (the breakdown's rule), not once per recorded call."""
+        stats = ChipStats()
+        for _ in range(DIGITAL_MACS_PER_CYCLE):
+            stats.cost.add_engine_macs(1)
+            stats.cost.add_refine(steps=0, dispatches=0, macs=1)
+        assert stats.digital_cycles == 2
 
 
 class TestEstimates:
     def test_energy_composition(self):
         stats = ChipStats()
-        stats.record_conversions(dac=10, adc=5)
-        stats.record_programming(1, pulses_per_cell=2.0)
+        stats.cost.add_conversions(dac=10, adc=5)
+        stats.cost.add_programming(1)
         expected = (
-            10 * ENERGY_DAC_CONVERSION + 5 * ENERGY_ADC_CONVERSION + 2 * ENERGY_WRITE_PULSE
+            10 * ENERGY_DAC_CONVERSION
+            + 5 * ENERGY_ADC_CONVERSION
+            + PULSES_PER_CELL * ENERGY_WRITE_PULSE
         )
         assert stats.estimated_energy() == pytest.approx(expected)
 
     def test_latency_composition(self):
         stats = ChipStats()
         stats.record_instruction("NOP", cycles=1000)
-        stats.record_solve("mvm", amplifiers=16, settling_time=1e-6)
+        stats.cost.add_analog("mvm", amplifiers=16, settling_time=1e-6)
         assert stats.estimated_latency() == pytest.approx(1000 * 1e-9 + 1e-6)
+        stats.cost.add_conversions(dac=10, adc=5)
+        stats.cost.add_programming(1)
+        assert stats.estimated_latency() == pytest.approx(
+            1000 * 1e-9
+            + 1e-6
+            + 10 * TIME_DAC_CONVERSION
+            + 5 * TIME_ADC_CONVERSION
+            + PULSES_PER_CELL * TIME_WRITE_PULSE
+        )
 
     def test_summary_keys(self):
         summary = ChipStats().summary()
@@ -66,16 +90,17 @@ class TestEstimates:
             assert key in summary
 
     def test_energy_is_monotone_under_recording(self):
-        """Every record_* call can only grow the energy estimate."""
+        """Every ledger write (and ISA instruction) can only grow the
+        energy estimate."""
         stats = ChipStats()
         last = stats.estimated_energy()
         for record in (
-            lambda: stats.record_conversions(dac=16, adc=16),
-            lambda: stats.record_solve("inv", amplifiers=64, settling_time=1e-6),
-            lambda: stats.record_programming(32, pulses_per_cell=3.0),
+            lambda: stats.cost.add_conversions(dac=16, adc=16),
+            lambda: stats.cost.add_analog("inv", amplifiers=64, settling_time=1e-6),
+            lambda: stats.cost.add_programming(32),
             lambda: stats.record_instruction("EXE", cycles=100),
-            lambda: stats.record_digital_work(4096),
-            lambda: stats.record_refinement(steps=2, dispatches=2, macs=8192),
+            lambda: stats.cost.add_engine_macs(4096),
+            lambda: stats.cost.add_refine(steps=2, dispatches=2, macs=8192),
         ):
             record()
             current = stats.estimated_energy()
@@ -87,9 +112,11 @@ class TestEstimates:
         last = stats.estimated_latency()
         for record in (
             lambda: stats.record_instruction("NOP", cycles=50),
-            lambda: stats.record_solve("mvm", amplifiers=16, settling_time=2e-6),
-            lambda: stats.record_digital_work(1024),
-            lambda: stats.record_refinement(steps=1, dispatches=1, macs=2048),
+            lambda: stats.cost.add_analog("mvm", amplifiers=16, settling_time=2e-6),
+            lambda: stats.cost.add_engine_macs(1024),
+            lambda: stats.cost.add_refine(steps=1, dispatches=1, macs=2048),
+            lambda: stats.cost.add_conversions(dac=16, adc=16),
+            lambda: stats.cost.add_programming(32),
         ):
             record()
             current = stats.estimated_latency()
@@ -97,10 +124,10 @@ class TestEstimates:
             last = current
 
     def test_refinement_feeds_energy_and_latency(self):
-        """record_refinement's MACs land in the digital-cycle estimates."""
+        """Refinement MACs in the ledger land in the digital-cycle estimates."""
         stats = ChipStats()
         macs = 10 * DIGITAL_MACS_PER_CYCLE
-        stats.record_refinement(steps=3, dispatches=2, macs=macs)
+        stats.cost.add_refine(steps=3, dispatches=2, macs=macs)
         assert stats.refine_steps == 3
         assert stats.refine_dispatches == 2
         assert stats.digital_cycles == 10
