@@ -43,7 +43,7 @@ def tia_output(
     draws: Draws = (),
     g_neg_sq: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noisy, rail-clamped TIA outputs for injected node ``currents``, in place.
 
     With node conductance ``g_node`` (everything tied to the virtual-ground
@@ -60,6 +60,8 @@ def tia_output(
     tile's negative plane, zero for unsigned slots) refers the inverter
     plane's read noise to this output; ``None`` is an unsigned stack.
     The draws land in ``scratch`` when given (a reusable stack buffer).
+    Returns the per-column ``(railed, top, low)`` of the clamped outputs
+    (:meth:`~repro.analog.opamp.OpAmpParams.clamp_columns`).
     """
     g_sum = g_node + g_f[:, None]
     # ``−i + offset·g_sum``: negation then addition is exactly the one
@@ -72,8 +74,7 @@ def tia_output(
         if g_neg_sq is not None:
             sigma = sigma * np.sqrt(1.0 + g_neg_sq / (den * den))
         draw_noise(currents, sigma, draws, scratch)
-    currents.clip(-params.v_sat, params.v_sat, out=currents)
-    return currents
+    return params.clamp_columns(currents)
 
 
 def tia_settling_time(g_node_peak, g_f, params: OpAmpParams):
@@ -100,5 +101,4 @@ def inverter_output(
     gain = params.a0 / (params.a0 + 2.0)
     out = np.multiply(v, -gain, out=out)
     out += 2.0 * gain * offsets[:, :, None]
-    out.clip(-params.v_sat, params.v_sat, out=out)
-    return out
+    return params.saturate(out, out=out)

@@ -127,7 +127,8 @@ class EgvCircuit:
         grown = amplitude > 10.0 * float(np.linalg.norm(seed)) + 1e-12
         return CircuitSolution(
             outputs=x,
-            saturated=False,  # saturation is the normal operating mode here
+            # Saturation is the normal operating mode here, never a flag.
+            column_saturated=np.zeros(1, dtype=bool),
             stable=result.stable and grown,
             settling_time=result.settling_time,
             transient=result,
@@ -160,11 +161,13 @@ class EgvCircuit:
                 break
         norm = np.linalg.norm(y)
         if norm == 0.0:
-            return CircuitSolution(outputs=y, saturated=False, stable=False)
+            return CircuitSolution(
+                outputs=y, column_saturated=np.zeros(1, dtype=bool), stable=False
+            )
         x = y / norm * (0.9 * self.params.v_sat)
         if noisy:
             draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, self.n)])
-        return CircuitSolution(outputs=x, saturated=False, stable=grown)
+        return CircuitSolution(outputs=x, column_saturated=np.zeros(1, dtype=bool), stable=grown)
 
     def eigenvector(self, solution: CircuitSolution) -> np.ndarray:
         """Unit-norm eigenvector with a deterministic sign convention."""

@@ -21,10 +21,11 @@ transient matrix ``M`` — is computed once and reused by every solve.  Only
 the input currents change between solves, and they may be matrix valued
 ``(n, k)``: the crossbar applies the loop to every column at once.
 
-The loop's output stage — amplifier noise, rail clamp and per-column rail
-state — is :func:`settle_outputs`, written once over ``(slots, n, k)``
-stacks: ``static_solve`` runs it on a one-slot view and the grid engine's
-INV stage over a whole tile stack.
+The loop's output stage — amplifier noise
+(:func:`~repro.analog.opamp.draw_noise`), then the rail clamp and
+per-column rail state (:meth:`~repro.analog.opamp.OpAmpParams.clamp_columns`)
+— is written once over ``(slots, n, k)`` stacks: ``static_solve`` runs it
+on a one-slot view and the grid engine's INV stage over a whole tile stack.
 """
 
 from __future__ import annotations
@@ -34,24 +35,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
 from repro.analog.dynamics import LinearFeedbackSystem
-from repro.analog.opamp import Draws, OpAmpBank, OpAmpParams, draw_noise, one_slot
+from repro.analog.opamp import OpAmpBank, OpAmpParams, draw_noise, one_slot
 from repro.analog.results import CircuitSolution
-
-
-def settle_outputs(
-    x: np.ndarray,
-    params: OpAmpParams,
-    draws: Draws = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop amplifier outputs at equilibrium over a ``(slots, n, k)`` stack.
-
-    Adds each slot's output noise to ``x`` in place, then clamps at the
-    rails; returns the clamped outputs and the per-column rail state
-    ``(slots, k)`` (an equilibrium beyond the rails is a railed solve).
-    """
-    draw_noise(x, params.noise_sigma, draws)
-    column_saturated = (np.abs(x) > params.v_sat).any(axis=-2)
-    return params.saturate(x), column_saturated
 
 
 class InvCircuit:
@@ -217,15 +202,9 @@ class InvCircuit:
             x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
         else:
             x = lu_solve(self.equilibrium_lu(), rhs)
-        clipped, column_saturated = settle_outputs(
-            one_slot(x), self.params, [(self.rng, self.n)] if noisy else ()
-        )
-        return CircuitSolution(
-            outputs=clipped.reshape(x.shape),
-            saturated=bool(np.any(column_saturated)),
-            stable=self.is_stable,
-            column_saturated=column_saturated[0] if i_in.ndim == 2 else None,
-        )
+        draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, self.n)] if noisy else ())
+        railed, _, _ = self.params.clamp_columns(one_slot(x))
+        return CircuitSolution(outputs=x, column_saturated=railed[0], stable=self.is_stable)
 
     def transient_solve(
         self, i_in: np.ndarray, t_end: float | None = None, num_points: int = 300
@@ -243,15 +222,13 @@ class InvCircuit:
         result = base.trajectory(x0, t_end, num_points=num_points, b=self._rhs(i_in))
         outputs = np.array(result.final)
         draw_noise(one_slot(outputs), self.params.noise_sigma, [(self.rng, self.n)])
-        outputs = self.params.saturate(outputs)
-        railed = np.abs(result.final) > self.params.v_sat
+        railed, _, _ = self.params.clamp_columns(one_slot(outputs))
         return CircuitSolution(
             outputs=outputs,
-            saturated=bool(np.any(railed)),
+            column_saturated=railed[0],
             stable=result.stable,
             settling_time=result.settling_time,
             transient=result,
-            column_saturated=np.any(railed, axis=0) if i_in.ndim == 2 else None,
         )
 
     def ideal_solution(self, i_in: np.ndarray) -> np.ndarray:

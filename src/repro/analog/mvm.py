@@ -121,7 +121,7 @@ class MVMCircuit:
             )
         g_node = self.node_conductance()
         outputs = currents
-        tia_output(
+        railed, _, _ = tia_output(
             one_slot(outputs),
             g_node[None],
             self.row_amps.offsets[None],
@@ -130,14 +130,12 @@ class MVMCircuit:
             [(self.rng, self.g_pos.shape[0])] if noisy else (),
             None if g_neg_sq is None else g_neg_sq[None],
         )
-        railed = self.params.railed(np.abs(outputs))
         # Feed-forward topology: settling is one closed-loop TIA time constant.
         return CircuitSolution(
             outputs=outputs,
-            saturated=bool(np.any(railed)),
+            column_saturated=railed[0],
             stable=True,
             settling_time=tia_settling_time(float(np.max(g_node)), self.g_f, self.params),
-            column_saturated=np.any(railed, axis=0) if outputs.ndim == 2 else None,
         )
 
     def ideal_output(self, v_in: np.ndarray) -> np.ndarray:

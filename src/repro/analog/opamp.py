@@ -54,13 +54,24 @@ class OpAmpParams:
         """Open-loop time constant ``a0 / (2π·gbw)`` in seconds."""
         return self.a0 / (2.0 * math.pi * self.gbw)
 
-    def railed(self, peak: np.ndarray) -> np.ndarray:
-        """Whether clamped outputs of magnitude ``peak`` sit on a rail."""
-        return peak >= self.v_sat * (1.0 - 1e-9)
-
-    def saturate(self, v: np.ndarray) -> np.ndarray:
+    def saturate(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Hard output clamp at the rails."""
-        return np.clip(v, -self.v_sat, self.v_sat)
+        return np.clip(v, -self.v_sat, self.v_sat, out=out)
+
+    def clamp_columns(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clamp a ``(slots, lines, k)`` stack of amplifier outputs at the
+        rails, in place, and flag the columns that hit one.
+
+        Returns ``(railed, top, low)``, each ``(slots, k)``: whether a
+        column's output reached ``±v_sat``, and the maximum and minimum of
+        its clamped outputs — what the converter range test reads
+        (:meth:`repro.converters.adc.ADC.saturated_columns`).  This is the
+        one rail test: every circuit and stage clamps its outputs here.
+        """
+        self.saturate(stack, out=stack)
+        top = stack.max(axis=-2)
+        low = stack.min(axis=-2)
+        return (top >= self.v_sat) | (low <= -self.v_sat), top, low
 
     def soft_saturate(self, v: np.ndarray) -> np.ndarray:
         """Smooth (tanh) saturation used inside transient integration.

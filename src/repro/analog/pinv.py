@@ -31,7 +31,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
 from repro.analog.dynamics import LinearFeedbackSystem
-from repro.analog.opamp import OpAmpBank, OpAmpParams, draw_noise, one_slot
+from repro.analog.opamp import Draws, OpAmpBank, OpAmpParams, draw_noise, one_slot
 from repro.analog.results import CircuitSolution
 
 
@@ -140,16 +140,18 @@ class PinvCircuit:
             if self._lhs_lu is None:
                 self._lhs_lu = lu_factor(self._equilibrium_lhs())
             solution = lu_solve(self._lhs_lu, rhs)
-        x = np.array(solution[m:])
-        draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, n)] if noisy else ())
-        railed = np.abs(solution) > self.params.v_sat
-        column_saturated = np.any(railed, axis=0) if i_in.ndim == 2 else None
-        return CircuitSolution(
-            outputs=self.params.saturate(x),
-            saturated=bool(np.any(railed)),
-            stable=self.is_stable,
-            column_saturated=column_saturated,
-        )
+        outputs, railed = self._settle(solution, [(self.rng, n)] if noisy else ())
+        return CircuitSolution(outputs=outputs, column_saturated=railed, stable=self.is_stable)
+
+    def _settle(self, state: np.ndarray, draws: Draws) -> tuple[np.ndarray, np.ndarray]:
+        """Output stage over the stacked state ``[w, x]``, in place: the
+        stage-2 outputs ``x`` take their read noise, then both banks clamp
+        at the rails.  Returns ``x`` and the per-column rail state — a
+        column is railed when either bank hits a rail."""
+        m = self.shape[0]
+        draw_noise(one_slot(state[m:]), self.params.noise_sigma, draws)
+        railed, _, _ = self.params.clamp_columns(one_slot(state))
+        return state[m:], railed[0]
 
     def _equilibrium_lhs(self) -> np.ndarray:
         """Block system matrix over the stacked unknowns ``[w, x]``."""
@@ -223,17 +225,13 @@ class PinvCircuit:
             t_end = 10.0 * base.time_constant() if base.is_stable else 1e-3
         x0 = np.zeros(m + n if i_in.ndim == 1 else (m + n, i_in.shape[1]))
         result = base.trajectory(x0, t_end, num_points=num_points, b=self._rhs(i_in))
-        x = np.array(result.final[m:])
-        draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, n)])
-        outputs = self.params.saturate(x)
-        railed = np.abs(result.final) > self.params.v_sat
+        outputs, railed = self._settle(np.array(result.final), [(self.rng, n)])
         return CircuitSolution(
             outputs=outputs,
-            saturated=bool(np.any(railed)),
+            column_saturated=railed,
             stable=result.stable,
             settling_time=result.settling_time,
             transient=result,
-            column_saturated=np.any(railed, axis=0) if i_in.ndim == 2 else None,
         )
 
     def ideal_solution(self, i_in: np.ndarray) -> np.ndarray:

@@ -13,22 +13,27 @@ from repro.analog.dynamics import TransientResult
 class CircuitSolution:
     """Outputs of one analog solve, in volts at the OPA outputs.
 
-    ``saturated`` flags railed outputs — the digital controller treats a
-    railed solve as invalid and re-runs it at a smaller input scale (the
-    auto-ranging loop in :mod:`repro.core.solver`).
+    ``column_saturated`` is the per-column saturation flag ``(k,)`` — a
+    vector solve is one column.  A circuit sets it where its amplifiers
+    hit a rail (:meth:`~repro.analog.opamp.OpAmpParams.clamp_columns`);
+    the conversion point adds the columns that leave the ADC range
+    (:meth:`~repro.converters.adc.ADC.saturated_columns`).  The digital
+    controller treats a saturated column as invalid and re-runs it at
+    another gain (the auto-ranging loops in :mod:`repro.core.ranging`).
     """
 
     outputs: np.ndarray
-    saturated: bool
+    column_saturated: np.ndarray
     stable: bool = True
     settling_time: float | None = None
     transient: TransientResult | None = field(default=None, repr=False)
-    column_saturated: np.ndarray | None = None
-    """For matrix-valued solves: boolean per right-hand-side column.  The
-    batch auto-ranging loop uses this to shrink only the columns that
-    actually railed.  ``None`` for vector solves."""
+
+    @property
+    def saturated(self) -> bool:
+        """Whether any column is saturated."""
+        return bool(self.column_saturated.any())
 
     @property
     def ok(self) -> bool:
-        """True when the solve is electrically valid (stable, not railed)."""
+        """True when the solve is electrically valid (stable, not saturated)."""
         return self.stable and not self.saturated

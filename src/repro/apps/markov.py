@@ -114,7 +114,7 @@ def pagerank(
     ``step·√(n/3)`` (step = max|A|/15); the margin must exceed that, which
     is why the default damping here is 0.6 rather than the textbook 0.85 —
     at d = 0.85 the margin (0.15) is already below the perturbation for
-    n ≳ 20.  A railed/unstable solve raises with this explanation.
+    n ≳ 20.  A saturated/unstable solve raises with this explanation.
     """
     adjacency = np.asarray(adjacency, dtype=float)
     n = adjacency.shape[0]
@@ -131,7 +131,7 @@ def pagerank(
         result = operator.solve(rhs)
     if not result.ok:
         raise ConvergenceError(
-            f"analog PageRank solve railed or went unstable: the margin 1−d "
+            f"analog PageRank solve saturated or went unstable: the margin 1−d "
             f"= {1.0 - damping:.2f} is too small for the 4-bit quantization "
             f"perturbation at n = {n}; lower the damping factor"
         )

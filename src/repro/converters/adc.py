@@ -59,24 +59,24 @@ class ADC(BipolarQuantizer):
         reconstructed = self.sample(voltages)
         return np.rint((reconstructed + self.params.v_ref) / self.lsb).astype(np.int64)
 
-    def clips_extrema(
-        self, top: np.ndarray, low: np.ndarray, out: np.ndarray | None = None
+    def saturated_columns(
+        self,
+        railed: np.ndarray,
+        top: np.ndarray,
+        low: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-column clip state from the per-column maximum ``top`` and
-        minimum ``low`` of the clean (pre-noise) input: whether any
-        offset-shifted value leaves ``[−v_ref, v_ref]``.  Rounding
-        ``v + offset`` is monotone, so the shifted extrema are the extrema
-        of the shifted signal."""
+        """The saturation rule, per column: a column is saturated when its
+        amplifier output hit the op-amp rail (``railed``) or, shifted by
+        the converter offset, leaves ``[−v_ref, v_ref]``.
+
+        ``top`` and ``low`` are the per-column maximum and minimum of the
+        clamped amplifier outputs before the converter adds its own noise
+        (rounding ``v + offset`` is monotone, so the shifted extrema are
+        the extrema of the shifted signal).  Every conversion point
+        decides saturation here, where the ADC samples; ranging reads
+        only the result.
+        """
         p = self.params
-        return np.greater(np.maximum(top + p.offset, -low - p.offset), p.v_ref, out=out)
-
-    def clips_columns(self, voltages: np.ndarray) -> np.ndarray:
-        """Per-column clip state over the lines axis (−2) of a batched
-        conversion — what the batch auto-ranging loop reads."""
-        v = np.asarray(voltages, dtype=float)
-        return self.clips_extrema(np.max(v, axis=-2), np.min(v, axis=-2))
-
-    def clips(self, voltages: np.ndarray) -> bool:
-        """Whether any input exceeds the converter range (info for auto-ranging)."""
-        v = np.asarray(voltages, dtype=float)
-        return bool(np.any(self.clips_columns(v.reshape(v.shape[0], -1))))
+        out = np.greater(np.maximum(top + p.offset, -low - p.offset), p.v_ref, out=out)
+        return np.logical_or(out, railed, out=out)

@@ -15,7 +15,7 @@ families:
   :class:`ValueError` for backward compatibility with the pool's old
   oversized-request behaviour.
 * :class:`ConvergenceError` — the analog loop cannot produce an answer
-  (no positive dominant eigenvalue, a collapsed eigenvector, a railed
+  (no positive dominant eigenvalue, a collapsed eigenvector, a saturated
   solve that auto-ranging could not rescue).
 * :class:`InputError` — an operand or right-hand side holds NaN or
   infinity.  Raised at the handle boundary, before any engine call, and

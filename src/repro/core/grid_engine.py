@@ -43,7 +43,7 @@ inside a padded multi-slot stack is bit for bit the same tile run alone
 through its handle, and under the deterministic engine mode
 (:func:`repro.analog.determinism.column_independent`) a column's answer
 does not depend on its batch siblings either — the contract serve
-coalescing relies on.  A slot whose first attempt railed or
+coalescing relies on.  A slot whose first attempt saturated or
 under-used the converters re-enters the shared ranging loops
 (:mod:`repro.core.ranging`) with that attempt as their first result;
 retries run through the macro's one-slot chain
@@ -76,10 +76,10 @@ import numpy as np
 
 from repro.analog import determinism
 from repro.analog.blocks import inverter_output, tia_output, tia_settling_time
-from repro.analog.inv import settle_outputs
+from repro.analog.opamp import draw_noise
 from repro.analog.results import CircuitSolution
 from repro.analog.topologies import AMCMode
-from repro.core.ranging import autorange_gain_batch, autorange_mvm, column_saturation
+from repro.core.ranging import autorange_gain_batch, autorange_mvm
 from repro.core.results import SolveResult
 from repro.macro.amc_macro import MacroResult
 from repro.obs import trace
@@ -173,7 +173,6 @@ class SweepStats:
     def __init__(self, columns: int):
         self.total_attempts = 0
         self.stable = True
-        self.saturated = False
         self.worst_scale = 0.0
         self.col_scales = np.zeros(columns)
         self.col_attempts = np.zeros(columns, dtype=int)
@@ -184,7 +183,6 @@ class SweepStats:
         *,
         attempts: int,
         stable: bool,
-        saturated: bool,
         input_scale: float,
         input_scales: np.ndarray,
         column_saturated: np.ndarray,
@@ -203,11 +201,15 @@ class SweepStats:
             tiles = attempts
         self.total_attempts += attempts
         self.stable &= stable
-        self.saturated |= saturated
         self.worst_scale = max(self.worst_scale, input_scale)
         np.maximum(self.col_scales, input_scales, out=self.col_scales)
         self.col_attempts += tiles
-        self.col_saturated |= np.asarray(column_saturated, dtype=bool)
+        self.col_saturated |= column_saturated
+
+    @property
+    def saturated(self) -> bool:
+        """Whether any column of the call ended saturated."""
+        return bool(self.col_saturated.any())
 
     def result(
         self,
@@ -645,7 +647,7 @@ class GridEngine:
         if scales_in is not None:
             scales[:] = scales_in
         row_peak = np.empty((t_count, k))
-        clips_cols = np.empty((t_count, k), dtype=bool)
+        col_sat = np.empty((t_count, k), dtype=bool)
         if self._sources_uniform:
             j_idx = np.fromiter(
                 (s.src.start // self._off_C for s in slots), dtype=np.intp, count=t_count
@@ -713,16 +715,12 @@ class GridEngine:
                 oc, vc = currents[c], values[c]
                 # The TIA's noise draws land in the ADC buffer, which the
                 # sample below overwrites.
-                tia_output(
+                railed, top, low = tia_output(
                     oc, gnode_all[c], tia_all[c], g_f[c], params, row_draws[c],
                     None if gneg_sq_all is None else gneg_sq_all[c], scratch=vc,
                 )
-                # Rail and ADC clip tests fold through per-column extrema
-                # of the clean (pre-sampling-noise) outputs.
-                top = oc.max(axis=1)
-                low = oc.min(axis=1)
                 np.maximum(top, -low, out=row_peak[c])
-                adc.clips_extrema(top, low, out=clips_cols[c])
+                adc.saturated_columns(railed, top, low, out=col_sat[c])
                 adc.sample(oc, row_draws[c], out=vc)
                 # Batched problem-unit rescale in one pass (ranging slots
                 # overwrite their row below once the ladder settles).
@@ -731,13 +729,10 @@ class GridEngine:
         _run_lanes(sample, lanes)
         outputs = currents
 
-        col_sat = params.railed(row_peak)
         peaks_out = row_peak.max(axis=1)
         target = solver._output_target
-        col_or_clip = col_sat | clips_cols
-        sat0 = col_or_clip.any(axis=1)
         if solver.max_attempts > 1:
-            needs_ranging = sat0 | ((0.0 < peaks_out) & (peaks_out < 0.25 * target))
+            needs_ranging = col_sat.any(axis=1) | ((0.0 < peaks_out) & (peaks_out < 0.25 * target))
         else:
             needs_ranging = np.zeros(t_count, dtype=bool)
         fast = ~needs_ranging
@@ -756,7 +751,7 @@ class GridEngine:
                 partner = slot.tile.partner
                 # Re-enter the shared ranging loop with this stacked attempt
                 # as its first result; retries run the macro's one-slot chain.
-                result, attempts, final_saturated = autorange_mvm(
+                result, attempts = autorange_mvm(
                     lambda: self._kernel(
                         "pertile_mvm",
                         lambda: primary.compute_mvm(x_raw[t, :c, :k] / scales[t], partner=partner),
@@ -767,19 +762,17 @@ class GridEngine:
                     max_attempts=solver.max_attempts,
                     first=self._attempt(
                         AMCMode.MVM, values[t, :r, :k], outputs[t, :r, :k], col_sat[t],
-                        saturated=bool(np.any(col_sat[t])), settling_time=float(settling[t]),
+                        settling_time=float(settling[t]),
                     ),
                 )
-                column_saturated = column_saturation(result, k) | primary.adc.clips_columns(result.raw)
                 slot.g_f = primary.config.g_f
                 value = result.values * (-slot.g_f * slot.tile.mapping.value_scale * scales[t])
                 self._book_ranged(
                     AMCMode.MVM, slot, stats, k, result,
                     attempts=attempts,
                     stable=True,
-                    saturated=bool(final_saturated),
                     input_scales=scales[t],
-                    column_saturated=column_saturated,
+                    column_saturated=result.solution.column_saturated,
                 )
             fault = slot.tile.fault_correction
             if fault is not None:
@@ -791,9 +784,8 @@ class GridEngine:
         self._book_fast(
             AMCMode.MVM, slots, stats, k, fast,
             stable=True,
-            saturated=sat0,
             scales=scales,
-            column_saturated=col_or_clip,
+            column_saturated=col_sat,
             settling=settling,
         )
         return products
@@ -839,7 +831,6 @@ class GridEngine:
         fast: np.ndarray,
         *,
         stable: bool,
-        saturated: np.ndarray,
         scales: np.ndarray,
         column_saturated: np.ndarray,
         settling: np.ndarray | None,
@@ -860,7 +851,6 @@ class GridEngine:
             tiles=count,
             attempts=count,
             stable=stable,
-            saturated=bool(saturated[sel].any()),
             input_scale=float(input_scales.max()),
             input_scales=input_scales,
             column_saturated=column_saturated[sel].any(axis=0),
@@ -932,15 +922,17 @@ class GridEngine:
                 )
                 for p, block in zip(positions, solved):
                     xs[p, :n] = block
-        clipped, col_sat = settle_outputs(xs, params, draws)
-        values = adc.sample(clipped, draws)
-        peaks_out = np.abs(clipped).max(axis=(1, 2))
+        # The loop amplifiers' output noise, rail clamp and rail state.
+        draw_noise(xs, params.noise_sigma, draws)
+        railed, top, low = params.clamp_columns(xs)
+        col_sat = adc.saturated_columns(railed, top, low)
+        values = adc.sample(xs, draws)
+        peaks_out = np.maximum(top, -low).max(axis=1)
 
         target = solver._output_target
-        slot_sat = col_sat.any(axis=1)
         stable_flags = self._diag_stable[sl]
         if solver.max_attempts > 1:
-            needs_ranging = slot_sat | ((0.0 < peaks_out) & (peaks_out < 0.25 * target))
+            needs_ranging = col_sat.any(axis=1) | ((0.0 < peaks_out) & (peaks_out < 0.25 * target))
         else:
             needs_ranging = np.zeros(len(slots), dtype=bool)
         fast = ~needs_ranging
@@ -968,8 +960,8 @@ class GridEngine:
                     target=target,
                     max_attempts=solver.max_attempts,
                     first=self._attempt(
-                        AMCMode.INV, values[t, :n, :k], clipped[t, :n, :k], col_sat[t],
-                        saturated=bool(slot_sat[t]), stable=bool(stable_flags[t]),
+                        AMCMode.INV, values[t, :n, :k], xs[t, :n, :k], col_sat[t],
+                        stable=bool(stable_flags[t]),
                     ),
                 )
                 slot.g_f = primary.config.g_f
@@ -977,17 +969,15 @@ class GridEngine:
                 self._book_ranged(
                     AMCMode.INV, slot, stats, k, outcome.result,
                     attempts=outcome.attempts,
-                    stable=bool(outcome.stable),
-                    saturated=bool(outcome.saturated),
+                    stable=bool(outcome.result.solution.stable),
                     input_scales=outcome.input_scales,
-                    column_saturated=outcome.column_saturated,
+                    column_saturated=outcome.result.solution.column_saturated,
                 )
             x[self._edges[slot.i]] = value
 
         self._book_fast(
             AMCMode.INV, slots, stats, k, fast,
             stable=bool(np.all(stable_flags[fast])),
-            saturated=slot_sat,
             scales=scales,
             column_saturated=col_sat,
             settling=None,

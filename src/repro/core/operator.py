@@ -701,11 +701,10 @@ class AnalogOperator(_Handle):
         stats = SweepStats(k)
         stats.add(
             attempts=outcome.attempts,
-            stable=outcome.stable,
-            saturated=outcome.saturated,
+            stable=outcome.result.solution.stable,
             input_scale=float(np.max(outcome.input_scales)),
             input_scales=outcome.input_scales,
-            column_saturated=outcome.column_saturated,
+            column_saturated=outcome.result.solution.column_saturated,
         )
         result = stats.result(
             self.mode, outcome.value, reference, self._resident_macro_ids(), batched

@@ -4,25 +4,33 @@ The digital controller's one cheap knob during a solve is the feedback /
 input-conductance ladder ``g_f`` — rewriting it touches a register, never
 the programmed conductances.  Every tile runs its first attempt inside a
 stacked stage of :mod:`repro.core.grid_engine`; only a tile whose attempt
-railed or under-used the converters enters the loops below, which take
-that attempt as their first result and run each retry through the
-macro's one-slot chain (``compute_mvm`` / ``compute_inv``).
+saturated or under-used the converters enters the loops below, which
+take that attempt as their first result and run each retry through the
+macro's one-slot chain (``compute_mvm`` / ``compute_inv`` /
+``compute_pinv``).
+
+**Saturated** means one thing: a column whose amplifier output hit the
+op-amp rail or left the ADC's ``[−v_ref, v_ref]`` span.  The conversion
+point decides it where the ADC samples
+(:meth:`repro.converters.adc.ADC.saturated_columns`) and stores it as
+``solution.column_saturated``; the loops here read that flag and never
+look at a converter themselves.
 
 Two gain senses exist:
 
-* **MVM** — the TIA gain is ``1/g_f``: a railed output wants a *larger*
-  ``g_f``, an under-ranged one a smaller one
+* **MVM** — the TIA gain is ``1/g_f``: a saturated output wants a
+  *larger* ``g_f``, an under-ranged one a smaller one
   (:func:`autorange_mvm`).
 * **INV / PINV** — the output amplitude is proportional to ``g_f``
-  directly, and when the ladder floor is reached while still railed the
-  controller falls back to shrinking the inputs, trading DAC resolution
-  for range (:func:`autorange_gain_batch`).
+  directly, and when the ladder floor is reached while still saturated
+  the controller falls back to shrinking the inputs, trading DAC
+  resolution for range (:func:`autorange_gain_batch`).
 
 Batch semantics: the ladder is one register per tile, so a batched solve
-shares a single ``g_f`` chosen by the *worst* column (any railed column
-shrinks it; the largest column peak drives re-gaining), while the
-input-shrink fallback is applied per column — only the columns that
-actually railed lose DAC resolution.  A vector is a batch of one column.
+shares a single ``g_f`` chosen by the *worst* column (any saturated
+column shrinks it; the largest column peak drives re-gaining), while the
+input-shrink fallback is applied per column — only the saturated
+columns lose DAC resolution.  A vector is a batch of one column.
 """
 
 from __future__ import annotations
@@ -51,23 +59,23 @@ def autorange_mvm(
     target: float,
     max_attempts: int,
     first: MacroResult | None = None,
-) -> tuple[MacroResult, int, bool]:
+) -> tuple[MacroResult, int]:
     """Range one tile's multiply (TIA gain ∝ 1/g_f).
 
-    Returns ``(result, attempts, saturated)`` where ``result`` is the last
-    conversion and ``saturated`` reflects its post-ranging clip state.
-    ``compute`` may return batched conversions ``(rows, k)``; the shared
-    ladder then follows the worst column.  ``first`` is an attempt that
-    already ran (a stacked stage's); ``compute`` then runs the retries.
+    Returns ``(result, attempts)`` where ``result`` is the last
+    conversion; its ``solution.column_saturated`` is the post-ranging
+    saturation state.  ``compute`` may return batched conversions
+    ``(rows, k)``; the shared ladder then follows the worst column.
+    ``first`` is an attempt that already ran (a stacked stage's);
+    ``compute`` then runs the retries.
     """
     with trace.span("autorange", kind="mvm") as sp:
         result = first if first is not None else compute()
         attempts = 1
         while attempts < max_attempts:
-            saturated = result.solution.saturated or primary.adc.clips(result.raw)
             peak = float(np.max(np.abs(result.raw)))
             g_f = primary.config.g_f
-            if saturated:
+            if result.solution.saturated:
                 desired = g_f * 4.0
             elif 0.0 < peak < 0.25 * target:
                 desired = g_f * peak / target
@@ -80,14 +88,15 @@ def autorange_mvm(
                 partner.set_g_f(desired)
             result = compute()
             attempts += 1
-        final_saturated = result.solution.saturated or primary.adc.clips(result.raw)
-        sp.set(attempts=attempts, saturated=final_saturated)
-        return result, attempts, final_saturated
+        sp.set(attempts=attempts, saturated=result.solution.saturated)
+        return result, attempts
 
 
 @dataclass
 class BatchGainRangingOutcome:
-    """Final state of a batched INV/PINV ranging loop."""
+    """Final state of a batched INV/PINV ranging loop.  The last
+    conversion's ``result.solution`` holds its stability and per-column
+    post-ranging saturation state."""
 
     result: MacroResult
     value: np.ndarray
@@ -97,19 +106,7 @@ class BatchGainRangingOutcome:
     re-range re-runs all columns through the shared circuit at once)."""
     input_scales: np.ndarray
     """Per-column input divisors ``(k,)`` — the input-shrink fallback only
-    touches the columns that railed."""
-    stable: bool
-    saturated: bool
-    column_saturated: np.ndarray
-    """Per-column post-ranging clip state ``(k,)``."""
-
-
-def column_saturation(result: MacroResult, columns: int) -> np.ndarray:
-    """Per-column clip state of one batched conversion."""
-    per_column = result.solution.column_saturated
-    if per_column is not None:
-        return np.asarray(per_column, dtype=bool)
-    return np.full(columns, bool(result.solution.saturated))
+    touches the saturated columns."""
 
 
 def autorange_gain_batch(
@@ -127,10 +124,10 @@ def autorange_gain_batch(
     ``compute(scales)`` runs the whole block with column ``j`` divided by
     ``scales[j]``; ``to_value(result, scales, g_f)`` converts the raw
     block back to problem units.  The feedback ladder is a single shared
-    register, so the *worst* column picks ``g_f``: any railed column
+    register, so the *worst* column picks ``g_f``: any saturated column
     shrinks it, and only when every column is under-ranged does the gain
     grow (sized by the largest peak).  At the ladder floor the input-shrink
-    fallback halves the range of exactly the railed columns.  ``first``
+    fallback halves the range of exactly the saturated columns.  ``first``
     is an attempt that already ran at ``scales``; ``compute`` then runs
     the retries.
     """
@@ -139,8 +136,6 @@ def autorange_gain_batch(
     scales = np.array(scales, dtype=float)
     columns = scales.size
     value = np.zeros(0)
-    stable = True
-    column_saturated = np.zeros(columns, dtype=bool)
     result: MacroResult | None = None
     attempts = 0
     applied_scales = scales
@@ -150,8 +145,7 @@ def autorange_gain_batch(
             applied_scales = scales
             g_f = primary.config.g_f
             value = to_value(result, scales, g_f)
-            stable = result.solution.stable
-            column_saturated = column_saturation(result, columns)
+            column_saturated = result.solution.column_saturated
             peak = float(np.max(np.abs(result.raw))) if result.raw.size else 0.0
             if np.any(column_saturated):
                 desired = g_f / 4.0
@@ -162,7 +156,7 @@ def autorange_gain_batch(
             actual = primary.set_g_f(desired)
             if abs(actual - g_f) < 1e-15:
                 if np.any(column_saturated):
-                    # Ladder floor reached and columns still railed: shrink the
+                    # Ladder floor reached and columns still saturated: shrink the
                     # inputs of exactly those columns (the others keep their
                     # full DAC resolution).
                     scales = np.where(column_saturated, scales * 2.0, scales)
@@ -178,7 +172,4 @@ def autorange_gain_batch(
         # budget runs out right after an input-shrink, the doubled scales
         # were never applied and must not be reported.
         input_scales=applied_scales,
-        stable=stable,
-        saturated=bool(np.any(column_saturated)),
-        column_saturated=column_saturated,
     )

@@ -31,6 +31,10 @@ class SolveResult:
     input_scale: float = 1.0
     stable: bool = True
     saturated: bool = False
+    """Whether any column ended saturated after auto-ranging: an amplifier
+    output on the op-amp rail or outside the ADC's ``[−v_ref, v_ref]``
+    span (see :mod:`repro.core.ranging`).  On a batched result it is
+    ``column_saturated.any()``."""
     settling_time: float | None = None
     macro_ids: tuple[int, ...] = field(default_factory=tuple)
     input_scales: np.ndarray | None = None
@@ -43,7 +47,8 @@ class SolveResult:
     pass together, so the entries are equal; the column-loop fallback
     records genuinely per-column counts.  ``None`` for vector solves."""
     column_saturated: np.ndarray | None = None
-    """Batched solves: per-column post-ranging clip state ``(k,)``."""
+    """Batched solves: per-column post-ranging saturation state ``(k,)``
+    (railed or outside the ADC range).  ``None`` for vector solves."""
     sweeps: int | None = None
     """Blocked solves: block-Jacobi / block-Gauss-Seidel sweeps actually
     run over the tile grid.  ``None`` for direct single-array solves."""

@@ -16,6 +16,9 @@ each macro's resident circuit (:meth:`AMCMacro.resident_mvm_circuit` /
 run the same converter and amplifier blocks on a one-slot view — the
 path of an auto-ranging retry and of the ISA controller's ``EXE``.
 PINV and EGV keep their own circuit solves and share the DAC/ADC.
+MVM, INV and PINV conversions apply the saturation rule where the ADC
+samples (:meth:`~repro.converters.adc.ADC.saturated_columns`); EGV never
+flags, since the rail is its operating point.
 
 **Persistent circuits.** The conductances are frozen between programming
 events, so each macro keeps the circuit model of its current configuration
@@ -479,9 +482,16 @@ class AMCMacro:
         )
 
     def _finish(self, solution: CircuitSolution, mode: AMCMode) -> MacroResult:
-        values = self._sample(solution.outputs)
+        """Sample a circuit's outputs and apply the saturation rule there:
+        the circuit's railed columns plus those the ADC would clip."""
+        outputs = solution.outputs
+        lines = outputs.reshape(outputs.shape[0], -1)
+        solution.column_saturated = self.adc.saturated_columns(
+            solution.column_saturated, lines.max(axis=0), lines.min(axis=0)
+        )
+        values = self._sample(outputs)
         self.latch_output(values)
-        return MacroResult(values=values, raw=solution.outputs, solution=solution, mode=mode)
+        return MacroResult(values=values, raw=outputs, solution=solution, mode=mode)
 
     def latch_output(self, values: np.ndarray) -> None:
         """Latch one conversion's ADC values into the output buffer (the

@@ -17,7 +17,7 @@ columns are **bitwise identical** to the same solve issued alone —
 column* (auto-ranging follows the worst column; a window whose columns
 need different ladder codes settles on the worst case, which can move
 siblings' answers at ADC-LSB level).  Failure isolation is per request:
-a column that stays railed after auto-ranging rejects only its own
+a column that stays saturated after auto-ranging rejects only its own
 future with :class:`~repro.serve.types.ColumnRangingError`.
 """
 
@@ -159,11 +159,11 @@ class CoalescedBatch:
         )
         if bad:
             counters.failed += 1
+            verdict = "went unstable" if not result.stable else "stayed out of range"
             request.future.set_exception(
                 ColumnRangingError(
-                    f"tenant {request.tenant!r} {self.kind} request "
-                    f"{'went unstable' if not result.stable else 'stayed railed after auto-ranging'}"
-                    f" (operator {self.operator.key[:12]}…); coalesced "
+                    f"tenant {request.tenant!r} {self.kind} request {verdict} after "
+                    f"auto-ranging (operator {self.operator.key[:12]}…); coalesced "
                     f"siblings are unaffected",
                     result=result,
                 )

@@ -85,7 +85,8 @@ class RequestTimeout(ServeError, TimeoutError):
 
 
 class ColumnRangingError(ServeError):
-    """This caller's column(s) railed the converters after auto-ranging.
+    """This caller's column(s) stayed saturated after auto-ranging: an
+    amplifier output on the op-amp rail or outside the ADC range.
 
     Raised per *request*, never per window: a coalesced sibling whose
     columns stayed in range gets its answer normally.  ``result`` carries
@@ -166,7 +167,7 @@ class SolveRequest:
     """Whether the caller passed a 1-D payload (result is squeezed back)."""
     require_in_range: bool = True
     """Reject this request with :class:`ColumnRangingError` if any of its
-    columns stays railed after auto-ranging (siblings are unaffected)."""
+    columns stays saturated after auto-ranging (siblings are unaffected)."""
     rtol: np.ndarray | None = None
     """``solve`` only: validated per-column refinement targets (shape
     ``(columns,)``), or ``None`` for a plain analog solve.  The coalescer

@@ -237,16 +237,19 @@ class TestOutputReferredNoise:
         offsets = rng.normal(0.0, 1e-4, (2, 4))
         g_neg_sq = rng.uniform(1e-9, 1e-8, (2, 4))  # nonzero on the pad too
         g_f = np.array([1e-3, 4e-4])
-        clean = tia_output(currents.copy(), g_node, offsets, g_f, params)
+        clean = currents.copy()
+        tia_output(clean, g_node, offsets, g_f, params)
         streams = [np.random.default_rng(20), np.random.default_rng(21)]
-        noisy = tia_output(
-            currents.copy(), g_node, offsets, g_f, params,
+        noisy = currents.copy()
+        tia_output(
+            noisy, g_node, offsets, g_f, params,
             [(streams[0], 4), (streams[1], 3)], g_neg_sq,
         )
         assert noisy[1, 3].tobytes() == clean[1, 3].tobytes()
         assert not np.array_equal(noisy[1, :3], clean[1, :3])
-        alone = tia_output(
-            currents[1:, :3].copy(), g_node[1:, :3], offsets[1:, :3], g_f[1:], params,
+        alone = currents[1:, :3].copy()
+        tia_output(
+            alone, g_node[1:, :3], offsets[1:, :3], g_f[1:], params,
             [(np.random.default_rng(21), 3)], g_neg_sq[1:, :3],
         )
         np.testing.assert_array_equal(noisy[1, :3], alone[0])

@@ -61,25 +61,41 @@ class TestSampling:
         np.testing.assert_array_equal(v, expected)
 
 
+def _saturated(adc: ADC, voltages, railed=False) -> np.ndarray:
+    """The saturation rule over the lines axis of ``voltages``."""
+    v = np.asarray(voltages, dtype=float)
+    return adc.saturated_columns(railed, v.max(axis=-2), v.min(axis=-2))
+
+
 class TestClipDetector:
+    """The converter half of the saturation rule (a column leaves the ADC
+    range) and its union with the op-amp rail flag."""
+
     def test_detects_out_of_range(self):
         adc = ADC(ADCParams(bits=8, v_ref=1.0))
-        assert adc.clips(np.array([0.0, 1.2]))
-        assert not adc.clips(np.array([0.0, 0.9]))
+        assert _saturated(adc, [[0.0], [1.2]]).all()
+        assert not _saturated(adc, [[0.0], [0.9]]).any()
 
     def test_accounts_for_offset(self):
         adc = ADC(ADCParams(bits=8, v_ref=1.0, offset=0.2))
-        assert adc.clips(np.array([0.9]))
-        assert adc.clips(np.array([-1.3]))
-        assert not adc.clips(np.array([-1.1]))
+        assert _saturated(adc, [[0.9]]).all()
+        assert _saturated(adc, [[-1.3]]).all()
+        assert not _saturated(adc, [[-1.1]]).any()
 
     def test_per_column_over_a_stack(self):
         adc = ADC(ADCParams(bits=8, v_ref=1.0, offset=0.1))
         stack = np.array([[[0.0, 0.95, -1.15], [0.5, 0.0, 0.0]]])
-        np.testing.assert_array_equal(adc.clips_columns(stack), [[False, True, True]])
+        np.testing.assert_array_equal(_saturated(adc, stack), [[False, True, True]])
         np.testing.assert_array_equal(
-            adc.clips_columns(stack[0]),
+            _saturated(adc, stack[0]),
             np.any(np.abs(stack[0] + 0.1) > 1.0, axis=0),
+        )
+
+    def test_railed_column_is_saturated_in_range(self):
+        adc = ADC(ADCParams(bits=8, v_ref=1.0))
+        in_range = np.array([[0.5, 0.5], [-0.5, 0.2]])
+        np.testing.assert_array_equal(
+            _saturated(adc, in_range, railed=np.array([False, True])), [False, True]
         )
 
     def test_invalid_bits(self):

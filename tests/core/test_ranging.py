@@ -32,7 +32,9 @@ class TestMvmLadderLimit:
         railed = MacroResult(
             values=np.full(8, 1.2),
             raw=np.full(8, 1.2),
-            solution=CircuitSolution(outputs=np.full(8, 1.2), saturated=True),
+            solution=CircuitSolution(
+                outputs=np.full(8, 1.2), column_saturated=np.array([True])
+            ),
             mode=AMCMode.MVM,
         )
         calls = {"n": 0}
@@ -41,12 +43,10 @@ class TestMvmLadderLimit:
             calls["n"] += 1
             return railed
 
-        result, attempts, saturated = autorange_mvm(
-            compute, macro, target=0.6, max_attempts=6
-        )
+        result, attempts = autorange_mvm(compute, macro, target=0.6, max_attempts=6)
         assert calls["n"] == 1
         assert attempts == 1
-        assert saturated
+        assert result.solution.saturated
         assert macro.config.g_f_code == 255  # no register churn either
 
     def test_underranged_at_floor_skips_the_rerun(self):
@@ -59,7 +59,7 @@ class TestMvmLadderLimit:
             calls["n"] += 1
             return macro.compute_mvm(np.full(8, 1e-4))
 
-        _, attempts, _ = autorange_mvm(compute, macro, target=0.6, max_attempts=6)
+        _, attempts = autorange_mvm(compute, macro, target=0.6, max_attempts=6)
         assert calls["n"] == 1
         assert attempts == 1
 
@@ -72,7 +72,7 @@ class TestMvmLadderLimit:
             calls["n"] += 1
             return macro.compute_mvm(np.full(8, 0.9))
 
-        _, attempts, _ = autorange_mvm(compute, macro, target=0.6, max_attempts=6)
+        _, attempts = autorange_mvm(compute, macro, target=0.6, max_attempts=6)
         assert attempts > 1
         assert calls["n"] == attempts
 
@@ -101,7 +101,7 @@ class TestBatchGainRanging:
         )
         assert outcome.value.shape == (10, 6)
         assert outcome.input_scales.shape == (6,)
-        assert outcome.column_saturated.shape == (6,)
+        assert outcome.result.solution.column_saturated.shape == (6,)
         assert outcome.attempts >= 1
 
     def test_input_shrink_touches_only_railed_columns(self):

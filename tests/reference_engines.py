@@ -38,7 +38,6 @@ def _fold(stats, inner: SolveResult) -> None:
     stats.add(
         attempts=inner.attempts,
         stable=inner.stable,
-        saturated=inner.saturated,
         input_scale=inner.input_scale,
         input_scales=inner.input_scales,
         column_saturated=inner.column_saturated,
