@@ -2,9 +2,9 @@
 
 The blocked analog engine stalls at an O(η·κ) residual floor (~4e-2 on
 this bench's 256×256 / 4×4-grid system — see ``BENCH_blocked.json``).
-Digital iterative refinement (:mod:`repro.core.refine`) turns that floor
-into a *contract*: measure the float64 residual, re-solve the correction
-on the already-programmed grid, repeat.  The acceptance bars:
+Digital refinement (:mod:`repro.core.refine`) turns that floor into a
+*contract*: measure the float64 residual, precondition a flexible-GMRES
+step with one sweep on the already-programmed grid, repeat.  The acceptance bars:
 
 * ``solve(rtol=1e-10)`` must actually deliver ≤ 1e-10 — a residual
   improvement of ≥ 10⁶ over the raw analog floor;
@@ -15,8 +15,8 @@ on the already-programmed grid, repeat.  The acceptance bars:
 * refinement cost is bounded by a deterministic counter, not a clock:
   the engine dispatches the corrections spend stay at most a third of
   the 815 that tolerance-swept corrections used to take on this system.
-  Inexact refinement (one sweep per step, grown only when the step
-  budget needs it) runs it in 140.
+  The flexible-GMRES loop (one preconditioning sweep per step) runs it
+  in 100.
 
 Measured numbers land in ``BENCH_refine.json`` with the invariants
 embedded, so CI re-validates the accuracy claim from the artifact itself

@@ -4,24 +4,32 @@ The paper (§III) notes that AMC results "may be used as seed solutions to
 speed up the convergence towards precise final solutions."  This example
 makes that workflow concrete in two parts:
 
-1. a 128-unknown SPD system is solved in one analog step (~10–30 %
-   error), then polished to machine precision with two digital
-   iterative-refinement sweeps — versus the cold-start iteration count a
-   purely digital conjugate-gradient solver needs;
+1. a 128-unknown SPD system is solved in one analog step, then
+   refined to ``rtol=1e-10`` by ``solve(rtol=...)`` — a
+   flexible-GMRES outer loop whose preconditioner is the same programmed
+   analog operator — versus the cold-start iteration count a purely
+   digital conjugate-gradient solver needs;
 2. a **256-unknown** system — twice the array size — is solved through
    the blocked tile-grid engine: ``solver.compile`` returns a
    ``TiledOperator`` whose diagonal blocks invert in-array and whose
-   couplings sweep as analog MVMs, with a reported residual floor.
+   couplings sweep as analog MVMs, with a reported residual floor, and
+   then refined the same way.
+
+Every refined answer is re-checked in float64; the script exits non-zero
+when a re-check fails.
 
 Run:  python examples/linear_system_solver.py
 """
+
+import sys
 
 import numpy as np
 
 from repro import AMCMode, GramcSolver
 from repro.analysis.reporting import banner, format_table
-from repro.system.functional import iterative_refinement
 from repro.workloads.matrices import block_dominant, wishart
+
+RTOL = 1e-10
 
 
 def conjugate_gradient_iterations(matrix, b, x0, tolerance=1e-8, max_iterations=500):
@@ -44,20 +52,25 @@ def conjugate_gradient_iterations(matrix, b, x0, tolerance=1e-8, max_iterations=
     return max_iterations
 
 
-def main() -> None:
+def float64_residual(matrix, b, x) -> float:
+    """Independent re-check of a refined answer: ‖b − A·x‖/‖b‖."""
+    return float(np.linalg.norm(b - matrix @ x) / np.linalg.norm(b))
+
+
+def main() -> int:
     rng = np.random.default_rng(3)
     matrix = wishart(128, rng=rng) + 0.4 * np.eye(128)
     b = rng.uniform(-1.0, 1.0, 128)
     exact = np.linalg.solve(matrix, b)
 
     solver = GramcSolver(rng=rng)
-    # One programmed INV operator serves every seed solve on this system.
+    # One programmed INV operator serves the seed and every refinement step.
     with solver.compile(matrix, mode=AMCMode.INV) as operator:
         analog = operator.solve(b)
+        refined = operator.solve(b, rtol=RTOL)
     seed_error = np.linalg.norm(analog.value - exact) / np.linalg.norm(exact)
-
-    refined = iterative_refinement(matrix, b, analog.value, iterations=2)
-    refined_error = np.linalg.norm(refined - exact) / np.linalg.norm(exact)
+    refined_error = np.linalg.norm(refined.value - exact) / np.linalg.norm(exact)
+    residual = float64_residual(matrix, b, refined.value)
 
     cg_cold = conjugate_gradient_iterations(matrix, b, np.zeros(128))
     cg_seeded = conjugate_gradient_iterations(matrix, b, analog.value)
@@ -68,7 +81,8 @@ def main() -> None:
             ["stage", "relative error / iterations"],
             [
                 ["analog one-step solve (seed)", seed_error],
-                ["after 2 digital refinement sweeps", refined_error],
+                [f"solve(rtol={RTOL:g}), {refined.refine_steps} steps", refined_error],
+                ["float64 re-check ‖b−A·x‖/‖b‖", residual],
                 ["CG iterations, cold start", cg_cold],
                 ["CG iterations, analog-seeded", cg_seeded],
             ],
@@ -80,10 +94,15 @@ def main() -> None:
         f"iterations ({100.0 * saved / cg_cold:.0f}% of the digital work)."
     )
 
-    blocked_demo(rng, solver)
+    blocked_residual = blocked_demo(rng, solver)
+    failed = [r for r in (residual, blocked_residual) if not r <= RTOL]
+    if failed:
+        print(f"\nFAILED: float64 re-check above rtol={RTOL:g}: {failed}")
+        return 1
+    return 0
 
 
-def blocked_demo(rng: np.random.Generator, solver: GramcSolver) -> None:
+def blocked_demo(rng: np.random.Generator, solver: GramcSolver) -> float:
     """Part 2: a system twice the array size on a 2×2 tile grid."""
     n = 256
     matrix = block_dominant(n, solver.pool.config.rows, rng=rng)
@@ -95,11 +114,12 @@ def blocked_demo(rng: np.random.Generator, solver: GramcSolver) -> None:
     # programmed once and pinned for the handle's lifetime.
     with solver.compile(matrix, mode=AMCMode.INV) as operator:
         result = operator.solve(b)
+        refined = operator.solve(b, rtol=RTOL)
         grid = operator.grid
         macros = operator.macros
     blocked_error = np.linalg.norm(result.value - exact) / np.linalg.norm(exact)
-    refined = iterative_refinement(matrix, b, result.value, iterations=2)
-    refined_error = np.linalg.norm(refined - exact) / np.linalg.norm(exact)
+    refined_error = np.linalg.norm(refined.value - exact) / np.linalg.norm(exact)
+    residual = float64_residual(matrix, b, refined.value)
 
     print(banner("Beyond one array: blocked solve on a tile grid"))
     print(
@@ -110,16 +130,18 @@ def blocked_demo(rng: np.random.Generator, solver: GramcSolver) -> None:
                 ["block sweeps run", result.sweeps],
                 ["analog residual floor (O(eta*kappa))", result.residual_floor],
                 ["blocked solve relative error", blocked_error],
-                ["after 2 digital refinement sweeps", refined_error],
+                [f"solve(rtol={RTOL:g}), {refined.refine_steps} steps", refined_error],
+                ["float64 re-check ‖b−A·x‖/‖b‖", residual],
             ],
         )
     )
     print(
-        "\nThe grid is programmed once: repeated solves perform zero "
-        "reprogramming events, and every per-tile step streams all "
-        "right-hand-side columns through one batched engine call."
+        "\nThe grid is programmed once: repeated solves and every refinement "
+        "step perform zero reprogramming events, and every per-tile step "
+        "streams all right-hand-side columns through one batched engine call."
     )
+    return residual
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,7 +7,6 @@ from repro.core.errors import (
     InputError,
     ShapeError,
 )
-from repro.core.iterative import AnalogIterativeSolver, IterativeResult
 from repro.core.operator import AnalogOperator, TileBinding
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.refine import RefineReport, as_rtol_vector, refine_solution
@@ -16,13 +15,11 @@ from repro.core.solver import GramcSolver
 from repro.core.tiled import TiledOperator
 
 __all__ = [
-    "AnalogIterativeSolver",
     "AnalogOperator",
     "CapacityError",
     "ConvergenceError",
     "GramcError",
     "InputError",
-    "IterativeResult",
     "GramcSolver",
     "MacroPool",
     "PoolConfig",

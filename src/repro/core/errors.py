@@ -16,7 +16,8 @@ families:
   oversized-request behaviour.
 * :class:`ConvergenceError` — the analog loop cannot produce an answer
   (no positive dominant eigenvalue, a collapsed eigenvector, a saturated
-  solve that auto-ranging could not rescue).
+  solve that auto-ranging could not rescue, a diverging block sweep), or
+  a served ``rtol`` request missed its target.
 * :class:`InputError` — an operand or right-hand side holds NaN or
   infinity.  Raised at the handle boundary, before any engine call, and
   also a :class:`ValueError`.  (A complex operand is a wrong argument
@@ -46,16 +47,18 @@ class CapacityError(GramcError, ValueError):
 class ConvergenceError(GramcError):
     """The analog circuit cannot converge to a meaningful solution.
 
-    Raised by the iterative-refinement loop with structure attached:
+    A refined solve returns an unmet ``rtol`` contract on its result
+    (``converged`` False); the serve layer, whose futures carry a value
+    or an error, turns it into this error with structure attached:
 
     Attributes
     ----------
     steps:
-        Refinement steps applied before divergence was declared
-        (``None`` for non-refinement convergence failures).
+        Refinement steps spent (``None`` for non-refinement convergence
+        failures).
     residual_trace:
         Worst-column relative residual after each step, starting with
-        the raw analog answer — the evidence for the divergence call.
+        the raw analog answer — the evidence for the verdict.
     worst_columns:
         Column indices with the largest final residuals (descending),
         so operators can tell "one bad tile/column" from

@@ -537,21 +537,21 @@ class AnalogOperator(_Handle):
         Without ``rtol`` this is the classic one-step analog solve: one
         feedback settling, accuracy bounded by quantization/noise at
         η ≈ 1e-2..1e-1 relative.  **With** ``rtol`` the analog answer is
-        only the first step of a digital iterative-refinement loop
+        only the seed of a digital flexible-GMRES loop
         (:mod:`repro.core.refine`): the controller measures the float64
-        residual ``b − A·x``, re-solves the correction on this *already
-        programmed* operator (zero reprogramming — one batched engine
-        call per step, over the still-unconverged columns only) and
-        repeats until every column's relative residual meets its target.
+        residual ``b − A·x`` and uses analog solves on this *already
+        programmed* operator as the preconditioner (zero reprogramming —
+        one batched engine call per step, over the columns still above
+        target) until every column's relative residual meets its target
+        or ``max_refine_steps`` is spent.
 
         ``rtol`` may be a positive scalar or a per-column ``(k,)``
         vector; ``inf`` entries ride the shared analog step but skip
         refinement.  The result's ``refine_steps`` /
         ``refined_residual`` / ``per_column_converged`` /
-        ``refine_residual_trace`` report the contract's outcome; raises
-        :class:`~repro.core.errors.ConvergenceError` (step trace
-        attached) when refinement diverges — the η·κ ≥ 1 regime where
-        the operand is too ill-conditioned for the analog accuracy.
+        ``refine_residual_trace`` report the contract's outcome.  An
+        unmet contract is returned, not raised: ``converged`` is False
+        and ``worst_columns`` names the offenders.
         """
         b = finite_input(b, "b")
         injector = self._fault_injector()
@@ -594,8 +594,7 @@ class AnalogOperator(_Handle):
                 b=b,
                 rtol=rtol,
                 max_steps=max_refine_steps,
-                # One analog settling per correction: no sweeps to grow.
-                solve_correction=lambda residual, _sweeps: self._solve_batch(residual),
+                solve_correction=self._solve_batch,
                 solver=self._solver,
             )
         return self._capture_cost(refined, before, started)

@@ -1,68 +1,62 @@
-"""Digital iterative refinement: float-accurate answers from analog solves.
+"""Digital refinement: float-accurate answers from analog solves.
 
 An analog solve is *cheap but inexact*: quantization (one part in the
 level map), programming/read noise and converter resolution bound its
 relative error at η ≈ 1e-2..1e-1 — and the blocked sweep engine stalls at
-an O(η·κ) residual floor on top.  The canonical fix (Sun & Ielmini,
-arXiv:2205.05853, §"mixed-precision") is **iterative refinement**: use
-the analog solve only for a cheap approximate *direction*, measure how
-wrong it is digitally, and re-solve the correction on the very same
-programmed operator:
+an O(η·κ) residual floor on top.  The paper (§III) uses such answers as
+"seed solutions to speed up the convergence towards precise final
+solutions"; the AMC tutorial (Sun & Ielmini, arXiv:2205.05853,
+§"mixed-precision") makes the analog solve the inner solver of a digital
+outer loop.  Here that loop is **flexible GMRES** (Saad, SIAM J. Sci.
+Comput., 1993) with the analog solve on the resident operator as its
+preconditioner — GMRES-based iterative refinement (Carson & Higham, SIAM
+J. Sci. Comput., 2018) whose preconditioner may change from call to call
+(fresh noise, fresh ranging), which is what the *flexible* variant
+allows:
 
 .. code-block:: text
 
-    x⁰ = analog_solve(b)                  # η-accurate direction
-    repeat:
-        r  = b − A·xᵏ     (float64)       # digital residual, exact A
-        d  = analog_solve(r)              # correction on the RESIDENT
-        xᵏ⁺¹ = xᵏ + d                     #   operator: zero reprogramming
+    x = analog_solve(b)                         # η-accurate seed
+    repeat (a cycle of at most RESTART steps):
+        r = b − A·x,  v₀ = r/‖r‖    (float64)   # digital residual, exact A
+        for j = 0, 1, …:
+            z_j = analog_solve(v_j)             # the RESIDENT operator
+            A·z_j orthogonalised against v₀…v_j → v_{j+1}, H
+            ‖b − A·x‖ estimate from the Givens-rotated H
+        x += Z·y,  y = argmin ‖ ‖r‖·e₁ − H·y ‖
 
-Because auto-ranging rescales every right-hand side to the converters'
-full range, the correction solve has the *same relative* accuracy η no
-matter how small ``r`` has become — so the residual contracts
-geometrically (‖rᵏ⁺¹‖ ≲ η·κ·‖rᵏ‖) all the way down to float64 rounding,
-as long as η·κ < 1.  When η·κ ≥ 1 (a near-singular operand) the residual
-grows instead; the loop detects that and raises a structured
-:class:`~repro.core.errors.ConvergenceError` carrying the per-step
-residual trace.
+A stationary loop (``x += analog_solve(r)``) contracts by about η·κ per
+step, so it crawls or diverges once η·κ nears 1.  FGMRES minimises the
+residual over ``x + span(Z)`` with the same analog solves, so within a
+cycle the residual cannot grow (a cycle that rounding made worse is
+undone), and it converges where the stationary loop cannot.
 
-The correction need not be a converged solve.  A blocked (tiled) solve
-is itself a stationary sweep iteration, so re-sweeping each correction
-to a tolerance only polishes an answer the next float64 residual throws
-away.  Each step therefore asks ``resolve`` for ``k`` inner sweeps —
-*inexact* refinement, one sweep per step to begin with — and doubles
-``k`` (capped at the caller's ``max_sweeps``) only when the step budget
-demands it: after a step, with ``q`` the worst contraction
-``res_new/res_old`` over the still-unconverged columns and ``s`` the
-steps left,
-
-.. code-block:: text
-
-    grow k  when  q > min_j (rtol_j / res_j) ** (1 / s)
-
-i.e. when contracting at the measured rate would not reach the target
-within the remaining budget.  No extra knob: ``rtol`` and the step
-budget decide ``k``.  Single-array resolves ignore ``k`` (one analog
-solve is one settling, there are no sweeps to add).
+**The contract.**  A column counts as converged only on its recomputed
+float64 residual ``‖b − A·x‖/‖b‖``, never on the Arnoldi estimate alone:
+the residual is re-measured at every restart and at exit.  A refined
+solve never raises for accuracy: each column either meets its ``rtol``
+or comes back flagged unconverged, with its re-measured residual, once
+the step budget is spent.
 
 Residual norms are overflow-safe: each column is scaled by a power of
 two before it is normed, which is exact, so a right-hand side near the
 float64 range limits (1e±300) refines like any other.
 
-The loop is **column-masked**: with a matrix right-hand side, columns
-that have already reached their target drop out of subsequent correction
-solves, so a mixed-``rtol`` batch (the serve layer coalesces requests
-with different accuracy targets into one analog step) only pays
-refinement for the columns that still need it.  Residuals are evaluated
-through :func:`repro.analog.determinism.apply_matrix_per_column` (one
-fixed reduction order per column, whatever the batch width), so under
-the column-independent engine mode the refined answer of a column is
-bitwise independent of which sibling columns shared its batch —
-coalescing stays bit-transparent through refinement.
+The loop is **column-masked**: each column runs its own Arnoldi cycle on
+its own clock, and drops out of the next batched analog call once its
+estimate meets its target, so a mixed-``rtol`` batch (the serve layer
+coalesces requests with different accuracy targets into one analog step)
+only pays for the columns that still need work.  Every reduction is
+taken per column with batch-independent shapes — residuals through
+:func:`repro.analog.determinism.apply_matrix_per_column`, the Arnoldi
+inner products and updates as one stacked product per column over its
+own basis — so under the column-independent engine
+mode the refined answer of a column is bitwise independent of which
+sibling columns shared its batch: coalescing stays bit-transparent
+through refinement.
 
 This module is deliberately engine-agnostic: it sees the float64 matrix,
-the analog first guess, and a ``resolve(residual_columns, sweeps)``
-callable.
+the analog first guess, and a ``resolve(columns)`` callable.
 :meth:`AnalogOperator.solve` and :meth:`TiledOperator.solve` own the
 wiring (and the dispatch accounting that makes the analog/digital work
 split observable in the solver's cost ledger).
@@ -76,26 +70,22 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.analog.determinism import apply_matrix_per_column
-from repro.core.errors import ConvergenceError, ShapeError
+from repro.core.errors import ShapeError
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.results import SolveResult
 
-DEFAULT_MAX_STEPS = 25
-"""Default refinement-step budget.  A single-array step contracts by
-η ≈ 4e-2, so 25 steps cover > 30 orders of magnitude.  A blocked step
-starts as one sweep (contracting by the splitting's rate, ~0.2 on a
-block-dominant grid: 1e-10 in about 14 steps); slower splittings spend
-the budget by growing sweeps per step, not by running out of steps.
-The budget bounds near-stagnant loops and is not meant to be reached."""
+RESTART = 30
+"""Arnoldi steps per FGMRES cycle, GMRES(30): after that many steps a
+column's basis is dropped and its residual re-measured."""
 
-DIVERGENCE_RATIO = 4.0
-"""A column whose residual grows past ``DIVERGENCE_RATIO ×`` its best
-seen value (while still above target) is declared divergent: with
-η·κ < 1 the residual must contract monotonically up to noise, so
-sustained growth means the operand is too ill-conditioned for the
-analog accuracy available."""
+DEFAULT_MAX_STEPS = 60
+"""Default step budget: batched analog preconditioner calls per refined
+solve.  Well-conditioned operands meet 1e-8..1e-10 in 10–30 steps; the
+slowest measured case that still converges (a 256-unknown 4×4 grid at
+block coupling 0.08, Jacobi sweeps, ``rtol=1e-10``) takes 43.  The
+budget bounds stagnant solves (η·κ ≫ 1), which end unconverged."""
 
 
 @dataclass
@@ -103,8 +93,8 @@ class RefineReport:
     """What the refinement loop did to one (batched) solve."""
 
     steps: int
-    """Correction steps actually applied (0: the analog answer already
-    met every column's target)."""
+    """Batched preconditioner calls (Arnoldi steps) made (0: the analog
+    answer already met every column's target)."""
 
     residual: float
     """Worst per-column relative residual ``‖b_j − A·x_j‖/‖b_j‖`` at exit,
@@ -113,18 +103,21 @@ class RefineReport:
     see ``per_column_residual`` for every column's value)."""
 
     per_column_residual: np.ndarray
-    """Final relative residual of every column, shape ``(k,)``."""
+    """Final float64-measured relative residual of every column, shape
+    ``(k,)``."""
 
     per_column_converged: np.ndarray
     """Whether each column reached its ``rtol``, shape ``(k,)`` bool."""
 
     residual_trace: tuple[float, ...]
     """Worst-column relative residual after each step, starting with the
-    raw analog answer (index 0) — the accuracy-vs-steps curve."""
+    raw analog answer (index 0) — the accuracy-vs-steps curve.  Mid-cycle
+    columns contribute their Arnoldi estimate, the others their float64
+    re-measure."""
 
-    correction_solves: int
-    """Batched analog correction solves issued (≤ ``steps``; a step is
-    one batched re-solve over the still-unconverged columns)."""
+    macs: int
+    """Float64 multiply-accumulates the loop spent: residual re-measures,
+    ``A·z`` products, orthogonalisation and solution updates."""
 
     @property
     def converged(self) -> bool:
@@ -164,8 +157,8 @@ def worst_columns_of(
 ) -> tuple[int, ...]:
     """The ``k`` worst offending column indices, highest residual first.
 
-    ``mask`` selects the columns eligible to be blamed (diverging, or
-    still unconverged); non-finite residuals sort as worst of all.
+    ``mask`` selects the columns eligible to be blamed (still
+    unconverged); non-finite residuals sort as worst of all.
     """
     candidates = np.flatnonzero(np.asarray(mask, dtype=bool))
     if candidates.size == 0:
@@ -235,18 +228,29 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     )
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row of an ``(a, n)`` block, one dot product per row."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _by_length(lengths: np.ndarray):
+    """``(length, indices)`` groups of equal ``lengths``.  A stacked
+    product over one group has a single shape per column, whatever the
+    siblings' lengths, so its reduction order is batch-independent."""
+    for length in np.unique(lengths):
+        yield int(length), np.flatnonzero(lengths == length)
+
+
 def refine_solution(
     matrix: np.ndarray,
     b: np.ndarray,
     x0: np.ndarray,
-    resolve: Callable[[np.ndarray, int], np.ndarray],
+    resolve: Callable[[np.ndarray], np.ndarray],
     rtol: np.ndarray,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_sweeps: int = 1,
-    divergence_ratio: float = DIVERGENCE_RATIO,
 ) -> tuple[np.ndarray, RefineReport]:
-    """Refine ``x0`` until every column's relative residual meets ``rtol``.
+    """Refine ``x0`` by flexible GMRES until every column meets ``rtol``.
 
     Parameters
     ----------
@@ -256,28 +260,25 @@ def refine_solution(
     b, x0:
         Right-hand side and the analog first guess, both ``(n, k)``.
     resolve:
-        ``resolve(r, sweeps)`` → approximate ``A⁻¹·r`` for an ``(n, j)``
-        residual block (``j`` ≤ ``k``: converged columns are masked out),
-        spending ``sweeps`` inner sweeps where the solver has any.  This
-        is the analog re-solve on the resident operator; it must not
-        reprogram anything.
+        ``resolve(v)`` → approximate ``A⁻¹·v`` for an ``(n, j)`` block of
+        unit basis vectors (``j`` ≤ ``k``: columns whose estimate met
+        their target are masked out).  This is the analog solve on the
+        resident operator, the preconditioner; it must not reprogram
+        anything.
     rtol:
         Per-column targets from :func:`as_rtol_vector`.
-    max_sweeps:
-        Cap on the inner sweeps per step.  Steps start at one sweep and
-        double only when the measured contraction would miss ``rtol``
-        within the remaining ``max_steps`` (see the module docstring).
+    max_steps:
+        Budget of batched ``resolve`` calls.
 
-    Returns the refined solution and a :class:`RefineReport`.  Raises
-    :class:`~repro.core.errors.ConvergenceError` (with ``steps`` and
-    ``residual_trace`` attached) if any still-unconverged column's
-    residual grows past ``divergence_ratio ×`` its best seen value or
-    stops being finite — the near-singular/η·κ ≥ 1 regime where analog
-    refinement cannot deliver the requested accuracy.
+    Returns the refined solution and a :class:`RefineReport`.  Never
+    raises for accuracy: a column still above its target when the budget
+    is spent comes back with ``per_column_converged`` False and its
+    float64-measured residual.
     """
     x = np.array(x0, dtype=float)
     b = np.asarray(b, dtype=float)
-    columns = b.shape[1]
+    n, columns = b.shape
+    macs = 0
 
     b_scales = _column_scales(b)
     b_norms = b_scales * np.linalg.norm(b / b_scales, axis=0)
@@ -295,60 +296,127 @@ def refine_solution(
     def worst(values: np.ndarray) -> float:
         return float(np.max(values[tracked])) if columns else 0.0
 
-    residual = b - apply_matrix_per_column(matrix, x)
-    res = _column_norms(residual) / denominators
-    converged = res <= rtol
-    best = res.copy()
+    # Per-column FGMRES state.  Column c is ``pos[c]`` steps into its
+    # cycle; ``basis[c, :pos+1]`` are its Arnoldi vectors, ``directions``
+    # the preconditioned vectors Z, ``tri`` the Givens-rotated Hessenberg
+    # matrix (upper triangular) and ``rhs`` the rotated ``‖r‖·e₁``.
+    basis = np.zeros((columns, RESTART + 1, n))
+    directions = np.zeros((columns, RESTART, n))
+    tri = np.zeros((columns, RESTART, RESTART))
+    cos = np.ones((columns, RESTART))
+    sin = np.zeros((columns, RESTART))
+    rhs = np.zeros((columns, RESTART + 1))
+    pos = np.zeros(columns, dtype=int)
+    start = x.copy()
+    beta = np.full(columns, np.inf)  # ‖b − A·x‖ at each cycle's start
+    res = np.empty(columns)
+    converged = np.zeros(columns, dtype=bool)
+
+    def restart(cols: np.ndarray) -> None:
+        """Float64 residual of ``cols``, then a fresh cycle for each."""
+        nonlocal macs
+        residual = b[:, cols] - apply_matrix_per_column(matrix, x[:, cols])
+        macs += matrix.size * cols.size
+        norms = _column_norms(residual)
+        # The residual cannot grow over a cycle in exact arithmetic; a
+        # cycle that rounding made worse (or non-finite) is undone, and
+        # the column restarts from its previous iterate and basis.
+        kept = norms <= beta[cols]
+        undone, fresh = cols[~kept], cols[kept]
+        x[:, undone] = start[:, undone]
+        start[:, fresh] = x[:, fresh]
+        beta[fresh] = norms[kept]
+        basis[fresh, 0] = np.divide(
+            residual[:, kept], norms[kept],
+            out=np.zeros((n, fresh.size)), where=norms[kept] > 0.0,
+        ).T
+        res[cols] = beta[cols] / denominators[cols]
+        converged[cols] = res[cols] <= rtol[cols]
+        pos[cols] = 0
+        cos[cols], sin[cols], rhs[cols] = 1.0, 0.0, 0.0
+        rhs[cols, 0] = beta[cols]
+
+    def finish(cols: np.ndarray) -> None:
+        """Close the cycles of ``cols``: ``x += Z·y`` with ``tri·y = rhs``."""
+        nonlocal macs
+        for length, group in _by_length(pos[cols]):
+            if length == 0:
+                continue
+            done = cols[group]
+            y = np.linalg.solve(tri[done, :length, :length], rhs[done, :length, None])
+            x[:, done] += (y.transpose(0, 2, 1) @ directions[done, :length])[:, 0, :].T
+            macs += n * length * done.size
+        restart(cols)
+
+    restart(np.arange(columns))
     trace = [worst(res)]
     steps = 0
-    correction_solves = 0
-    sweeps = 1
 
     while steps < max_steps and not converged.all():
-        active = ~converged
+        active = np.flatnonzero(~converged)
         with obs_trace.span(
-            "refine_step", step=steps + 1, active=int(active.sum()), sweeps=sweeps
+            "refine_step", step=steps + 1, active=int(active.size)
         ) as sp:
-            correction = resolve(residual[:, active], sweeps)
-            x[:, active] += correction
+            j = pos[active]
+            rows = np.arange(active.size)
+            z = resolve(np.ascontiguousarray(basis[active, j].T))
+            w = np.ascontiguousarray(apply_matrix_per_column(matrix, z).T)
             steps += 1
-            correction_solves += 1
-            residual[:, active] = b[:, active] - apply_matrix_per_column(
-                matrix, x[:, active]
-            )
-            previous = res
-            res = res.copy()
-            res[active] = (
-                _column_norms(residual[:, active]) / denominators[active]
-            )
+            reach = _row_norms(w)  # ‖A·z‖, the rounding yardstick below
+
+            # Classical Gram-Schmidt, twice, against each column's cycle
+            # basis; columns at the same position share one stacked product.
+            h = np.zeros((active.size, RESTART + 1))
+            for length, group in _by_length(j + 1):
+                cycle = basis[active[group], :length]
+                part = w[group]
+                for _ in range(2):
+                    coeff = (cycle @ part[:, :, None])[:, :, 0]
+                    part -= (coeff[:, None, :] @ cycle)[:, 0, :]
+                    h[group, :length] += coeff
+                w[group] = part
+            fresh = _row_norms(w)
+            h[rows, j + 1] = fresh
+            macs += matrix.size * active.size + n * int((4 * (j + 1) + 2).sum())
+            finite = np.isfinite(h).all(axis=1)
+
+            # Earlier rotations (identity past a column's own position),
+            # then the one that annihilates the new subdiagonal entry.
+            for i in range(int(j.max())):
+                c, s = cos[active, i], sin[active, i]
+                h[:, i], h[:, i + 1] = (
+                    c * h[:, i] + s * h[:, i + 1],
+                    c * h[:, i + 1] - s * h[:, i],
+                )
+            top, below = h[rows, j], h[rows, j + 1]
+            rho = np.sqrt(top * top + below * below)
+            # A direction within rounding of the span already built adds
+            # nothing the least-squares solve can use.
+            usable = finite & (rho > n * np.finfo(float).eps * reach)
+            rho = np.where(usable, rho, 1.0)
+
+            u, ju = active[usable], j[usable]
+            h[rows, j] = rho
+            h[rows, j + 1] = 0.0
+            tri[u, :, ju] = h[usable, :RESTART]
+            cos[u, ju] = (top / rho)[usable]
+            sin[u, ju] = (below / rho)[usable]
+            carried = rhs[u, ju]
+            rhs[u, ju] = cos[u, ju] * carried
+            rhs[u, ju + 1] = -sin[u, ju] * carried
+            directions[u, ju] = z.T[usable]
+            norm = np.where(fresh > 0.0, fresh, 1.0)[usable]
+            basis[u, ju + 1] = w[usable] / norm[:, None]
+            pos[u] += 1
+            res[u] = np.abs(rhs[u, ju + 1]) / denominators[u]
+
+            ended = ~usable | (res[active] <= rtol[active]) | (pos[active] == RESTART)
+            if steps == max_steps:
+                ended[:] = True
+            if ended.any():
+                finish(active[ended])
             trace.append(worst(res))
-            sp.set(residual=worst(res))
-            converged = converged | (res <= rtol)
-            grew = active & ~converged & (
-                ~np.isfinite(res) | (res > divergence_ratio * best)
-            )
-            if np.any(grew):
-                offender = int(np.argmax(np.where(grew, res, -np.inf)))
-                raise ConvergenceError(
-                    f"iterative refinement diverged after {steps} step(s): "
-                    f"column {offender} residual {res[offender]:.3e} grew past "
-                    f"{divergence_ratio}x its best {best[offender]:.3e} — the "
-                    "operand is too ill-conditioned (eta*kappa >= 1) for the "
-                    "analog accuracy available",
-                    steps=steps,
-                    residual_trace=trace,
-                    worst_columns=worst_columns_of(res, grew),
-                )
-            np.minimum(best, np.where(np.isfinite(res), res, np.inf), out=best)
-            pending = active & ~converged
-            steps_left = max_steps - steps
-            if sweeps < max_sweeps and steps_left > 0 and pending.any():
-                contraction = float(np.max(res[pending] / previous[pending]))
-                needed = float(
-                    np.min((rtol[pending] / res[pending]) ** (1.0 / steps_left))
-                )
-                if contraction > needed:
-                    sweeps = min(2 * sweeps, max_sweeps)
+            sp.set(residual=trace[-1])
 
     report = RefineReport(
         steps=steps,
@@ -356,33 +424,29 @@ def refine_solution(
         per_column_residual=res,
         per_column_converged=converged,
         residual_trace=tuple(trace),
-        correction_solves=correction_solves,
+        macs=macs,
     )
     return x, report
 
 
 class _CorrectionFold:
-    """Folds each correction solve's scalar diagnostics into running totals.
+    """Folds each preconditioner solve's scalar diagnostics into running
+    totals.
 
-    The refinement loop wants a plain ``(residual, sweeps) → correction
-    array`` callable; the operator layers produce full result objects.  This
-    adapter bridges the two while keeping ``attempts`` / ``stable`` /
-    ``saturated`` honest across the whole refined solve.
+    The refinement loop wants a plain ``columns → array`` callable; the
+    operator layers produce full result objects.  This adapter bridges
+    the two while keeping ``attempts`` / ``stable`` / ``saturated`` honest
+    across the whole refined solve.
     """
 
-    def __init__(self, solve_correction: Callable[[np.ndarray, int], "object"]):
+    def __init__(self, solve_correction: Callable[[np.ndarray], "object"]):
         self._solve = solve_correction
         self.attempts = 0
         self.stable = True
         self.saturated = False
-        self.columns_resolved = 0
-        """Total residual columns re-solved across all steps — the digital
-        residual recomputes scale with this, so it sizes the refinement
-        MAC charge."""
 
-    def __call__(self, residual: np.ndarray, sweeps: int) -> np.ndarray:
-        self.columns_resolved += residual.shape[1]
-        inner = self._solve(residual, sweeps)
+    def __call__(self, columns: np.ndarray) -> np.ndarray:
+        inner = self._solve(columns)
         self.attempts += inner.attempts
         self.stable &= inner.stable
         self.saturated |= inner.saturated
@@ -396,21 +460,19 @@ def refine_solve_result(
     b: np.ndarray,
     rtol,
     max_steps: int,
-    solve_correction: Callable[[np.ndarray, int], "object"],
+    solve_correction: Callable[[np.ndarray], "object"],
     solver,
-    max_sweeps: int = 1,
 ) -> "SolveResult":
     """Run refinement on top of a base analog :class:`SolveResult`.
 
-    ``solve_correction(r, sweeps)`` must return an object with
-    ``value`` / ``attempts`` / ``stable`` / ``saturated`` (a
-    :class:`SolveResult` or duck-equivalent) for an ``(n, j)`` residual
-    block, solved on the resident operator with ``sweeps`` inner sweeps
-    (≤ ``max_sweeps``; single-array solves ignore it).  The returned
-    result carries the refined value, the aggregated scalar diagnostics,
-    the refinement metadata and ``converged`` set to the contract's
-    verdict; ``solver``'s cost ledger is charged the step/dispatch
-    accounting (the analog/digital work split of the contract).
+    ``solve_correction(v)`` must return an object with ``value`` /
+    ``attempts`` / ``stable`` / ``saturated`` (a :class:`SolveResult` or
+    duck-equivalent) for an ``(n, j)`` block, solved on the resident
+    operator.  The returned result carries the refined value, the
+    aggregated scalar diagnostics, the refinement metadata and
+    ``converged`` set to the contract's verdict; ``solver``'s cost ledger
+    is charged the step/dispatch/MAC accounting (the analog/digital work
+    split of the contract).
     """
     vector = b.ndim == 1
     big_b = b[:, None] if vector else b
@@ -429,25 +491,11 @@ def refine_solve_result(
     x0 = base.value[:, None] if vector else base.value
     fold = _CorrectionFold(solve_correction)
     dispatches_before = solver.engine_dispatches
-    n_rows, n_cols = matrix.shape
-
-    def digital_macs() -> int:
-        # One full-width residual up front plus one recompute per re-solved
-        # column block — the float64 A·x work the host actually performed.
-        return n_rows * n_cols * (columns + fold.columns_resolved)
-
-    try:
-        refined, report = refine_solution(
-            matrix, big_b, x0, fold, targets,
-            max_steps=max_steps, max_sweeps=max_sweeps,
-        )
-    except ConvergenceError as error:
-        solver.cost.add_refine(
-            error.steps or 0, solver.engine_dispatches - dispatches_before, digital_macs()
-        )
-        raise
+    refined, report = refine_solution(
+        matrix, big_b, x0, fold, targets, max_steps=max_steps
+    )
     solver.cost.add_refine(
-        report.steps, solver.engine_dispatches - dispatches_before, digital_macs()
+        report.steps, solver.engine_dispatches - dispatches_before, report.macs
     )
     return replace(
         base,
@@ -461,9 +509,8 @@ def refine_solve_result(
         per_column_converged=report.per_column_converged,
         refine_residual_trace=report.residual_trace,
         per_column_residual=report.per_column_residual,
-        # A budget-exhausted result names its offenders, like the
-        # divergence error does — "which columns" is the first question
-        # any operator asks of an unmet contract.
+        # An unmet contract names its offenders: "which columns" is the
+        # first question any operator asks of it.
         worst_columns=(
             None
             if report.converged

@@ -59,7 +59,8 @@ class SolveResult:
     (η-relative-error) products.  ``None`` for direct solves."""
     converged: bool | None = None
     """Refined solves (any ``rtol``): the contract's verdict,
-    ``per_column_converged.all()``.  Blocked solves without ``rtol``:
+    ``per_column_converged.all()`` — an unmet contract is returned with
+    ``converged`` False, never raised.  Blocked solves without ``rtol``:
     whether the sweep update fell below tolerance before the sweep
     budget ran out.  ``None`` for direct solves without ``rtol``."""
     engine_dispatches: int | None = None
@@ -74,17 +75,18 @@ class SolveResult:
     refresh, preemption) invalidated cached circuit state.  Read from the
     cost ledger; ``None`` for direct solves."""
     refine_steps: int | None = None
-    """Refined solves (``solve(b, rtol=...)``): digital iterative-
-    refinement steps applied on top of the analog answer (0 when the
-    analog answer already met every column's target).  ``None`` when no
-    ``rtol`` was requested."""
+    """Refined solves (``solve(b, rtol=...)``): flexible-GMRES steps —
+    batched analog preconditioner calls — applied on top of the analog
+    answer (0 when the analog answer already met every column's
+    target).  ``None`` when no ``rtol`` was requested."""
     refined_residual: float | None = None
     """Refined solves: worst per-column relative residual
     ``‖b_j − A·x_j‖/‖b_j‖`` of the returned (refined) solution,
     evaluated digitally in float64.  ``None`` when no ``rtol`` was
     requested."""
     per_column_converged: np.ndarray | None = None
-    """Refined solves: whether each column reached its ``rtol`` target,
+    """Refined solves: whether each column reached its ``rtol`` target
+    on its float64-measured residual,
     shape ``(k,)`` bool (``(1,)`` for a vector solve — unlike the other
     per-column arrays this one is always present on a refined result,
     since it *is* the contract's verdict).  ``None`` when no ``rtol``
@@ -101,11 +103,12 @@ class SolveResult:
     residual instead of the batch-worst.  ``None`` when no ``rtol``
     was requested."""
     worst_columns: tuple[int, ...] | None = None
-    """Refined solves that exhausted their step budget unconverged: the
-    indices of the worst offending columns (highest final residual
-    first, capped at a handful).  ``None`` when every column met its
-    target or no ``rtol`` was requested — so ``worst_columns`` doubles
-    as the "did the contract fail" flag on a returned result."""
+    """Refined solves with a column still above its ``rtol`` when the
+    step budget ran out: the indices of the worst offending columns
+    (highest float64-measured residual first, capped at a handful).
+    ``None`` when every column met its target or no ``rtol`` was
+    requested — so ``worst_columns`` doubles as the "did the contract
+    fail" flag on a returned result."""
     cost: "SolveCost | None" = None
     """What this solve spent, by physical category (settling, DAC/ADC
     conversions, engine/refinement MACs, programming, queue wait) — the

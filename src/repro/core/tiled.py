@@ -416,23 +416,20 @@ class TiledOperator(_Handle):
         :class:`~repro.core.grid_engine.GridEngine`'s stacked circuit
         state.
 
-        ``rtol`` turns the O(η·κ) floor into a **contract**: digital
-        iterative refinement (:mod:`repro.core.refine`) measures the
-        float64 residual and re-solves the correction on the *already
-        programmed* grid — zero reprogramming — until every column's
-        relative residual meets its target (scalar or per-column vector;
-        ``inf`` entries skip refinement).  Refinement is inexact: the
-        base solve is one sweep, and each step runs ``k`` sweeps over
-        the still-unconverged columns, ``k`` starting at 1 and doubling
-        only when the measured contraction would miss ``rtol`` within
-        ``max_refine_steps``.  Under ``rtol``, ``max_sweeps`` caps ``k``
-        and ``tolerance`` is unused.  ``refine_steps`` /
-        ``refined_residual`` / ``per_column_converged`` /
-        ``refine_residual_trace`` report the outcome, ``converged`` is
-        the contract's verdict, and ``sweeps`` counts base and
-        correction sweeps together.  Raises
-        :class:`~repro.core.errors.ConvergenceError` (step trace
-        attached) when refinement diverges.
+        ``rtol`` turns the O(η·κ) floor into a **contract**: a
+        flexible-GMRES outer loop (:mod:`repro.core.refine`) measures
+        the float64 residual and uses one sweep on the *already
+        programmed* grid — zero reprogramming — as its preconditioner,
+        one step per sweep over the columns still above target, until
+        every column's relative residual meets its target (scalar or
+        per-column vector; ``inf`` entries skip refinement) or
+        ``max_refine_steps`` is spent.  The base solve is one sweep too;
+        under ``rtol``, ``max_sweeps`` and ``tolerance`` are unused.
+        ``refine_steps`` / ``refined_residual`` /
+        ``per_column_converged`` / ``refine_residual_trace`` report the
+        outcome, ``converged`` is the contract's verdict (an unmet
+        contract is returned, never raised), and ``sweeps`` counts base
+        and preconditioner sweeps together.
         """
         self._require_open()
         if method not in _METHODS:
@@ -509,20 +506,19 @@ class TiledOperator(_Handle):
             )
 
             if rtol is not None:
-                # Each refinement step re-solves the residual on the resident
-                # grid with exactly ``k`` sweeps from zero (zero
-                # reprogramming); its per-column metadata stays local to the
-                # step — the returned per-column arrays describe the base
-                # analog step, the scalar attempts/stable/saturated fold
-                # corrections in.
+                # Each refinement step preconditions on the resident grid
+                # with one sweep from zero (zero reprogramming); its
+                # per-column metadata stays local to the step — the
+                # returned per-column arrays describe the base analog step,
+                # the scalar attempts/stable/saturated fold corrections in.
                 correction_sweeps = 0
 
-                def correction(residual: np.ndarray, k: int) -> SimpleNamespace:
+                def correction(columns: np.ndarray) -> SimpleNamespace:
                     nonlocal correction_sweeps
-                    corr_stats = SweepStats(residual.shape[1])
+                    corr_stats = SweepStats(columns.shape[1])
                     xc, csweeps, _ = self._run_sweeps(
-                        residual, corr_stats,
-                        sweeps=k, tolerance=None,
+                        columns, corr_stats,
+                        sweeps=1, tolerance=None,
                         gauss_seidel=gauss_seidel, grid=grid,
                     )
                     correction_sweeps += csweeps
@@ -539,7 +535,6 @@ class TiledOperator(_Handle):
                     b=b,
                     rtol=rtol,
                     max_steps=max_refine_steps,
-                    max_sweeps=max_sweeps,
                     solve_correction=correction,
                     solver=solver,
                 )

@@ -172,7 +172,8 @@ class HealthMonitor:
             self.reward(macro_ids)
 
     def observe_divergence(self, operator, error) -> None:
-        """Refinement diverged — strong evidence against the whole tile set."""
+        """The analog loop failed outright — strong evidence against the
+        whole tile set."""
         self.penalize(self._operator_macros(operator), 0.5)
 
     def observe_reverify(

@@ -191,12 +191,13 @@ class FaultInjector:
     def supervised_solve(self, operator, attempt, *, rtol=None):
         """Run one solve under fault supervision: observe, heal, retry once.
 
-        The attempt's outcome feeds the health monitor.  If the accuracy
-        contract fails (a :class:`ConvergenceError`, or an ``rtol`` solve
-        that exhausted its budget unconverged), the escalation ladder runs
-        and the solve retries exactly once; a second failure raises a
-        structured :class:`DegradedChipError` carrying the health snapshot
-        — never a silently wrong answer.
+        The attempt's outcome feeds the health monitor.  If the solve
+        fails (a :class:`ConvergenceError` from the analog loop, or an
+        ``rtol`` result whose contract is unmet — ``_contract_met``
+        False, since refinement returns rather than raises), the
+        escalation ladder runs and the solve retries exactly once; a
+        second failure raises a structured :class:`DegradedChipError`
+        carrying the health snapshot — never a silently wrong answer.
         """
         monitor = self.monitor
         with self.operation():

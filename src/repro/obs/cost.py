@@ -20,8 +20,9 @@ from the AMC/IMC literature):
 * **digital engine** — multiply-accumulates executed by the digital
   engine's batched kernels (the grid engine's stacked MVM/LU stages and
   their ranging retries), at ``DIGITAL_MACS_PER_CYCLE`` per cycle;
-* **refinement** — float64 residual/correction MACs of the iterative
-  refinement loop (a subset of digital work, attributed separately
+* **refinement** — float64 MACs of the refinement loop: residuals,
+  ``A·z`` products, orthogonalisation and updates (a subset of digital
+  work, attributed separately
   because the ``rtol`` contract buys accuracy with exactly these);
 * **programming** — write pulses (only non-zero when a solve triggered
   (re)programming);
@@ -62,7 +63,8 @@ class SolveCost:
     """Multiply-accumulates in the digital engine's kernels (MVM stages,
     batched LU applies, digital accumulation)."""
     refine_macs: int = 0
-    """Float64 MACs spent by iterative-refinement residuals/corrections."""
+    """Float64 MACs spent by the refinement loop (residuals, ``A·z``
+    products, orthogonalisation, updates)."""
     engine_dispatches: int = 0
     refine_steps: int = 0
     refine_dispatches: int = 0
@@ -158,7 +160,7 @@ class CostAccumulator:
 
     def add_refine(self, steps: int, dispatches: int, macs: int) -> None:
         """One refined solve: its steps, the slice of ``engine_dispatches``
-        its correction re-solves issued, and its float64 residual MACs."""
+        its preconditioner solves issued, and its float64 MACs."""
         self.total.refine_steps += steps
         self.total.refine_macs += macs
         self.total.refine_dispatches += dispatches

@@ -18,13 +18,17 @@ column* (auto-ranging follows the worst column; a window whose columns
 need different ladder codes settles on the worst case, which can move
 siblings' answers at ADC-LSB level).  Failure isolation is per request:
 a column that stays saturated after auto-ranging rejects only its own
-future with :class:`~repro.serve.types.ColumnRangingError`.
+future with :class:`~repro.serve.types.ColumnRangingError`, and a
+refining request whose own columns missed their ``rtol`` rejects only
+its own future with :class:`~repro.core.errors.ConvergenceError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.errors import ConvergenceError
+from repro.core.refine import worst_columns_of
 from repro.core.results import SolveResult
 from repro.serve.tenancy import TenantRegistry
 from repro.serve.types import ColumnRangingError, SolveRequest
@@ -166,6 +170,25 @@ class CoalescedBatch:
                     f"auto-ranging (operator {self.operator.key[:12]}…); coalesced "
                     f"siblings are unaffected",
                     result=result,
+                )
+            )
+            return
+        converged = result.per_column_converged
+        if converged is not None and not converged.all():
+            # A future carries a value or an error: a refining request
+            # whose own columns missed their rtol gets the error, with
+            # request-relative worst columns.
+            counters.failed += 1
+            request.future.set_exception(
+                ConvergenceError(
+                    f"tenant {request.tenant!r} solve missed its rtol after "
+                    f"{result.refine_steps} refinement step(s) (operator "
+                    f"{self.operator.key[:12]}…); coalesced siblings are unaffected",
+                    steps=result.refine_steps,
+                    residual_trace=result.refine_residual_trace,
+                    worst_columns=worst_columns_of(
+                        result.per_column_residual, ~converged
+                    ),
                 )
             )
             return

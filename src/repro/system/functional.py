@@ -100,23 +100,3 @@ def power_iteration_estimate(
         value = float(v @ matrix @ v)
     return value
 
-
-def iterative_refinement(
-    matrix: np.ndarray,
-    b: np.ndarray,
-    seed_solution: np.ndarray,
-    iterations: int = 3,
-) -> np.ndarray:
-    """Digital refinement of an analog *seed solution* (paper §III).
-
-    "Despite the deficiency of AMC results, they may be used as seed
-    solutions to speed up the convergence towards precise final solutions."
-    Classic iterative refinement: r = b − A·x; x ← x + A⁻¹r with the
-    correction solved digitally (here: numpy) or by another analog solve.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    x = np.asarray(seed_solution, dtype=float).copy()
-    for _ in range(iterations):
-        residual = b - matrix @ x
-        x = x + np.linalg.solve(matrix, residual)
-    return x

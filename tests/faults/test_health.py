@@ -176,9 +176,9 @@ def test_snapshot_carries_the_evidence_trail():
 
 
 def test_fault_free_refined_tiled_solve_earns_a_reward():
-    """One-sweep refinement steps make a healthy 256×256/4×4 refined
-    solve take more steps than a swept one did; judged per sweep (and
-    its attempts per tile evaluation) it is still healthy evidence."""
+    """A healthy 256×256/4×4 refined solve takes ten one-sweep steps;
+    judged per sweep (and its attempts per tile evaluation) it is
+    healthy evidence."""
     rng = np.random.default_rng(3)
     matrix = block_dominant(256, 64, rng=rng)
     batch = rng.uniform(-1, 1, size=(256, 4))
@@ -193,6 +193,6 @@ def test_fault_free_refined_tiled_solve_earns_a_reward():
     monitor.penalize(macro_ids, 0.3)
     before = [monitor.score(m) for m in macro_ids]
     result = op.solve(batch, rtol=1e-10)
-    assert result.converged and result.refine_steps >= 12
+    assert result.converged and result.refine_steps >= 10
     after = [monitor.score(m) for m in macro_ids]
     assert all(a > b for a, b in zip(after, before))

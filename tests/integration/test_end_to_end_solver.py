@@ -42,14 +42,12 @@ class TestFullScaleINV:
 
     def test_seed_solution_refinement(self, full_solver, wishart_128):
         """Paper §III: AMC result as seed for exact digital refinement."""
-        from repro.system.functional import iterative_refinement
-
         matrix = wishart_128 + 0.4 * np.eye(128)
         b = np.random.default_rng(3).uniform(-1, 1, 128)
-        result = full_solver.compile(matrix, AMCMode.INV).solve(b)
-        refined = iterative_refinement(matrix, b, result.value, iterations=2)
+        result = full_solver.compile(matrix, AMCMode.INV).solve(b, rtol=1e-10)
+        assert result.converged
         exact = np.linalg.solve(matrix, b)
-        assert np.linalg.norm(refined - exact) / np.linalg.norm(exact) < 1e-8
+        assert np.linalg.norm(result.value - exact) / np.linalg.norm(exact) < 1e-8
 
 
 class TestFullScalePINV:

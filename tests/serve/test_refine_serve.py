@@ -16,7 +16,7 @@ import pytest
 
 from repro.analog import column_independent_apply
 from repro.analog.topologies import AMCMode
-from repro.core.errors import ShapeError
+from repro.core.errors import ConvergenceError, ShapeError
 from repro.serve import ServeConfig, ServeError, SolveService, TenantQuota
 
 pytestmark = pytest.mark.asyncio
@@ -96,6 +96,40 @@ async def test_each_refining_caller_gets_its_own_verdict(solver_twins):
     assert tight.per_column_residual.max() <= 1e-10
     # The loose caller's verdict is its own, not the window's worst.
     assert loose.refined_residual >= tight.refined_residual
+
+
+async def test_unmet_rtol_fails_only_its_own_request(solver_twins):
+    """A refining request whose columns miss their rtol gets a structured
+    ConvergenceError (its own worst columns, the residual trace) and bumps
+    its tenant's ``failed`` count; a refining sibling that met its target
+    and an rtol-less rider in the same window are answered normally."""
+    serve_solver, _ = solver_twins
+    rng = np.random.default_rng(16)
+    a, b = _problem(rng)
+    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    for tenant in ("tight", "loose", "casual"):
+        service.register_tenant(tenant, TenantQuota())
+    async with service:
+        op = await service.compile("tight", a, AMCMode.INV)
+        await service.solve("tight", op, b)  # warm-up
+        calls = service.stats.engine_calls
+        tight, loose, casual = await asyncio.gather(
+            # 1e-18 is below float64 rounding: no solver can meet it.
+            service.solve("tight", op, b[:, :2], rtol=1e-18),
+            service.solve("loose", op, b[:, 2], rtol=1e-8),
+            service.solve("casual", op, b[:, 3]),
+            return_exceptions=True,
+        )
+        assert service.stats.engine_calls == calls + 1  # one window
+    assert isinstance(tight, ConvergenceError)
+    assert tight.worst_columns and set(tight.worst_columns) <= {0, 1}
+    assert tight.steps is not None and tight.steps > 0
+    assert len(tight.residual_trace) == tight.steps + 1
+    assert loose.per_column_converged.all() and loose.refined_residual <= 1e-8
+    assert casual.per_column_converged is None
+    assert service.stats.tenant("tight").failed == 1
+    assert service.stats.tenant("loose").failed == 0
+    assert service.stats.tenant("casual").failed == 0
 
 
 async def test_vector_request_with_rtol_squeezes_back(solver_twins):

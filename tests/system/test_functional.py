@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analog.topologies import AMCMode
 from repro.system import functional
 
 
@@ -84,12 +85,15 @@ class TestHelpers:
 
 
 class TestIterativeRefinement:
-    def test_refinement_converges_from_noisy_seed(self):
-        """The paper's seed-solution use case: AMC answer → exact answer."""
+    def test_refinement_converges_from_noisy_seed(self, small_solver):
+        """The paper's seed-solution use case: AMC answer → exact answer,
+        through ``solve(rtol=...)`` on the programmed operator."""
         rng = np.random.default_rng(0)
         matrix = np.eye(8) * 2.0 + 0.1 * rng.standard_normal((8, 8))
         b = rng.uniform(-1, 1, 8)
         exact = np.linalg.solve(matrix, b)
-        seed = exact * (1.0 + 0.1 * rng.standard_normal(8))  # ~10% AMC error
-        refined = functional.iterative_refinement(matrix, b, seed, iterations=2)
+        with small_solver.compile(matrix, AMCMode.INV) as op:
+            seed = op.solve(b).value  # the ~1e-2-accurate analog answer
+            refined = op.solve(b, rtol=1e-12).value
+        assert np.linalg.norm(seed - exact) / np.linalg.norm(exact) > 1e-6
         assert np.linalg.norm(refined - exact) / np.linalg.norm(exact) < 1e-10
