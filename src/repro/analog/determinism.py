@@ -1,7 +1,7 @@
 """Column-independent matrix application for multi-tenant serving.
 
 BLAS matrix products are *not* bitwise column-decomposable: the kernel a
-``gemm``/``trsm`` call picks depends on the right-hand-side width, so the
+``gemm`` call picks depends on the right-hand-side width, so the
 floating-point reduction order for column ``j`` changes with how many
 siblings ride in the same call.  For a single caller that is irrelevant —
 the differences sit at the 1e-16 level, far under the analog noise floor.
@@ -20,43 +20,49 @@ other batch.  The cost is the loss of the BLAS gemm kernel (~4× on the
 raw product), which is noise next to the per-engine-call overhead the
 coalescer amortizes.
 
-The switch is process-global (module state), mirroring the engine's other
-global instrumentation (``dynamics.eig_call_count``).  The serve layer
-enables it for the lifetime of a :class:`~repro.serve.SolveService`;
-direct library users keep full-speed BLAS by default.
+The mode is a :mod:`contextvars` context variable, like the tracer's
+span stack (:mod:`repro.obs.trace`): it holds per thread and per asyncio
+task, never process-wide.  A :class:`~repro.serve.SolveService` sets it
+once on its chip thread, so every compile, dispatch and heal it runs is
+column-independent while a direct call on any other thread keeps
+full-speed BLAS; the grid engine's lanes run in a copy of the calling
+thread's context and so inherit its mode.
 """
 
 from __future__ import annotations
 
+import contextvars
 from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
 
-_column_independent = False
+_COLUMN_INDEPENDENT: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
+    "repro_column_independent", default=False
+)
 
 
 def column_independent() -> bool:
-    """Whether column-independent (bitwise coalescing-safe) applies are on."""
-    return _column_independent
+    """Whether column-independent (bitwise coalescing-safe) applies are on
+    in the current context."""
+    return _COLUMN_INDEPENDENT.get()
 
 
 def set_column_independent(enabled: bool) -> bool:
-    """Toggle the mode; returns the previous setting (for restore)."""
-    global _column_independent
-    previous = _column_independent
-    _column_independent = bool(enabled)
+    """Set the mode in the current context; returns the previous setting."""
+    previous = _COLUMN_INDEPENDENT.get()
+    _COLUMN_INDEPENDENT.set(bool(enabled))
     return previous
 
 
 @contextmanager
 def column_independent_apply(enabled: bool = True) -> Iterator[None]:
-    """Scoped toggle — the test suites' spelling."""
-    previous = set_column_independent(enabled)
+    """Scoped setting in the current context — the test suites' spelling."""
+    token = _COLUMN_INDEPENDENT.set(bool(enabled))
     try:
         yield
     finally:
-        set_column_independent(previous)
+        _COLUMN_INDEPENDENT.reset(token)
 
 
 def apply_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -66,7 +72,7 @@ def apply_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     forced C-contiguous first — a Fortran-ordered batch must not change
     the reduction order either.
     """
-    if not _column_independent:
+    if not _COLUMN_INDEPENDENT.get():
         return a @ x
     a = np.ascontiguousarray(a, dtype=float)
     x = np.ascontiguousarray(x, dtype=float)
@@ -87,7 +93,7 @@ def apply_matrix_per_column(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     reduction order for all widths, including 1.  Off-mode this is a
     plain ``a @ x``.
     """
-    if not _column_independent:
+    if not _COLUMN_INDEPENDENT.get():
         return a @ x
     if x.ndim == 1:
         return apply_matrix(a, x)

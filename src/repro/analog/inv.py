@@ -15,8 +15,8 @@ paper's Wishart test matrices, and checked explicitly here via the
 eigenvalues of the transient system matrix.
 
 An :class:`InvCircuit` is a *persistent* object: everything determined by
-the programmed conductances — the signed matrix, the LU factors of the
-finite-gain equilibrium system, and the eigendecomposition of the loop's
+the programmed conductances — the signed matrix, the explicit inverse of
+the finite-gain equilibrium system, and the eigendecomposition of the loop's
 transient matrix ``M`` — is computed once and reused by every solve.  Only
 the input currents change between solves, and they may be matrix valued
 ``(n, k)``: the crossbar applies the loop to every column at once.
@@ -31,7 +31,6 @@ on a one-slot view and the grid engine's INV stage over a whole tile stack.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
 from repro.analog.dynamics import LinearFeedbackSystem
@@ -76,7 +75,6 @@ class InvCircuit:
         self._signed: np.ndarray | None = None
         self._g_tot: np.ndarray | None = None
         self._i_offset: np.ndarray | None = None
-        self._lhs_lu = None
         self._lhs_inv: np.ndarray | None = None
         self._system0: LinearFeedbackSystem | None = None
 
@@ -136,19 +134,13 @@ class InvCircuit:
     # -- stackable circuit state -------------------------------------------------
     # The grid engine copies these programming-frozen quantities into its
     # contiguous 3-D stacks, so they are exposed as cached accessors shared
-    # with static_solve (one factorization per circuit either way).
+    # with static_solve (one inversion per circuit).
 
     def equilibrium_inverse(self) -> np.ndarray:
-        """Cached explicit inverse of the equilibrium system (CI path)."""
+        """Cached explicit inverse of the equilibrium system."""
         if self._lhs_inv is None:
             self._lhs_inv = np.linalg.inv(self._equilibrium_lhs())
         return self._lhs_inv
-
-    def equilibrium_lu(self):
-        """Cached LU factors ``(lu, piv)`` of the equilibrium system."""
-        if self._lhs_lu is None:
-            self._lhs_lu = lu_factor(self._equilibrium_lhs())
-        return self._lhs_lu
 
     def offset_rhs(self) -> np.ndarray:
         """Static offset drive added to every equilibrium right-hand side."""
@@ -187,21 +179,17 @@ class InvCircuit:
         """Finite-gain equilibrium ``(G + diag(g_tot)/a0)·x = −i + offsets``.
 
         ``i_in`` may be a vector ``(n,)`` or a matrix ``(n, k)`` of input
-        currents — all columns share the circuit's one LU factorization
-        and one stability eigendecomposition.
+        currents — all columns share the circuit's one cached equilibrium
+        inverse and one stability eigendecomposition.  The inverse is
+        applied through :func:`~repro.analog.determinism.apply_matrix`,
+        so the answer is column-independent when that mode is on.
         """
         i_in = np.asarray(i_in, dtype=float)
         if i_in.shape[0] != self.n or i_in.ndim > 2:
             raise ValueError(f"expected {self.n} input currents (optionally batched)")
         offset_rhs = self.offset_rhs()
         rhs = -i_in + (offset_rhs[:, None] if i_in.ndim == 2 else offset_rhs)
-        if determinism.column_independent():
-            # Bitwise column-independent path for cross-request coalescing:
-            # an explicit inverse (one factorization per circuit) applied
-            # through the width-invariant einsum kernel.
-            x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
-        else:
-            x = lu_solve(self.equilibrium_lu(), rhs)
+        x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
         draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, self.n)] if noisy else ())
         railed, _, _ = self.params.clamp_columns(one_slot(x))
         return CircuitSolution(outputs=x, column_saturated=railed[0], stable=self.is_stable)

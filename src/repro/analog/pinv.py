@@ -16,9 +16,9 @@ stage-2 gain turns this into a ridge-regularised solve with
 ``λ = g_f·g_tot2/a0``, a faithful model of the real circuit's gain error.
 
 Like :class:`~repro.analog.inv.InvCircuit`, a :class:`PinvCircuit` is
-persistent: the block LHS is LU-factorised once, the coupled transient
+persistent: the block LHS is inverted once, the coupled transient
 matrix is eigendecomposed once, and ``i_in`` may be matrix valued
-``(m, k)`` — every right-hand-side column rides the same factorizations.
+``(m, k)`` — every right-hand-side column rides the same cached matrices.
 Note that here the feedback ladder ``g_f`` *does* enter the loop matrix,
 so re-ranging ``g_f`` legitimately requires a fresh circuit (the macro
 layer rebuilds it); between ``g_f`` moves everything is cached.
@@ -27,7 +27,6 @@ layer rebuilds it); between ``g_f`` moves everything is cached.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
 from repro.analog.dynamics import LinearFeedbackSystem
@@ -67,7 +66,6 @@ class PinvCircuit:
         if len(self.stage1) != m or len(self.stage2) != n:
             raise ValueError("amplifier bank sizes must match the array shape")
         # Persistent-circuit caches (frozen with the planes and g_f).
-        self._lhs_lu = None
         self._lhs_inv: np.ndarray | None = None
         self._system0: LinearFeedbackSystem | None = None
 
@@ -107,7 +105,10 @@ class PinvCircuit:
         """Block-linear equilibrium of the two coupled amplifier banks.
 
         ``i_in``: vector ``(m,)`` or matrix ``(m, k)`` — all columns share
-        the one cached LU of the block system and one stability check.
+        the one cached inverse of the block system and one stability
+        check.  The inverse is applied through
+        :func:`~repro.analog.determinism.apply_matrix`, so the answer is
+        column-independent when that mode is on.
         """
         m, n = self.shape
         i_in = np.asarray(i_in, dtype=float)
@@ -130,16 +131,9 @@ class PinvCircuit:
             )
         else:
             rhs = offset_rhs - np.concatenate([i_in, np.zeros(n)])
-        if determinism.column_independent():
-            # Bitwise column-independent path for cross-request coalescing
-            # (see repro.analog.determinism): explicit inverse + einsum.
-            if self._lhs_inv is None:
-                self._lhs_inv = np.linalg.inv(self._equilibrium_lhs())
-            solution = determinism.apply_matrix(self._lhs_inv, rhs)
-        else:
-            if self._lhs_lu is None:
-                self._lhs_lu = lu_factor(self._equilibrium_lhs())
-            solution = lu_solve(self._lhs_lu, rhs)
+        if self._lhs_inv is None:
+            self._lhs_inv = np.linalg.inv(self._equilibrium_lhs())
+        solution = determinism.apply_matrix(self._lhs_inv, rhs)
         outputs, railed = self._settle(solution, [(self.rng, n)] if noisy else ())
         return CircuitSolution(outputs=outputs, column_saturated=railed, stable=self.is_stable)
 

@@ -4,9 +4,8 @@ This module is the simulator's one MVM/INV signal chain.  A
 :class:`GridEngine` holds the **cached circuit state** of a list of
 resident tiles as contiguous 3-D stacks — MVM tiles in one stack
 (conductance planes, node loading, amplifier offsets), INV tiles in
-another (equilibrium inverse for the column-independent path, LU factors
-bucketed by exact block size for the BLAS path, offset drive, loop
-stability).  Two callers build one:
+another (equilibrium inverse, offset drive, loop stability).  Two callers
+build one:
 
 * a :class:`~repro.core.tiled.TiledOperator` grid (:meth:`GridEngine.for_grid`)
   — couplings form the MVM stack, diagonal blocks the INV stack, and a
@@ -20,11 +19,12 @@ Each stage runs **once over the whole stack**: the elementwise blocks of
 :mod:`repro.analog.blocks`, :mod:`repro.analog.inv` and
 :mod:`repro.converters` (DAC, inverter drive, TIA, INV amplifier settle,
 ADC — each written once, in place over ``(slots, lines, k)`` stacks), and
-one backend kernel per plane or LU size bucket (``batched_matmul`` is the
-stacked twin of :func:`repro.analog.determinism.apply_matrix`; LU factors
-cannot be zero-padded without perturbing the elimination, so buckets keep
-the batched solve exact).  Ragged tiles are zero-padded; per-slot valid
-row/column counts mask the padding wherever it could leak.
+one backend kernel per plane or INV stack: ``batched_matmul``, the
+stacked twin of :func:`repro.analog.determinism.apply_matrix`, applies
+the conductance planes in the MVM stage and each circuit's cached
+equilibrium inverse in the INV stage.  Ragged tiles are zero-padded;
+per-slot valid row/column counts mask the padding wherever it could
+leak.
 
 The stacks are **version-aware**: each slice stores the residency key of
 the circuit it was copied from (register word sans ``g_f``, crossbar
@@ -186,16 +186,17 @@ class SweepStats:
         input_scale: float,
         input_scales: np.ndarray,
         column_saturated: np.ndarray,
-        tiles: int | None = None,
+        tiles: "int | np.ndarray | None" = None,
     ) -> None:
         """Fold one tile's call — or, with ``tiles``, a whole stage's
-        single-attempt tiles at once.
+        single-attempt tiles at once, or a batched sub-call's result.
 
         Every accumulator op is associative (sum, max, or), so a stage
         fold is bitwise the per-tile fold: ``input_scale`` /
         ``input_scales`` arrive pre-maxed over the stage, ``attempts``
         pre-summed, and each of the ``tiles`` slots contributed one
-        attempt to every column.
+        attempt to every column.  A sub-call passes its
+        ``per_column_attempts`` as ``tiles``.
         """
         if tiles is None:
             tiles = attempts
@@ -364,17 +365,6 @@ class GridEngine:
         self._diag_offset = np.zeros((d, self._diag_N))
         self._diag_vscale = np.zeros(d)
         self._diag_stable = np.ones(d, dtype=bool)
-        self._diag_sizes = np.zeros(d, dtype=int)
-        # LU factors are bucketed by exact block size (zero-padding an LU
-        # perturbs the elimination, so padded batched lu_solve would not
-        # be bit-exact); a uniform grid with one ragged edge yields two
-        # buckets, i.e. the batched-dispatch count stays O(1).
-        self._lu_buckets: dict[int, dict] = {}
-        # Expensive per-mode state (explicit inverse vs LU) is filled
-        # lazily: a workload that never leaves one determinism mode never
-        # pays the other mode's factorization copies.
-        self._diag_inv_dirty: set[int] = set(range(d))
-        self._diag_lu_dirty: set[int] = set(range(d))
         # Per-(slot-count, columns) scratch arrays reused across stages.
         self._stage_buffers: dict[tuple[int, int], dict[str, np.ndarray]] = {}
 
@@ -452,41 +442,12 @@ class GridEngine:
         self._off_vscale[t] = tile.mapping.value_scale
 
     def _fill_diag(self, d: int, slot: _Slot, tile: "TileBinding", circuit) -> None:
-        slot.rows = slot.cols = self._diag_sizes[d] = circuit.n
+        slot.rows = slot.cols = circuit.n
+        self._put(self._diag_inv, d, circuit.equilibrium_inverse())
         self._put(self._diag_offset, d, circuit.offset_rhs())
         self._diag_vscale[d] = tile.mapping.value_scale
         # Warms the one cached eigendecomposition per programming event.
         self._diag_stable[d] = circuit.is_stable
-        self._diag_inv_dirty.add(d)
-        self._diag_lu_dirty.add(d)
-
-    def _ensure_diag_inv(self, indices) -> None:
-        for d in indices:
-            if d in self._diag_inv_dirty:
-                self._put(self._diag_inv, d, self._diag_slots[d].circuit.equilibrium_inverse())
-                self._diag_inv_dirty.discard(d)
-
-    def _lu_bucket(self, n: int) -> dict:
-        bucket = self._lu_buckets.get(n)
-        if bucket is None:
-            members = [d for d in range(len(self._diag_slots)) if self._diag_sizes[d] == n]
-            bucket = self._lu_buckets[n] = {
-                "pos": {d: p for p, d in enumerate(members)},
-                "lu": np.zeros((len(members), n, n)),
-                "piv": np.zeros((len(members), n), dtype=np.int32),
-            }
-        return bucket
-
-    def _ensure_diag_lu(self, indices) -> None:
-        for d in indices:
-            if d in self._diag_lu_dirty:
-                n = int(self._diag_sizes[d])
-                lu, piv = self._diag_slots[d].circuit.equilibrium_lu()
-                bucket = self._lu_bucket(n)
-                pos = bucket["pos"][d]
-                bucket["lu"][pos] = lu
-                bucket["piv"][pos] = piv
-                self._diag_lu_dirty.discard(d)
 
     # --------------------------------------------------------------- sweeping
 
@@ -894,34 +855,15 @@ class GridEngine:
         sl = _stack_index(indices)
         i_in = g_f[:, None, None] * v_in
         rhs_c = -i_in + self._diag_offset[sl][:, :, None]
-        if determinism.column_independent():
-            self._ensure_diag_inv(indices)
-            xs = self._kernel(
-                "batched_matmul",
-                lambda: self._backend.batched_matmul(self._diag_inv[sl], rhs_c, True),
-                slots=len(indices),
-                columns=k,
-            )
-        else:
-            self._ensure_diag_lu(indices)
-            xs = np.zeros_like(rhs_c)
-            by_size: dict[int, list[int]] = {}
-            for p, d in enumerate(indices):
-                by_size.setdefault(int(self._diag_sizes[d]), []).append(p)
-            for n, positions in by_size.items():
-                bucket = self._lu_bucket(n)
-                rows = [bucket["pos"][indices[p]] for p in positions]
-                solved = self._kernel(
-                    "batched_lu_solve",
-                    lambda: self._backend.batched_lu_solve(
-                        bucket["lu"][rows], bucket["piv"][rows], rhs_c[positions][:, :n, :]
-                    ),
-                    slots=len(positions),
-                    size=n,
-                    columns=k,
-                )
-                for p, block in zip(positions, solved):
-                    xs[p, :n] = block
+        # The settled loop state: each slot's cached equilibrium inverse
+        # applied to its drive (zero-padded rows and columns stay zero).
+        ci = determinism.column_independent()
+        xs = self._kernel(
+            "batched_matmul",
+            lambda: self._backend.batched_matmul(self._diag_inv[sl], rhs_c, ci),
+            slots=len(indices),
+            columns=k,
+        )
         # The loop amplifiers' output noise, rail clamp and rail state.
         draw_noise(xs, params.noise_sigma, draws)
         railed, top, low = params.clamp_columns(xs)

@@ -619,7 +619,7 @@ class AnalogOperator(_Handle):
     ) -> SolveResult:
         """Matrix right-hand side through the INV loop as a one-slot INV
         stage: all ``k`` columns share the resident circuit's one
-        factorization — "the feedback loop settles once for the whole
+        equilibrium inverse — "the feedback loop settles once for the whole
         block"."""
         if reference is None:
             reference = self._ref_inverse @ b

@@ -699,10 +699,7 @@ class TiledOperator(_Handle):
         self._ensure_programmed()
         big_x = x if batched else x[:, None]
         out = np.zeros_like(big_x)
-        attempts = 0
-        stable = True
-        saturated = False
-        worst_scale = 0.0
+        stats = SweepStats(big_x.shape[1])
         with trace.span(
             "mvm",
             shape=str(self.shape),
@@ -719,20 +716,15 @@ class TiledOperator(_Handle):
                         continue  # all-zero coupling block
                     product = op.mvm(big_x[cols])
                     out[rows] += product.value
-                    attempts += product.attempts
-                    stable &= product.stable
-                    saturated |= product.saturated
-                    worst_scale = max(worst_scale, product.input_scale)
-        result = SolveResult(
-            mode=AMCMode.MVM,
-            value=out if batched else out[:, 0],
-            reference=reference,
-            attempts=attempts,
-            input_scale=worst_scale if worst_scale > 0.0 else 1.0,
-            stable=stable,
-            saturated=saturated,
-            macro_ids=self.macro_ids,
-        )
+                    stats.add(
+                        attempts=product.attempts,
+                        stable=product.stable,
+                        input_scale=product.input_scale,
+                        input_scales=product.input_scales,
+                        column_saturated=product.column_saturated,
+                        tiles=product.per_column_attempts,
+                    )
+        result = stats.result(AMCMode.MVM, out, reference, self.macro_ids, batched)
         return self._capture_cost(result, before, started)
 
     def __matmul__(self, other) -> np.ndarray:

@@ -23,9 +23,10 @@ flags, since the rail is its operating point.
 **Persistent circuits.** The conductances are frozen between programming
 events, so each macro keeps the circuit model of its current configuration
 alive across solves: one conductance-plane read and (for the feedback
-topologies) one eigendecomposition/LU per programming event, shared by
-every subsequent ``compute_*`` call — including matrix-valued right-hand
-sides, which stream through the resident circuit in a single engine call.
+topologies) one eigendecomposition and one equilibrium inverse per
+programming event, shared by every subsequent ``compute_*`` call —
+including matrix-valued right-hand sides, which stream through the
+resident circuit in a single engine call.
 The cache invalidates itself whenever the circuit could have changed:
 programming (:meth:`program_targets` bumps the array's ``version``),
 reconfiguration (register word changes), or a partner macro doing either.
@@ -377,7 +378,7 @@ class AMCMacro:
         """One-step inversion: input voltages become currents via ``g_f``.
 
         ``b_values`` may be 1-D ``(n,)`` or 2-D ``(n, batch)`` — every
-        column shares the resident circuit's one LU factorization and one
+        column shares the resident circuit's one equilibrium inverse and one
         stability eigendecomposition (``g_f`` scales only the inputs here,
         so auto-ranging keeps the decomposition too).
         """

@@ -18,7 +18,7 @@ from the AMC/IMC literature):
 * **conversion** — DAC/ADC conversions at every analog tile boundary
   (mixed-signal; counted per column element per ranging attempt);
 * **digital engine** — multiply-accumulates executed by the digital
-  engine's batched kernels (the grid engine's stacked MVM/LU stages and
+  engine's batched kernels (the grid engine's stacked MVM/INV stages and
   their ranging retries), at ``DIGITAL_MACS_PER_CYCLE`` per cycle;
 * **refinement** — float64 MACs of the refinement loop: residuals,
   ``A·z`` products, orthogonalisation and updates (a subset of digital
@@ -61,7 +61,7 @@ class SolveCost:
     adc_conversions: int = 0
     engine_macs: int = 0
     """Multiply-accumulates in the digital engine's kernels (MVM stages,
-    batched LU applies, digital accumulation)."""
+    INV equilibrium applies, digital accumulation)."""
     refine_macs: int = 0
     """Float64 MACs spent by the refinement loop (residuals, ``A·z``
     products, orthogonalisation, updates)."""

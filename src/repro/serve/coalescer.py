@@ -121,26 +121,10 @@ class CoalescedBatch:
             for request in self.requests:
                 self._resolve_one(request, result, registry)
             return
-        column_saturated = result.column_saturated
-        if column_saturated is None:
-            column_saturated = np.full(self.columns, bool(result.saturated))
-        input_scales = result.input_scales
-        if input_scales is None:
-            input_scales = np.full(self.columns, float(result.input_scale))
-        per_column_attempts = result.per_column_attempts
-        if per_column_attempts is None:
-            per_column_attempts = np.full(self.columns, int(result.attempts))
         for request, (start, stop) in zip(self.requests, self._spans):
-            sliced = self._slice(
-                result,
-                start,
-                stop,
-                request,
-                column_saturated,
-                input_scales,
-                per_column_attempts,
+            self._resolve_one(
+                request, self._slice(result, start, stop, request), registry
             )
-            self._resolve_one(request, sliced, registry)
 
     def reject_all(self, error: BaseException, registry: TenantRegistry) -> None:
         """Fail every still-live future in the group with ``error``."""
@@ -202,15 +186,14 @@ class CoalescedBatch:
         start: int,
         stop: int,
         request: SolveRequest,
-        column_saturated: np.ndarray,
-        input_scales: np.ndarray,
-        per_column_attempts: np.ndarray,
     ) -> SolveResult:
+        # An engine call on the coalesced (n, k) batch always carries
+        # the (k,) per-column arrays.
         value = result.value[:, start:stop]
         reference = result.reference[:, start:stop]
-        scales = np.asarray(input_scales[start:stop], dtype=float)
-        attempts = np.asarray(per_column_attempts[start:stop], dtype=int)
-        saturated = np.asarray(column_saturated[start:stop], dtype=bool)
+        scales = result.input_scales[start:stop]
+        attempts = result.per_column_attempts[start:stop]
+        saturated = result.column_saturated[start:stop]
         refine = self._slice_refinement(result, start, stop, request)
         # Cost attribution: each caller is charged its column share of the
         # window's engine work, plus its *own* queue wait — siblings that

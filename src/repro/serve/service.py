@@ -17,13 +17,15 @@ Design points:
   solver/pool stack is synchronous and not thread-safe.  The event loop
   stays free to admit, coalesce, time out and cancel while the chip
   settles.
-* **Deterministic engine mode.**  For its lifetime the service switches
-  the analog engine to column-independent arithmetic
-  (:func:`repro.analog.determinism.set_column_independent`), making
-  coalescing bit-transparent: a caller's columns are bitwise identical to
-  the same solve issued alone whenever the window's shared TIA ladder is
-  in range for every column (and the configuration is noiseless — noise
-  draws are per-engine-call by physics).
+* **Deterministic engine mode.**  The chip thread runs the analog engine
+  in column-independent arithmetic: the executor's initializer sets
+  :func:`repro.analog.determinism.set_column_independent` in that
+  thread's context, so every compile, dispatch and heal runs in it while
+  callers on other threads keep BLAS.  That makes coalescing
+  bit-transparent: a caller's columns are bitwise identical to the same
+  solve issued alone whenever the window's shared TIA ladder is in range
+  for every column (and the configuration is noiseless — noise draws are
+  per-engine-call by physics).
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class SolveService:
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._previous_determinism: bool | None = None
         self._running = False
 
     # ------------------------------------------------------------------ lifecycle
@@ -109,9 +110,11 @@ class SolveService:
     async def start(self) -> "SolveService":
         if self._running:
             return self
-        self._previous_determinism = determinism.set_column_independent(True)
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="gramc-chip"
+            max_workers=1,
+            thread_name_prefix="gramc-chip",
+            initializer=determinism.set_column_independent,
+            initargs=(True,),
         )
         self._queue = asyncio.Queue()
         self._dispatcher = asyncio.create_task(
@@ -121,7 +124,7 @@ class SolveService:
         return self
 
     async def close(self) -> None:
-        """Drain queued work, stop the dispatcher, restore engine mode."""
+        """Drain queued work, stop the dispatcher and the chip thread."""
         if not self._running:
             return
         self._running = False  # reject new submits immediately
@@ -133,9 +136,6 @@ class SolveService:
         self._executor = None
         self._dispatcher = None
         self._queue = None
-        if self._previous_determinism is not None:
-            determinism.set_column_independent(self._previous_determinism)
-            self._previous_determinism = None
 
     async def __aenter__(self) -> "SolveService":
         return await self.start()

@@ -170,6 +170,26 @@ class TestBatchedPipeline:
         assert result.per_column_attempts is not None
         op.close()
 
+    def test_batched_mvm_carries_per_column_arrays(self, rng):
+        """A batched blocked product folds its tiles' per-column arrays
+        like every other batched result; a vector keeps them ``None``."""
+        solver = _solver(num_macros=8)
+        matrix = block_dominant(48, 32, rng=rng)
+        op = solver.compile(matrix, AMCMode.INV)
+        x = rng.uniform(-1, 1, (48, 3)) * np.array([1.0, 0.5, 0.25])
+        result = op.mvm(x)
+        assert result.input_scales.shape == (3,)
+        assert len(set(result.input_scales)) == 3
+        assert result.input_scale == result.input_scales.max()
+        assert result.per_column_attempts.shape == (3,)
+        assert result.per_column_attempts.min() >= 3  # one per nonzero block row
+        assert result.column_saturated.shape == (3,)
+        assert result.saturated == result.column_saturated.any()
+        vector = op.mvm(x[:, 0])
+        assert vector.input_scales is None and vector.per_column_attempts is None
+        assert vector.column_saturated is None
+        op.close()
+
     def test_zero_reprogramming_across_solves(self, rng):
         solver = _solver(num_macros=8)
         matrix = block_dominant(48, 32, rng=rng)

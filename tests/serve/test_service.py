@@ -15,8 +15,9 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.analog import column_independent_apply
+from repro.analog import column_independent, column_independent_apply
 from repro.analog.topologies import AMCMode
+from repro.core.backend import NumpyBackend
 from repro.core.errors import InputError
 from repro.serve import (
     ColumnRangingError,
@@ -288,16 +289,57 @@ async def test_snapshot_is_side_effect_free_poll():
         op.unpin()
 
 
-async def test_service_restores_engine_determinism_mode():
-    from repro.analog import column_independent
+class _ModeRecordingBackend(NumpyBackend):
+    """The default kernels, recording the mode each call arrives with."""
 
-    solver = make_noiseless_solver(seed=19)
+    name = "mode-recording"
+
+    def __init__(self):
+        self.modes: list[bool] = []
+
+    def batched_matmul(self, a, x, column_independent=False):
+        self.modes.append(column_independent)
+        return super().batched_matmul(a, x, column_independent)
+
+
+async def test_service_restores_engine_determinism_mode():
+    """The mode lives on each service's chip thread, never on the caller's:
+    services started A then B and closed A then B leave it off."""
+    first = SolveService(make_noiseless_solver(seed=19))
+    second = SolveService(make_noiseless_solver(seed=20))
     assert not column_independent()
-    service = SolveService(solver)
+    await first.start()
+    await second.start()
+    await first.close()
+    await second.close()
+    assert not column_independent()
+
+
+async def test_engine_mode_is_held_by_the_chip_thread():
+    service = SolveService(make_noiseless_solver(seed=19))
+    async with service:
+        assert not column_independent()
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(service._executor, column_independent)
+    assert not column_independent()
+
+
+async def test_direct_calls_beside_a_running_service_keep_blas():
+    """A served solve reaches the backend column-independent; a direct
+    call on the caller's thread while the service runs does not."""
+    backend = _ModeRecordingBackend()
+    solver = make_noiseless_solver(seed=21, backend=backend)
+    a, b = _problem(np.random.default_rng(8))
+    service = SolveService(solver, ServeConfig(window_s=0.01))
     service.register_tenant("t")
     async with service:
-        assert column_independent()
-    assert not column_independent()
+        op = await service.compile("t", a, AMCMode.INV)
+        await service.solve("t", op, b)
+        served, backend.modes = backend.modes, []
+        op.solve(b)
+        direct = backend.modes
+    assert served and all(served)
+    assert direct and not any(direct)
 
 
 async def test_tiled_solve_rides_the_stacked_engine():
@@ -335,3 +377,41 @@ async def test_tiled_solve_rides_the_stacked_engine():
     # ≤ 3 kernels per block-row stage, independent of the tiles per row —
     # the per-tile loop would pay O(tiles) engine calls per sweep.
     assert 0 < second.engine_dispatches <= 3 * op.grid[0] * second.sweeps
+
+
+async def test_coalesced_tiled_mvm_scatters_the_batched_per_column_flags():
+    """A window on an MVM handle spread over several array tiles scatters
+    each caller its slice of the batched call's own per-column arrays,
+    not copies of the window-wide scalars."""
+    serve_solver = make_noiseless_solver(seed=12, num_macros=16)
+    reference_solver = make_noiseless_solver(seed=12, num_macros=16)
+    rng = np.random.default_rng(9)
+    n = 32  # a 2x2 grid of 16-wide array tiles
+    a = rng.normal(0.0, 0.3, (n, n))
+    b = rng.normal(0.0, 1.0, (n, 3))
+    b *= np.array([1.0, 0.5, 0.25]) / np.max(np.abs(b), axis=0)
+
+    with column_independent_apply():
+        with reference_solver.compile(a, AMCMode.MVM) as ref:
+            want = ref.mvm(b)
+    assert want.input_scales.shape == want.per_column_attempts.shape == (3,)
+    assert len(set(want.input_scales)) == 3
+
+    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service.register_tenant("grid")
+    async with service:
+        op = await service.compile("grid", a, AMCMode.MVM)
+        assert len(op.macro_ids) > 1
+        vector, batch = await asyncio.gather(
+            service.mvm("grid", op, b[:, 0]), service.mvm("grid", op, b[:, 1:])
+        )
+    assert service.stats.engine_calls == 1
+
+    assert np.array_equal(vector.value, want.value[:, 0])
+    assert vector.input_scale == want.input_scales[0]
+    assert vector.attempts == want.per_column_attempts[0]
+    assert vector.saturated == want.column_saturated[0]
+    assert np.array_equal(batch.value, want.value[:, 1:])
+    assert np.array_equal(batch.input_scales, want.input_scales[1:])
+    assert np.array_equal(batch.per_column_attempts, want.per_column_attempts[1:])
+    assert np.array_equal(batch.column_saturated, want.column_saturated[1:])
