@@ -120,7 +120,7 @@ def test_obs_traced_serve_solve(bench_payload):
     try:
         solver = _solver()
         service = SolveService(
-            solver, ServeConfig(window_s=0.005, default_timeout_s=120.0)
+            solver, ServeConfig(default_timeout_s=120.0)
         )
         service.register_tenant("alice", TenantQuota(max_pending=8))
         service.register_tenant("bob", TenantQuota(max_pending=8))

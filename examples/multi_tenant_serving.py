@@ -2,10 +2,11 @@
 
 Four tenants submit solve/MVM requests concurrently against a single
 chip through :class:`repro.serve.SolveService`.  The service admits each
-request against per-tenant quotas, coalesces same-operator columns that
-arrive within one dispatch window into a single batched engine call,
-scatters the per-column results back to each caller's future, and sheds
-overload with structured backpressure errors instead of queue collapse.
+request against per-tenant quotas, coalesces same-operator columns
+queued together (submitted at once, or while the chip was busy) into a
+single batched engine call, scatters the per-column results back to
+each caller's future, and sheds overload with structured backpressure
+errors instead of queue collapse.
 
 The lifecycle every request walks:  admit → coalesce → dispatch → scatter.
 
@@ -26,7 +27,7 @@ from repro.workloads.matrices import wishart
 async def main() -> None:
     rng = np.random.default_rng(7)
     chip = GramcChip(rng=np.random.default_rng(11))
-    service = chip.serve(ServeConfig(window_s=0.005, max_pending=64))
+    service = chip.serve(ServeConfig(max_pending=64))
 
     # Tenants get quotas: pending-request bounds, a soft macro share for
     # fair-share preemption, and a scheduling priority.

@@ -47,7 +47,7 @@ async def main() -> None:
         rng=np.random.default_rng(11),
         trace=f"memory,chrome:{TRACE_PATH}",
     )
-    service = chip.serve(ServeConfig(window_s=0.005, max_pending=64))
+    service = chip.serve(ServeConfig(max_pending=64))
     service.register_tenant("ranker", TenantQuota(max_pending=16, priority=1))
     service.register_tenant("telemetry", TenantQuota(max_pending=8))
 

@@ -47,10 +47,6 @@ class AdmissionController:
         self._retry_after = retry_after
         self._total_pending = 0
 
-    @property
-    def total_pending(self) -> int:
-        return self._total_pending
-
     def admit(self, request: SolveRequest) -> TenantState:
         """Count the request in, or raise a structured rejection.
 

@@ -2,16 +2,20 @@
 
 Request lifecycle (see README "Serving many tenants")::
 
-    submit ──admit──▶ dispatch queue ──window──▶ coalesce ──▶ engine call
-                │                                                │
-                ▼ shed (ServiceOverloaded / QuotaExceeded)       ▼
-                                                  scatter ──▶ caller futures
+    submit ──admit──▶ dispatch queue ──chip free──▶ coalesce ──▶ engine call
+                │                                                    │
+                ▼ shed (ServiceOverloaded / QuotaExceeded)           ▼
+                                                      scatter ──▶ caller futures
 
 Design points:
 
 * **Handles only.**  The service accepts compiled operator handles, never
   raw matrices — operator lifetime must be visible to the pool for
   admission, coalescing (digest match) and preemption to mean anything.
+* **Work-conserving dispatch.**  An idle chip takes a request the moment
+  it is queued; requests that arrive while the chip is busy wait and
+  ride the next window together (up to ``max_batch_columns``), so the
+  batch grows with load and no timer holds a request.
 * **One chip thread.**  All solver work (compiles and dispatches) runs on
   a single-worker executor: the chip is one physical resource, and the
   solver/pool stack is synchronous and not thread-safe.  The event loop
@@ -65,6 +69,10 @@ from repro.serve.types import (
 from repro.system.stats import ServiceStats
 
 _SHUTDOWN = object()
+
+UNTIMED_DISPATCH_S = 0.002
+"""Dispatch time assumed by :meth:`SolveService.retry_after_estimate`
+before any dispatch has been timed."""
 
 _KIND_MODES = {
     "solve": AMCMode.INV,
@@ -159,11 +167,11 @@ class SolveService:
         """Suggested client backoff in seconds after a shed request.
 
         Queue depth (plus the retrying request itself) times the observed
-        mean dispatch time; before any dispatch has been timed the
-        coalescing window is the floor.  Attached to every
+        mean dispatch time, or :data:`UNTIMED_DISPATCH_S` before any
+        dispatch has been timed.  Attached to every
         :class:`ServiceOverloaded` / :class:`QuotaExceeded` as
         ``retry_after_hint``."""
-        mean = self.stats.mean_dispatch_s or self.config.window_s
+        mean = self.stats.mean_dispatch_s or UNTIMED_DISPATCH_S
         depth = int(self.registry.queue_depths().get("total", 0))
         return (depth + 1) * mean
 
@@ -313,7 +321,6 @@ class SolveService:
 
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         stopping = False
         while not stopping or not self._queue.empty():
             item = await self._queue.get()
@@ -322,21 +329,11 @@ class SolveService:
                 continue
             window = [item]
             columns = item.columns
-            deadline = loop.time() + self.config.window_s
-            while columns < self.config.max_batch_columns and not stopping:
+            while columns < self.config.max_batch_columns:
                 try:
-                    # Fast path: burst submissions are usually already
-                    # queued; draining them without a timed wait keeps the
-                    # per-request dispatch cost flat.
                     nxt = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                    except TimeoutError:
-                        break
+                    break
                 if nxt is _SHUTDOWN:
                     stopping = True
                     break

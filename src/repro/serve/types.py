@@ -128,16 +128,18 @@ class TenantQuota:
 
 @dataclass
 class ServeConfig:
-    """Service-wide knobs (window, batching, backpressure bounds)."""
+    """Service-wide knobs (batching and backpressure bounds)."""
 
     window_s: float = 0.002
-    """Coalescing window: after the first request of a window arrives,
-    the dispatcher keeps collecting for this long (or until
-    ``max_batch_columns``) before issuing engine calls."""
+    """Accepted and ignored: dispatch is work-conserving, so no timer
+    holds a request.  Kept only because ``perfbench`` still sets it; it
+    goes with the next change to that benchmark."""
 
     max_batch_columns: int = 128
-    """Close the window early once this many RHS columns are collected
-    (one array's worth — the chip cannot batch wider anyway)."""
+    """Widest window: when the chip frees, the dispatcher takes the
+    requests queued meanwhile, up to this many RHS columns, into one
+    window (one array's worth — the chip cannot batch wider anyway).
+    ``1`` dispatches every request alone."""
 
     max_pending: int = 256
     """Global queued + in-flight bound; beyond it every submit is shed

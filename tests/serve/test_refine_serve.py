@@ -17,7 +17,7 @@ import pytest
 from repro.analog import column_independent_apply
 from repro.analog.topologies import AMCMode
 from repro.core.errors import ConvergenceError, ShapeError
-from repro.serve import ServeConfig, ServeError, SolveService, TenantQuota
+from repro.serve import ServeError, SolveService, TenantQuota
 
 pytestmark = pytest.mark.asyncio
 
@@ -44,7 +44,7 @@ async def test_mixed_rtol_window_refines_independently(solver_twins):
             op.solve(b)  # warm-up
             expected_plain = op.solve(b[:, 3]).value.copy()
 
-    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service = SolveService(serve_solver)
     service.register_tenant("precise", TenantQuota())
     service.register_tenant("casual", TenantQuota())
     async with service:
@@ -79,7 +79,7 @@ async def test_each_refining_caller_gets_its_own_verdict(solver_twins):
     serve_solver, _ = solver_twins
     rng = np.random.default_rng(12)
     a, b = _problem(rng)
-    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service = SolveService(serve_solver)
     service.register_tenant("tight", TenantQuota())
     service.register_tenant("loose", TenantQuota())
     async with service:
@@ -106,7 +106,7 @@ async def test_unmet_rtol_fails_only_its_own_request(solver_twins):
     serve_solver, _ = solver_twins
     rng = np.random.default_rng(16)
     a, b = _problem(rng)
-    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service = SolveService(serve_solver)
     for tenant in ("tight", "loose", "casual"):
         service.register_tenant(tenant, TenantQuota())
     async with service:
@@ -136,7 +136,7 @@ async def test_vector_request_with_rtol_squeezes_back(solver_twins):
     serve_solver, _ = solver_twins
     rng = np.random.default_rng(13)
     a, b = _problem(rng)
-    service = SolveService(serve_solver, ServeConfig(window_s=0.02))
+    service = SolveService(serve_solver)
     service.register_tenant("v", TenantQuota())
     async with service:
         op = await service.compile("v", a, AMCMode.INV)
@@ -150,7 +150,7 @@ async def test_rtol_rejected_for_non_solve_kinds(solver_twins):
     serve_solver, _ = solver_twins
     rng = np.random.default_rng(14)
     a, b = _problem(rng)
-    service = SolveService(serve_solver, ServeConfig(window_s=0.02))
+    service = SolveService(serve_solver)
     service.register_tenant("t", TenantQuota())
     async with service:
         op = await service.compile("t", a, AMCMode.MVM)
@@ -164,7 +164,7 @@ async def test_bad_rtol_rejected_in_caller_context(solver_twins):
     serve_solver, _ = solver_twins
     rng = np.random.default_rng(15)
     a, b = _problem(rng)
-    service = SolveService(serve_solver, ServeConfig(window_s=0.02))
+    service = SolveService(serve_solver)
     service.register_tenant("t", TenantQuota())
     async with service:
         op = await service.compile("t", a, AMCMode.INV)

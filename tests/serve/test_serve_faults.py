@@ -18,7 +18,7 @@ from repro.analog.topologies import AMCMode
 from repro.core.errors import ConvergenceError, DegradedChipError
 from repro.faults import FaultInjector, FaultPlan
 from repro.serve.coalescer import CoalescedBatch
-from repro.serve.service import SolveService
+from repro.serve.service import UNTIMED_DISPATCH_S, SolveService
 from repro.serve.types import (
     QuotaExceeded,
     ServeConfig,
@@ -68,7 +68,7 @@ def _flaky(operator, failures: int, error_factory):
 
 async def test_window_survives_one_fault_via_heal_and_retry():
     a, b = _problem()
-    service = make_faulted_service(window_s=0.05)
+    service = make_faulted_service()
     service.register_tenant("alice")
     service.register_tenant("bob")
     async with service:
@@ -87,7 +87,7 @@ async def test_window_survives_one_fault_via_heal_and_retry():
 
 async def test_unrecoverable_batch_rejects_with_health_snapshot():
     a, b = _problem()
-    service = make_faulted_service(window_s=0.05)
+    service = make_faulted_service()
     service.register_tenant("alice")
     async with service:
         op = await service.compile("alice", a, AMCMode.INV)
@@ -123,7 +123,7 @@ async def test_cancelled_request_is_not_reexecuted_or_rebilled():
     must not ride the retry: its column is dropped from the rebuilt
     batch and its tenant is never billed for the retried dispatch."""
     a, b = _problem()
-    service = make_faulted_service(window_s=0.05)
+    service = make_faulted_service()
     service.register_tenant("alice")
     service.register_tenant("bob")
     async with service:
@@ -158,7 +158,7 @@ async def test_cancelled_request_is_not_reexecuted_or_rebilled():
 
 async def test_retry_skipped_entirely_when_every_caller_left():
     a, b = _problem()
-    service = make_faulted_service(window_s=0.05)
+    service = make_faulted_service()
     service.register_tenant("alice")
     async with service:
         op = await service.compile("alice", a, AMCMode.INV)
@@ -187,7 +187,7 @@ async def test_retry_skipped_entirely_when_every_caller_left():
 
 async def test_shed_requests_carry_retry_after_hint():
     a, b = _problem()
-    service = make_faulted_service(max_pending=1, window_s=0.02)
+    service = make_faulted_service(max_pending=1)
     service.register_tenant(
         "alice", TenantQuota(max_pending=1)
     )
@@ -210,7 +210,7 @@ async def test_shed_requests_carry_retry_after_hint():
 
 async def test_quota_exceeded_inherits_the_hint():
     a, b = _problem()
-    service = make_faulted_service(window_s=0.02)
+    service = make_faulted_service()
     service.register_tenant("alice", TenantQuota(max_pending=1))
     async with service:
         op = await service.compile("alice", a, AMCMode.INV)
@@ -223,6 +223,7 @@ async def test_quota_exceeded_inherits_the_hint():
     assert excinfo.value.retry_after_hint > 0.0
 
 
-async def test_hint_defaults_to_window_before_any_dispatch():
-    service = make_faulted_service(window_s=0.004)
-    assert service.retry_after_estimate() == pytest.approx(0.004)
+async def test_hint_defaults_to_untimed_dispatch_before_any_dispatch():
+    service = make_faulted_service()
+    assert UNTIMED_DISPATCH_S == 0.002
+    assert service.retry_after_estimate() == pytest.approx(0.002)

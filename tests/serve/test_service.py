@@ -11,6 +11,8 @@ measured solves) — exactly the conditions the serve layer documents."""
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +47,35 @@ def _problem(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+@contextlib.asynccontextmanager
+async def _chip_held(service, tenant, op, payload):
+    """Keep the chip busy until the block exits.
+
+    A job blocked on an event occupies the chip thread, and one request
+    (``payload`` on ``op``) is dispatched behind it, so the dispatcher
+    waits on the chip and every request submitted inside the block stays
+    in the queue.  On exit the chip is released and that request
+    completes."""
+    release = threading.Event()
+    loop = asyncio.get_running_loop()
+    blocker = loop.run_in_executor(service._executor, release.wait)
+    plug = asyncio.create_task(service.solve(tenant, op, payload))
+    try:
+        # Admitted and already taken off the queue: the dispatcher is
+        # waiting on the chip.
+        for _ in range(1000):
+            if service.registry.queue_depths()["total"] == 1 and service._queue.empty():
+                break
+            await asyncio.sleep(0)
+        else:
+            raise AssertionError("the dispatcher never took the holding request")
+        yield
+    finally:
+        release.set()
+        await blocker
+        await plug
+
+
 def _sequential_columns(solver, a, b) -> list[np.ndarray]:
     """Reference answers: warm the ladder with the full batch, then solve
     column by column, all under the engine's deterministic mode."""
@@ -60,7 +91,7 @@ async def test_coalesced_answers_are_bitwise_sequential(solver_twins):
     a, b = _problem(rng)
     expected = _sequential_columns(reference_solver, a, b)
 
-    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service = SolveService(serve_solver)
     for j in range(N_CLIENTS):
         service.register_tenant(f"client{j}")
     async with service:
@@ -92,7 +123,7 @@ async def test_mixed_shapes_coalesce_bitwise(solver_twins):
             want_mat = op.solve(b[:, 1:3]).value.copy()
             want_vec3 = op.solve(b[:, 3]).value.copy()
 
-    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service = SolveService(serve_solver)
     for name in ("c0", "c1", "c2"):
         service.register_tenant(name)
     async with service:
@@ -115,18 +146,19 @@ async def test_cancellation_mid_window_leaves_siblings_bitwise(solver_twins):
     a, b = _problem(rng)
     expected = _sequential_columns(reference_solver, a, b)
 
-    service = SolveService(serve_solver, ServeConfig(window_s=0.25))
+    service = SolveService(serve_solver)
     for j in range(N_CLIENTS):
         service.register_tenant(f"client{j}")
     async with service:
         op = await service.compile("client0", a, AMCMode.INV)
         await service.solve("client0", op, b)  # warm-up
-        tasks = [
-            asyncio.create_task(service.solve(f"client{j}", op, b[:, j]))
-            for j in range(N_CLIENTS)
-        ]
-        await asyncio.sleep(0.02)  # all admitted, window still open
-        tasks[2].cancel()
+        async with _chip_held(service, "client0", op, b):
+            tasks = [
+                asyncio.create_task(service.solve(f"client{j}", op, b[:, j]))
+                for j in range(N_CLIENTS)
+            ]
+            await asyncio.sleep(0.02)  # all admitted, queued behind the chip
+            tasks[2].cancel()
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
     assert isinstance(outcomes[2], asyncio.CancelledError)
     for j, outcome in enumerate(outcomes):
@@ -148,7 +180,7 @@ async def test_ranging_failure_is_isolated_to_its_column():
     b_good1 = np.eye(8)[1]
     b_bad = np.eye(8)[7]  # drives the near-singular axis
 
-    service = SolveService(solver, ServeConfig(window_s=0.05))
+    service = SolveService(solver)
     for name in ("good0", "good1", "bad"):
         service.register_tenant(name)
     async with service:
@@ -172,16 +204,59 @@ async def test_ranging_failure_is_isolated_to_its_column():
 
 async def test_timeout_raises_request_timeout():
     solver = make_noiseless_solver(seed=12)
-    service = SolveService(solver, ServeConfig(window_s=0.2))
+    service = SolveService(solver)
     service.register_tenant("slow")
     async with service:
         op = await service.compile("slow", np.eye(8) * 2.0, AMCMode.INV)
-        with pytest.raises(RequestTimeout):
-            # The window is still collecting when the deadline fires.
-            await service.solve("slow", op, np.ones(8), timeout=0.01)
+        async with _chip_held(service, "slow", op, np.ones(8)):
+            with pytest.raises(RequestTimeout):
+                # Still queued behind the busy chip when the deadline fires.
+                await service.solve("slow", op, np.ones(8), timeout=0.01)
     assert service.stats.tenant("slow").timed_out == 1
     # The pending slot was returned despite the timeout.
     assert service.snapshot()["queue_depths"]["total"] == 0
+
+
+async def test_idle_chip_dispatches_a_lone_request_at_once():
+    """No timer holds a request while the chip is idle: ``window_s`` is
+    ignored, however long."""
+    solver = make_noiseless_solver(seed=12)
+    service = SolveService(solver, ServeConfig(window_s=10.0))
+    service.register_tenant("t")
+    async with service:
+        op = await service.compile("t", np.eye(8) * 2.0, AMCMode.INV)
+        result = await asyncio.wait_for(service.solve("t", op, np.ones(8)), 1.0)
+    assert result.ok
+    assert service.stats.engine_calls == 1
+
+
+async def test_requests_queued_while_the_chip_is_busy_ride_one_engine_call(
+    solver_twins,
+):
+    serve_solver, reference_solver = solver_twins
+    rng = np.random.default_rng(45)
+    a, b = _problem(rng)
+    expected = _sequential_columns(reference_solver, a, b)
+
+    service = SolveService(serve_solver)
+    for j in range(N_CLIENTS):
+        service.register_tenant(f"client{j}")
+    async with service:
+        op = await service.compile("client0", a, AMCMode.INV)
+        await service.solve("client0", op, b)  # warm-up
+        async with _chip_held(service, "client0", op, b):
+            tasks = []
+            for j in range(N_CLIENTS):
+                tasks.append(
+                    asyncio.create_task(service.solve(f"client{j}", op, b[:, j]))
+                )
+                await asyncio.sleep(0.005)  # arrivals spread out in time
+        results = await asyncio.gather(*tasks)
+    # Warm-up, the request that held the chip, then one window for all five.
+    assert service.stats.engine_calls == 3
+    assert service.stats.coalesced_columns == 3 * N_CLIENTS
+    for j, result in enumerate(results):
+        assert np.array_equal(result.value, expected[j]), f"column {j} differs"
 
 
 async def test_handles_only_rejects_raw_matrices():
@@ -241,7 +316,7 @@ async def test_fair_share_preemption_reclaims_over_share_tenant():
     # Pool of 2 macros: "fair" compiles two resident operators (2 > its
     # share of 1); "hog"'s evicted operator must preempt fair's tiles.
     solver = make_noiseless_solver(seed=16, num_macros=2, n=16)
-    service = SolveService(solver, ServeConfig(window_s=0.005))
+    service = SolveService(solver)
     service.register_tenant("hog", TenantQuota(max_macros=1))
     service.register_tenant("fair", TenantQuota(max_macros=1))
     async with service:
@@ -256,7 +331,7 @@ async def test_fair_share_preemption_reclaims_over_share_tenant():
 
 async def test_overload_when_everything_is_pinned():
     solver = make_noiseless_solver(seed=17, num_macros=1, n=16)
-    service = SolveService(solver, ServeConfig(window_s=0.005))
+    service = SolveService(solver)
     service.register_tenant("hog", TenantQuota(max_macros=0))
     service.register_tenant("meek")
     async with service:
@@ -330,7 +405,7 @@ async def test_direct_calls_beside_a_running_service_keep_blas():
     backend = _ModeRecordingBackend()
     solver = make_noiseless_solver(seed=21, backend=backend)
     a, b = _problem(np.random.default_rng(8))
-    service = SolveService(solver, ServeConfig(window_s=0.01))
+    service = SolveService(solver)
     service.register_tenant("t")
     async with service:
         op = await service.compile("t", a, AMCMode.INV)
@@ -361,7 +436,7 @@ async def test_tiled_solve_rides_the_stacked_engine():
             ref_first = ref.solve(b)
             ref_second = ref.solve(b)
 
-    service = SolveService(serve_solver, ServeConfig(window_s=0.02))
+    service = SolveService(serve_solver)
     service.register_tenant("grid")
     async with service:
         op = await service.compile("grid", a, AMCMode.INV, tile=tile)
@@ -397,7 +472,7 @@ async def test_coalesced_tiled_mvm_scatters_the_batched_per_column_flags():
     assert want.input_scales.shape == want.per_column_attempts.shape == (3,)
     assert len(set(want.input_scales)) == 3
 
-    service = SolveService(serve_solver, ServeConfig(window_s=0.05))
+    service = SolveService(serve_solver)
     service.register_tenant("grid")
     async with service:
         op = await service.compile("grid", a, AMCMode.MVM)
