@@ -195,6 +195,14 @@ class CrossbarArray:
         """Stuck-at fault map of the full array (0 healthy, ±1 stuck)."""
         return self._faults.copy()
 
+    @property
+    def region_faults(self) -> np.ndarray:
+        """Stuck-at fault map of the active region only (a copy of the
+        region, not of the full array) — what per-tile fault compensation
+        reads when a tile is programmed."""
+        rows_idx, cols_idx = self._active_view()
+        return self._faults[np.ix_(rows_idx, cols_idx)]
+
     def fault_fraction(self) -> float:
         return float(np.mean(self._faults != 0))
 

@@ -659,17 +659,13 @@ class GramcSolver:
         """
         from repro.devices.constants import G_MAX, G_MIN
 
-        rows_idx = primary.array.drivers.active_rows
-        cols_idx = primary.array.drivers.active_cols
-        primary_faults = primary.array.fault_map[np.ix_(rows_idx, cols_idx)]
+        primary_faults = primary.array.region_faults
         if layout is PlaneLayout.PAIRED_COLUMNS:
             pos_faults = primary_faults[:, 0::2]
             neg_faults = primary_faults[:, 1::2]
         elif layout is PlaneLayout.PAIRED_ARRAYS and partner is not None:
             pos_faults = primary_faults
-            partner_rows = partner.array.drivers.active_rows
-            partner_cols = partner.array.drivers.active_cols
-            neg_faults = partner.array.fault_map[np.ix_(partner_rows, partner_cols)]
+            neg_faults = partner.array.region_faults
         else:
             pos_faults = primary_faults
             neg_faults = np.zeros_like(primary_faults)

@@ -500,9 +500,7 @@ class TiledOperator(_Handle):
 
             result = stats.result(
                 AMCMode.INV, x, reference, self.macro_ids, batched,
-                sweeps=sweeps,
-                residual_floor=self._residual_floor(b, x if batched else x[:, 0]),
-                converged=converged,
+                sweeps=sweeps, converged=converged,
             )
 
             if rtol is not None:
@@ -538,11 +536,10 @@ class TiledOperator(_Handle):
                     solve_correction=correction,
                     solver=solver,
                 )
-                result = replace(
-                    result,
-                    sweeps=sweeps + correction_sweeps,
-                    residual_floor=self._residual_floor(b, result.value),
-                )
+                result = replace(result, sweeps=sweeps + correction_sweeps)
+            # The floor of the returned answer: measured once, after any
+            # refinement.
+            result.residual_floor = self._residual_floor(b, result.value)
             sp.set(sweeps=result.sweeps, converged=bool(result.converged))
         return self._capture_counted(result, before, started)
 

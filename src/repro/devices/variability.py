@@ -67,8 +67,13 @@ class VariabilityModel:
 
     @staticmethod
     def apply_faults(conductances: np.ndarray, faults: np.ndarray) -> np.ndarray:
-        """Pin faulty cells to their stuck conductance."""
+        """Pin faulty cells to their stuck conductance (always a new array).
+
+        A region that holds no stuck cell skips both mask passes.
+        """
         out = np.array(conductances, dtype=float, copy=True)
+        if not faults.any():
+            return out
         out[faults == 1] = G_MAX
         out[faults == -1] = G_MIN
         return out

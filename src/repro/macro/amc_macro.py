@@ -61,7 +61,7 @@ from repro.macro.registers import (
     g_f_code_for,
     g_lambda_code_for,
 )
-from repro.macro.switches import build_connections, validate_connections
+from repro.macro.switches import check_wiring
 from repro.programming.levels import LevelMap
 
 
@@ -137,6 +137,10 @@ class AMCMacro:
 
         For :attr:`PlaneLayout.PAIRED_COLUMNS`, ``cols`` is the *logical*
         matrix width; the physical active region spans ``2·cols`` columns.
+        The switch wiring is validated once per distinct
+        ``(mode, rows, cols, differential)`` shape
+        (:func:`~repro.macro.switches.check_wiring`); no connection list
+        is kept.
         """
         physical_cols = cols * 2 if layout is PlaneLayout.PAIRED_COLUMNS else cols
         config = MacroConfig(
@@ -153,10 +157,7 @@ class AMCMacro:
         self.registers.write(config)
         self.array.select_region(rows, physical_cols, row_offset, col_offset)
         self.layout = layout
-        differential = layout is not PlaneLayout.SINGLE
-        connections = build_connections(mode, rows, cols, differential)
-        validate_connections(connections)
-        self.connections = connections
+        check_wiring(mode, rows, cols, layout is not PlaneLayout.SINGLE)
         return config
 
     def apply_config_word(self, word: int) -> MacroConfig:

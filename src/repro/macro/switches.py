@@ -5,12 +5,19 @@ gates.  This module builds the explicit connection list for each mode —
 useful both as executable documentation of Fig. 2 and as a structural
 validator: a legal configuration drives every line from exactly one source
 and never shorts two drivers together.
+
+The wiring depends only on ``(mode, rows, cols, differential)``, so
+:func:`check_wiring` — what :meth:`AMCMacro.configure
+<repro.macro.amc_macro.AMCMacro.configure>` calls — builds and validates
+it once per distinct shape and keeps no connection list: a 16 × 16 tile
+grid configures 256 macros but checks its two tile shapes once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from repro.analog.topologies import AMCMode
 
@@ -108,3 +115,13 @@ def validate_connections(connections: list[Connection]) -> None:
                 f"[{other.index}] and {connection.terminal.value}[{connection.index}]"
             )
         seen[connection.line] = connection
+
+
+@lru_cache(maxsize=1024)
+def check_wiring(mode: AMCMode, rows: int, cols: int, differential: bool) -> None:
+    """Build and validate the wiring of one shape; raises on a short.
+
+    Cached by its arguments: a shape is checked once, and a shape that
+    fails is checked again on every call (exceptions are not cached).
+    """
+    validate_connections(build_connections(mode, rows, cols, differential))

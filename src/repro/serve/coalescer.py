@@ -130,6 +130,7 @@ class CoalescedBatch:
         """Fail every still-live future in the group with ``error``."""
         for request in self.requests:
             if request.future.done():
+                count_abandoned(request, registry)
                 continue
             registry.get(request.tenant).counters.failed += 1
             request.future.set_exception(error)
@@ -137,11 +138,12 @@ class CoalescedBatch:
     def _resolve_one(
         self, request: SolveRequest, result: SolveResult, registry: TenantRegistry
     ) -> None:
-        counters = registry.get(request.tenant).counters
         if request.future.done():
             # Cancelled (or timed out) between window close and scatter:
             # the chip already did the work, the answer has no taker.
+            count_abandoned(request, registry)
             return
+        counters = registry.get(request.tenant).counters
         bad = not result.stable or (
             result.saturated and request.require_in_range
         )
@@ -279,6 +281,14 @@ class CoalescedBatch:
         else:
             refine["refined_residual"] = result.refined_residual
         return refine
+
+
+def count_abandoned(request: SolveRequest, registry: TenantRegistry) -> None:
+    """Book a request whose future was done before the service resolved
+    it: a caller cancellation, unless its deadline fired (the submitter
+    counts ``timed_out`` where the deadline fires)."""
+    if not request.timed_out:
+        registry.get(request.tenant).counters.cancelled += 1
 
 
 def coalesce(requests: "list[SolveRequest]") -> "list[CoalescedBatch]":

@@ -55,7 +55,7 @@ from repro.core.results import SolveResult
 from repro.core.solver import GramcSolver
 from repro.obs import trace
 from repro.serve.admission import AdmissionController
-from repro.serve.coalescer import CoalescedBatch, coalesce
+from repro.serve.coalescer import CoalescedBatch, coalesce, count_abandoned
 from repro.serve.scheduler import FairShareScheduler
 from repro.serve.tenancy import TenantRegistry, TenantState
 from repro.serve.types import (
@@ -349,8 +349,7 @@ class SolveService:
                 # Cancelled (or deadline-cancelled) while queued.
                 tracer.finish(request.queue_span, outcome="abandoned")
                 request.queue_span = None
-                if not request.timed_out:
-                    self.registry.get(request.tenant).counters.cancelled += 1
+                count_abandoned(request, self.registry)
                 continue
             live.append(request)
         if not live:
@@ -472,7 +471,12 @@ class SolveService:
                 self._executor,
                 lambda: injector.monitor.heal_operator(batch.operator),
             )
-        live = [r for r in batch.requests if not r.future.done()]
+        live = []
+        for request in batch.requests:
+            if request.future.done():
+                count_abandoned(request, self.registry)
+            else:
+                live.append(request)
         if not live:
             return
         retry = CoalescedBatch(batch.operator, batch.kind, live)

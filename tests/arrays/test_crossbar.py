@@ -118,3 +118,17 @@ class TestFaults:
         fault_map = array.fault_map
         fault_map[0, 0] = 1
         assert array.fault_map[0, 0] == 0
+
+    def test_region_faults_reads_the_active_region(self):
+        stack = DeviceStack(
+            variability=VariabilityParams(stuck_on_rate=0.1, stuck_off_rate=0.1)
+        )
+        array = CrossbarArray(stack, 32, 32, rng=np.random.default_rng(5))
+        array.select_region(6, 10, row_offset=3, col_offset=20)
+        region = array.region_faults
+        np.testing.assert_array_equal(region, array.fault_map[3:9, 20:30])
+        region[:] = 0  # a copy of the region: the array is untouched
+        np.testing.assert_array_equal(
+            array.region_faults, array.fault_map[3:9, 20:30]
+        )
+        assert array.region_faults.any()

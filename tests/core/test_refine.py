@@ -325,6 +325,28 @@ class TestTiledOperatorRtol:
         assert refined.residual_floor <= 1e-9
         op.close()
 
+    def test_residual_floor_measured_once_per_refined_solve(self, rng, monkeypatch):
+        """The floor describes the returned answer, so an ``rtol`` solve
+        measures it once, after refinement — not on the base step too."""
+        solver = _solver()
+        matrix = block_dominant(64, 32, rng=rng)
+        b = rng.uniform(-1, 1, (64, 3))
+        op = solver.compile(matrix, AMCMode.INV)
+        calls = []
+        measure = TiledOperator._residual_floor
+
+        def spy(self, b, value):
+            calls.append(value)
+            return measure(self, b, value)
+
+        monkeypatch.setattr(TiledOperator, "_residual_floor", spy)
+        refined = op.solve(b, rtol=1e-10)
+        assert len(calls) == 1
+        assert calls[0] is refined.value
+        residual = np.linalg.norm(b - matrix @ refined.value) / np.linalg.norm(b)
+        assert refined.residual_floor == pytest.approx(residual, rel=1e-6)
+        op.close()
+
     def test_mixed_rtol_columns_refine_independently(self, rng):
         solver = _solver()
         matrix = block_dominant(64, 32, rng=rng)

@@ -70,6 +70,17 @@ class TestStuckFaults:
         assert pinned[2, 2] == G_MIN
         assert pinned[1, 1] == 50e-6
 
+    def test_apply_faults_on_a_healthy_region_copies(self):
+        """No stuck cell: the values come back unchanged, in a new array
+        (callers own and write to what they get)."""
+        conductances = np.linspace(1e-6, 1e-4, 12).reshape(3, 4)
+        pinned = VariabilityModel.apply_faults(
+            conductances, np.zeros((3, 4), dtype=np.int8)
+        )
+        assert pinned is not conductances
+        np.testing.assert_array_equal(pinned, conductances)
+        assert pinned.dtype == float
+
     def test_apply_faults_does_not_mutate_input(self):
         conductances = np.full((2, 2), 50e-6)
         faults = np.ones((2, 2), dtype=np.int8)

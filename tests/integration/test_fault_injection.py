@@ -67,6 +67,34 @@ class TestCompensatedMVM:
         operator = solver.compile(matrix, AMCMode.MVM)
         assert any(tile.fault_correction is not None for tile in operator.tiles)
 
+    def test_paired_array_corrections_read_both_planes(self):
+        """A tile too wide for paired columns spans two macros; its
+        correction reads the stuck cells of both planes' active regions."""
+        from repro.devices.constants import G_MAX, G_MIN
+        from repro.macro.amc_macro import PlaneLayout
+
+        def plane_error(faults, targets):
+            stuck = np.where(faults == 1, G_MAX, np.where(faults == -1, G_MIN, targets))
+            return stuck - targets
+
+        for rate, seed in ((0.0, 0), (0.10, 2)):
+            solver = _solver_with_faults(rate, seed=seed)
+            matrix = wishart(24, rng=np.random.default_rng(8))
+            operator = solver.compile(matrix, AMCMode.MVM)
+            operator.mvm(np.ones(24))
+            (tile,) = operator.tiles
+            assert tile.layout is PlaneLayout.PAIRED_ARRAYS
+            if rate == 0.0:
+                assert tile.fault_correction is None
+                continue
+            full = np.ix_(range(24), range(24))
+            expected = (
+                plane_error(tile.primary.array.fault_map[full], tile.mapping.g_pos)
+                - plane_error(tile.partner.array.fault_map[full], tile.mapping.g_neg)
+            ) * tile.mapping.value_scale
+            np.testing.assert_array_equal(tile.fault_correction, expected)
+            assert np.any(expected)
+
     def test_no_crash_at_extreme_fault_rate(self):
         solver = _solver_with_faults(0.3)
         rng = np.random.default_rng(9)

@@ -1,14 +1,23 @@
-"""Switch-fabric tests: connection lists and short detection."""
+"""Switch-fabric tests: connection lists, short detection, and the
+once-per-shape wiring check that macro configuration runs."""
 
+import numpy as np
 import pytest
 
 from repro.analog.topologies import AMCMode
+from repro.core.pool import MacroPool, PoolConfig
+from repro.core.solver import GramcSolver
+from repro.macro import switches
+from repro.macro.amc_macro import AMCMacro, PlaneLayout
 from repro.macro.switches import (
     Connection,
     Terminal,
     build_connections,
+    check_wiring,
     validate_connections,
 )
+from repro.programming.levels import LevelMap
+from repro.workloads.matrices import block_dominant
 
 
 class TestBuildConnections:
@@ -59,3 +68,80 @@ class TestValidator:
             Connection("SL[0]", Terminal.ADC, 0),
         ]
         validate_connections(shared)  # must not raise
+
+
+@pytest.fixture
+def wiring_builds(monkeypatch):
+    """Count the connection lists built, on an empty wiring cache."""
+    built = []
+
+    def counting(mode, rows, cols, differential):
+        built.append((mode, rows, cols, differential))
+        return build_connections(mode, rows, cols, differential)
+
+    check_wiring.cache_clear()
+    monkeypatch.setattr(switches, "build_connections", counting)
+    yield built
+    check_wiring.cache_clear()
+
+
+class TestWiringCheckedOncePerShape:
+    def test_tile_grid_builds_each_shape_once(self, wiring_builds):
+        """A 256-unknown operand on a 4×4 grid of 64×64 paired arrays:
+        32 ``configure`` calls (primary and partner per tile) share four
+        wiring shapes — INV and MVM, differential primary and
+        single-plane partner."""
+        solver = GramcSolver(
+            pool=MacroPool(
+                PoolConfig(
+                    num_macros=40, rows=64, cols=64, level_map=LevelMap(num_levels=256)
+                ),
+                rng=np.random.default_rng(3),
+            ),
+            rng=np.random.default_rng(4),
+        )
+        configured = []
+        configure = AMCMacro.configure
+
+        def counting_configure(self, *args, **kwargs):
+            configured.append(self.macro_id)
+            return configure(self, *args, **kwargs)
+
+        matrix = block_dominant(256, 64, coupling=0.04, rng=np.random.default_rng(1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AMCMacro, "configure", counting_configure)
+            op = solver.compile(matrix, AMCMode.INV, tile=64)
+        assert op.grid == (4, 4)
+        assert len(configured) == 32
+        assert sorted(wiring_builds, key=repr) == sorted(
+            [
+                (mode, 64, 64, differential)
+                for mode in (AMCMode.INV, AMCMode.MVM)
+                for differential in (True, False)
+            ],
+            key=repr,
+        )
+        op.close()
+
+    def test_unseen_shorted_shape_still_raises(self, monkeypatch):
+        """The cache skips only shapes that validated: a shape not seen
+        before is built and checked, and a short raises from ``configure``."""
+        check_wiring.cache_clear()
+
+        def shorted(mode, rows, cols, differential):
+            return [
+                Connection("BL[0]", Terminal.OPA_OUT, 0),
+                Connection("BL[0]", Terminal.INVERTER_OUT, 1),
+            ]
+
+        monkeypatch.setattr(switches, "build_connections", shorted)
+        macro = AMCMacro(rows=16, cols=16, rng=np.random.default_rng(0))
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ValueError, match="short"):
+                macro.configure(AMCMode.INV, 7, 5, layout=PlaneLayout.PAIRED_COLUMNS)
+        check_wiring.cache_clear()
+
+    def test_no_connection_list_is_kept(self):
+        macro = AMCMacro(rows=16, cols=16, rng=np.random.default_rng(0))
+        macro.configure(AMCMode.MVM, 8, 8)
+        assert not hasattr(macro, "connections")

@@ -153,7 +153,9 @@ async def test_cancelled_request_is_not_reexecuted_or_rebilled():
     alice = service.registry.get("alice").counters
     bob = service.registry.get("bob").counters
     assert alice.columns_dispatched == 0 and alice.completed == 0
+    assert alice.cancelled == 1  # dropped from the retry, still counted
     assert bob.columns_dispatched == 1 and bob.completed == 1
+    assert bob.cancelled == 0
 
 
 async def test_retry_skipped_entirely_when_every_caller_left():
@@ -180,6 +182,7 @@ async def test_retry_skipped_entirely_when_every_caller_left():
         )
         assert widths == []  # chip never touched again
     assert service.stats.fault_retries == 0
+    assert service.registry.get("alice").counters.cancelled == 1
 
 
 # ------------------------------------------------------- retry_after_hint

@@ -55,7 +55,7 @@ async def _chip_held(service, tenant, op, payload):
     (``payload`` on ``op``) is dispatched behind it, so the dispatcher
     waits on the chip and every request submitted inside the block stays
     in the queue.  On exit the chip is released and that request
-    completes."""
+    completes; the block receives its task and may cancel it."""
     release = threading.Event()
     loop = asyncio.get_running_loop()
     blocker = loop.run_in_executor(service._executor, release.wait)
@@ -69,11 +69,12 @@ async def _chip_held(service, tenant, op, payload):
             await asyncio.sleep(0)
         else:
             raise AssertionError("the dispatcher never took the holding request")
-        yield
+        yield plug
     finally:
         release.set()
         await blocker
-        await plug
+        if not plug.cancelled():
+            await plug
 
 
 def _sequential_columns(solver, a, b) -> list[np.ndarray]:
@@ -167,6 +168,32 @@ async def test_cancellation_mid_window_leaves_siblings_bitwise(solver_twins):
         assert np.array_equal(outcome.value, expected[j]), f"column {j} differs"
     assert service.stats.tenant("client2").cancelled == 1
     assert service.stats.tenant("client2").completed == 0
+
+
+async def test_cancellation_after_dispatch_is_counted():
+    """A request cancelled after its window left the queue: the chip does
+    the work, the answer has no taker, and the request is counted as
+    cancelled — every submitted request lands in exactly one outcome."""
+    solver = make_noiseless_solver(seed=14)
+    service = SolveService(solver)
+    service.register_tenant("t")
+    async with service:
+        op = await service.compile("t", np.eye(8) * 2.0, AMCMode.INV)
+        async with _chip_held(service, "t", op, np.ones(8)) as dispatched:
+            dispatched.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await dispatched
+    counters = service.stats.tenant("t")
+    assert service.stats.engine_calls == 1  # the cancelled request's call ran
+    assert counters.submitted == 1
+    assert counters.cancelled == 1
+    assert counters.submitted == (
+        counters.completed
+        + counters.failed
+        + counters.cancelled
+        + counters.timed_out
+        + counters.rejected
+    )
 
 
 async def test_ranging_failure_is_isolated_to_its_column():
