@@ -280,8 +280,7 @@ def refine_solution(
     n, columns = b.shape
     macs = 0
 
-    b_scales = _column_scales(b)
-    b_norms = b_scales * np.linalg.norm(b / b_scales, axis=0)
+    b_norms = _column_norms(b)
     # An all-zero column's solution is exactly zero; judge it absolutely.
     denominators = np.where(b_norms == 0.0, 1.0, b_norms)
 
