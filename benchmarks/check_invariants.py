@@ -52,6 +52,11 @@ at ``$GITHUB_STEP_SUMMARY`` in CI.  Recognized invariant keys:
   solves whose rtol held, possibly after healing, under the canonical
   fault plan).
 
+A result's ``host_split`` block (a traced solve's host self-time by
+layer, ``*_s`` parts beside ``traced_wall_s``) is re-checked
+arithmetically: every part is non-negative and the parts sum to no more
+than the traced wall.
+
 Every artifact must carry a non-empty ``env`` block (cores, BLAS vendor
 and threads, library versions, source digest — perfbench's
 ``environment``), so a number is never read without its host.
@@ -155,6 +160,24 @@ def check_breakdown(payload: dict, where: str) -> list[str]:
     return failures
 
 
+def check_host_split(split: dict, where: str) -> list[str]:
+    """Re-verify a ``host_split`` block: self-times of one traced solve
+    cannot be negative, nor add up to more than the solve's wall."""
+    wall = split.get("traced_wall_s", 0.0)
+    parts = {key: value for key, value in split.items() if key != "traced_wall_s"}
+    failures = [
+        f"{where}: host_split {key} negative ({value!r})"
+        for key, value in parts.items()
+        if value < 0.0
+    ]
+    if sum(parts.values()) > wall + 1e-9:
+        failures.append(
+            f"{where}: host_split parts sum to {sum(parts.values())!r} s, "
+            f"more than the traced wall {wall!r} s"
+        )
+    return failures
+
+
 def check_file(path: Path) -> list[str]:
     payload = json.loads(path.read_text())
     invariants = payload.get("invariants", {})
@@ -240,6 +263,8 @@ def check_file(path: Path) -> list[str]:
                     f"{where}: disabled_overhead_fraction "
                     f"{result['disabled_overhead_fraction']:.4f} > {max_overhead}"
                 )
+        if "host_split" in result:
+            failures.extend(check_host_split(result["host_split"], where))
         for exact_key in _EXACT_KEYS:
             expected = invariants.get(exact_key)
             if expected is not None and exact_key in result:

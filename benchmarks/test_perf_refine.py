@@ -20,19 +20,27 @@ step with one sweep on the already-programmed grid, repeat.  The acceptance bars
 
 Measured numbers land in ``BENCH_refine.json`` with the invariants
 embedded, so CI re-validates the accuracy claim from the artifact itself
-(``benchmarks/check_invariants.py``).
+(``benchmarks/check_invariants.py``).  One refined solve is also traced,
+and ``host_split`` records where its host time went: self-time of the
+``refine_step`` spans (the FGMRES host loop and the correction
+bookkeeping around each sweep), of the sweeps and engine dispatches, and
+of the rest (the tiled solve around them) — each no more than the traced
+wall, which the invariant check re-verifies; no wall-clock bound.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from perfbench.harness import rollup, self_times
 from repro.analog.topologies import AMCMode
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
+from repro.obs import trace
 from repro.obs.report import solve_breakdown
 from repro.programming.levels import LevelMap
 from repro.workloads.matrices import block_dominant
@@ -53,6 +61,33 @@ _TOLERANCE_SWEPT_DISPATCHES = 815
 """Refine dispatches of this solve when every correction was a blocked
 solve swept to ``tolerance=1e-3`` (up to 40 sweeps each)."""
 _MAX_REFINE_DISPATCHES = _TOLERANCE_SWEPT_DISPATCHES // 3
+
+
+_SWEEP_LAYERS = ("grid_engine", "backend")
+"""Layers of the ``sweep`` and ``engine_dispatch`` spans (perfbench's
+``layer_of``)."""
+
+
+def _host_split(solve) -> dict:
+    """Run ``solve`` once under an in-memory tracer; its host self-time
+    by layer, in seconds, beside the traced wall."""
+    previous = trace.get_tracer()
+    tracer = trace.configure("memory")
+    try:
+        start = time.perf_counter()
+        solve()
+        wall = time.perf_counter() - start
+    finally:
+        trace.set_tracer(previous)
+    layers = rollup(self_times(tracer.spans()))
+    refine_step = layers.pop("refine", 0.0)
+    sweep_engine = sum(layers.pop(layer, 0.0) for layer in _SWEEP_LAYERS)
+    return {
+        "refine_step_s": refine_step,
+        "sweep_engine_s": sweep_engine,
+        "rest_s": sum(layers.values()),
+        "traced_wall_s": wall,
+    }
 
 
 def _solver() -> GramcSolver:
@@ -127,6 +162,7 @@ def test_perf_refined_blocked_solve(bench_payload, best_of):
 
     t_analog = best_of(_REPEATS, lambda: op.solve(batch))
     t_refined = best_of(_REPEATS, lambda: op.solve(batch, rtol=_RTOL))
+    host_split = _host_split(lambda: op.solve(batch, rtol=_RTOL))
 
     bench_payload["results"]["refined_blocked_inv"] = {
         "analog_floor": analog_floor,
@@ -142,6 +178,7 @@ def test_perf_refined_blocked_solve(bench_payload, best_of):
         "refined_over_analog": t_refined / t_analog,
         "reprogramming_events_per_solve": reprogramming,
         "macros": op.macros,
+        "host_split": host_split,
     }
     # Where the refined solve spends its modeled time/energy — refinement
     # must show up as separately-attributed digital work.

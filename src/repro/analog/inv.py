@@ -191,8 +191,7 @@ class InvCircuit:
         rhs = -i_in + (offset_rhs[:, None] if i_in.ndim == 2 else offset_rhs)
         x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
         draw_noise(one_slot(x), self.params.noise_sigma, [(self.rng, self.n)] if noisy else ())
-        railed, _, _ = self.params.clamp_columns(one_slot(x))
-        return CircuitSolution(outputs=x, column_saturated=railed[0], stable=self.is_stable)
+        return CircuitSolution.clamped(x, self.params.clamp_columns(one_slot(x)), stable=self.is_stable)
 
     def transient_solve(
         self, i_in: np.ndarray, t_end: float | None = None, num_points: int = 300
@@ -210,13 +209,9 @@ class InvCircuit:
         result = base.trajectory(x0, t_end, num_points=num_points, b=self._rhs(i_in))
         outputs = np.array(result.final)
         draw_noise(one_slot(outputs), self.params.noise_sigma, [(self.rng, self.n)])
-        railed, _, _ = self.params.clamp_columns(one_slot(outputs))
-        return CircuitSolution(
-            outputs=outputs,
-            column_saturated=railed[0],
-            stable=result.stable,
-            settling_time=result.settling_time,
-            transient=result,
+        return CircuitSolution.clamped(
+            outputs, self.params.clamp_columns(one_slot(outputs)),
+            stable=result.stable, settling_time=result.settling_time, transient=result,
         )
 
     def ideal_solution(self, i_in: np.ndarray) -> np.ndarray:

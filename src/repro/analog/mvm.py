@@ -121,7 +121,7 @@ class MVMCircuit:
             )
         g_node = self.node_conductance()
         outputs = currents
-        railed, _, _ = tia_output(
+        clamp = tia_output(
             one_slot(outputs),
             g_node[None],
             self.row_amps.offsets[None],
@@ -131,10 +131,8 @@ class MVMCircuit:
             None if g_neg_sq is None else g_neg_sq[None],
         )
         # Feed-forward topology: settling is one closed-loop TIA time constant.
-        return CircuitSolution(
-            outputs=outputs,
-            column_saturated=railed[0],
-            stable=True,
+        return CircuitSolution.clamped(
+            outputs, clamp, stable=True,
             settling_time=tia_settling_time(float(np.max(g_node)), self.g_f, self.params),
         )
 

@@ -134,18 +134,18 @@ class PinvCircuit:
         if self._lhs_inv is None:
             self._lhs_inv = np.linalg.inv(self._equilibrium_lhs())
         solution = determinism.apply_matrix(self._lhs_inv, rhs)
-        outputs, railed = self._settle(solution, [(self.rng, n)] if noisy else ())
-        return CircuitSolution(outputs=outputs, column_saturated=railed, stable=self.is_stable)
+        return self._settle(solution, [(self.rng, n)] if noisy else (), stable=self.is_stable)
 
-    def _settle(self, state: np.ndarray, draws: Draws) -> tuple[np.ndarray, np.ndarray]:
+    def _settle(self, state: np.ndarray, draws: Draws, **solution) -> CircuitSolution:
         """Output stage over the stacked state ``[w, x]``, in place: the
         stage-2 outputs ``x`` take their read noise, then both banks clamp
-        at the rails.  Returns ``x`` and the per-column rail state — a
-        column is railed when either bank hits a rail."""
+        at the rails.  The solution's outputs are ``x``, with ``x``'s
+        extrema; a column is railed when either bank hits a rail."""
         m = self.shape[0]
         draw_noise(one_slot(state[m:]), self.params.noise_sigma, draws)
-        railed, _, _ = self.params.clamp_columns(one_slot(state))
-        return state[m:], railed[0]
+        railed_w, _, _ = self.params.clamp_columns(one_slot(state[:m]))
+        railed, top, low = self.params.clamp_columns(one_slot(state[m:]))
+        return CircuitSolution.clamped(state[m:], (railed | railed_w, top, low), **solution)
 
     def _equilibrium_lhs(self) -> np.ndarray:
         """Block system matrix over the stacked unknowns ``[w, x]``."""
@@ -219,10 +219,9 @@ class PinvCircuit:
             t_end = 10.0 * base.time_constant() if base.is_stable else 1e-3
         x0 = np.zeros(m + n if i_in.ndim == 1 else (m + n, i_in.shape[1]))
         result = base.trajectory(x0, t_end, num_points=num_points, b=self._rhs(i_in))
-        outputs, railed = self._settle(np.array(result.final), [(self.rng, n)])
-        return CircuitSolution(
-            outputs=outputs,
-            column_saturated=railed,
+        return self._settle(
+            np.array(result.final),
+            [(self.rng, n)],
             stable=result.stable,
             settling_time=result.settling_time,
             transient=result,

@@ -24,9 +24,19 @@ class CircuitSolution:
 
     outputs: np.ndarray
     column_saturated: np.ndarray
+    top: np.ndarray | None = None
+    """Per-column maximum (``top``) and minimum (``low``) of the clamped
+    outputs, which the converter range test reads; ``None`` for EGV."""
+    low: np.ndarray | None = None
     stable: bool = True
     settling_time: float | None = None
     transient: TransientResult | None = field(default=None, repr=False)
+
+    @classmethod
+    def clamped(cls, outputs: np.ndarray, clamp, **fields) -> "CircuitSolution":
+        """``outputs`` with the one-slot ``(railed, top, low)`` of their clamp."""
+        railed, top, low = clamp
+        return cls(outputs, railed[0], top[0], low[0], **fields)
 
     @property
     def saturated(self) -> bool:

@@ -62,6 +62,8 @@ class CrossbarArray:
         self._variability = VariabilityModel(stack.variability, self.rng)
         self._d2d = self._variability.d2d_multipliers((rows, cols))
         self._faults = self._variability.stuck_fault_map((rows, cols))
+        self.has_stuck_cells = bool(self._faults.any())
+        """Whether any cell is stuck; kept current wherever ``_faults`` is written."""
         self._programmer = BehavioralProgrammer(stack, self.level_map)
         # All cells start fully RESET (level 0).
         self._conductances = np.full((rows, cols), self.level_map.g_min)
@@ -290,6 +292,7 @@ class CrossbarArray:
         if not fresh.any():
             return 0
         self._faults[fresh] = fault_delta[fresh].astype(np.int8)
+        self.has_stuck_cells = True
         self._conductances = VariabilityModel.apply_faults(self._conductances, self._faults)
         self.version += 1
         return int(fresh.sum())

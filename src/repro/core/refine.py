@@ -50,10 +50,11 @@ only pays for the columns that still need work.  Every reduction is
 taken per column with batch-independent shapes — residuals through
 :func:`repro.analog.determinism.apply_matrix_per_column`, the Arnoldi
 inner products and updates as one stacked product per column over its
-own basis — so under the column-independent engine
-mode the refined answer of a column is bitwise independent of which
-sibling columns shared its batch: coalescing stays bit-transparent
-through refinement.
+own basis, norms as one dot product per column — so under the
+column-independent engine mode a column's value, residual and verdict
+are bitwise independent of its batch siblings: coalescing stays
+bit-transparent through refinement.  A step whose columns all sit at
+one cycle position (the common case) works on views of the state.
 
 This module is deliberately engine-agnostic: it sees the float64 matrix,
 the analog first guess, and a ``resolve(columns)`` callable.
@@ -180,10 +181,6 @@ def _power_of_two_scale(peak: np.ndarray) -> np.ndarray:
     return np.where(usable, np.ldexp(1.0, exponent - 1), 1.0)
 
 
-def _column_scales(block: np.ndarray) -> np.ndarray:
-    return _power_of_two_scale(np.max(np.abs(block), axis=0))
-
-
 _PLAIN_NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
 """Above this a plain 2-norm cannot have lost precision to underflow:
 its squared terms that fall below the smallest normal float are then
@@ -212,20 +209,11 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     reduction order.
 
     ``np.linalg.norm(block, axis=0)`` reduces along strided views whose
-    blocking can depend on the batch width; norming each column as its
-    own contiguous vector pins one summation order, so the convergence
-    decisions (and hence the correction schedule) of a column never
-    depend on which siblings share its batch.  Each column is first
-    divided by its own power-of-two scale (see :func:`scaled_norm`),
-    which is elementwise and so width-independent too."""
-    scales = _column_scales(block)
-    scaled = block / scales
-    return scales * np.array(
-        [
-            float(np.linalg.norm(np.ascontiguousarray(scaled[:, j])))
-            for j in range(block.shape[1])
-        ]
-    )
+    blocking can depend on the batch width; here each column, divided by
+    its power-of-two scale (see :func:`scaled_norm`), is one contiguous
+    dot product, whichever siblings share its batch."""
+    scales = _power_of_two_scale(np.max(np.abs(block), axis=0))
+    return scales * _row_norms(np.divide(block.T, scales[:, None], order="C"))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -233,12 +221,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _by_length(lengths: np.ndarray):
-    """``(length, indices)`` groups of equal ``lengths``.  A stacked
-    product over one group has a single shape per column, whatever the
-    siblings' lengths, so its reduction order is batch-independent."""
+def _cohorts(cols: np.ndarray, lengths: np.ndarray, columns: int):
+    """``(length, rows, index)`` groups of ``cols`` with equal ``lengths``
+    (``rows`` indexes arrays aligned with ``cols``, ``index`` the state;
+    both are views when ``cols`` is every column, at one length).  A
+    stacked product over a group has a batch-independent shape."""
+    if cols.size == columns and (lengths == lengths[0]).all():
+        yield int(lengths[0]), slice(None), slice(None)
+        return
     for length in np.unique(lengths):
-        yield int(length), np.flatnonzero(lengths == length)
+        rows = np.flatnonzero(lengths == length)
+        yield int(length), rows, cols[rows]
 
 
 def refine_solution(
@@ -297,11 +290,15 @@ def refine_solution(
 
     # Per-column FGMRES state.  Column c is ``pos[c]`` steps into its
     # cycle; ``basis[c, :pos+1]`` are its Arnoldi vectors, ``directions``
-    # the preconditioned vectors Z, ``tri`` the Givens-rotated Hessenberg
-    # matrix (upper triangular) and ``rhs`` the rotated ``‖r‖·e₁``.
-    basis = np.zeros((columns, RESTART + 1, n))
-    directions = np.zeros((columns, RESTART, n))
-    tri = np.zeros((columns, RESTART, RESTART))
+    # its preconditioned vectors Z, ``tri[c, i]`` column i of its rotated
+    # Hessenberg matrix R and ``rhs`` the rotated ``‖r‖·e₁``.  Steps write
+    # what they read (``basis[:, 0]`` aside, for a non-finite residual).
+    # One block holds basis and directions: the C allocator keeps it for
+    # the next solve, where two halves are unmapped and fault in afresh.
+    krylov = np.empty((columns, 2 * RESTART + 1, n))
+    basis, directions = krylov[:, : RESTART + 1], krylov[:, RESTART + 1 :]
+    basis[:, 0] = 0.0
+    tri = np.empty((columns, RESTART, RESTART))
     cos = np.ones((columns, RESTART))
     sin = np.zeros((columns, RESTART))
     rhs = np.zeros((columns, RESTART + 1))
@@ -336,15 +333,15 @@ def refine_solution(
         rhs[cols, 0] = beta[cols]
 
     def finish(cols: np.ndarray) -> None:
-        """Close the cycles of ``cols``: ``x += Z·y`` with ``tri·y = rhs``."""
+        """Close the cycles of ``cols``: ``x += Z·y`` with ``R·y = rhs``."""
         nonlocal macs
-        for length, group in _by_length(pos[cols]):
+        for length, _, done in _cohorts(cols, pos[cols], columns):
             if length == 0:
                 continue
-            done = cols[group]
-            y = np.linalg.solve(tri[done, :length, :length], rhs[done, :length, None])
+            upper = tri[done, :length, :length].transpose(0, 2, 1)
+            y = np.linalg.solve(upper, rhs[done, :length, None])
             x[:, done] += (y.transpose(0, 2, 1) @ directions[done, :length])[:, 0, :].T
-            macs += n * length * done.size
+            macs += n * length * y.shape[0]
         restart(cols)
 
     restart(np.arange(columns))
@@ -357,59 +354,64 @@ def refine_solution(
             "refine_step", step=steps + 1, active=int(active.size)
         ) as sp:
             j = pos[active]
-            rows = np.arange(active.size)
-            z = resolve(np.ascontiguousarray(basis[active, j].T))
+            # In lockstep (every column active at one position) views.
+            lockstep = active.size == columns and (j == j[0]).all()
+            cols, at = (slice(None), int(j[0])) if lockstep else (active, j)
+            z = resolve(np.ascontiguousarray(basis[cols, at].T))
             w = np.ascontiguousarray(apply_matrix_per_column(matrix, z).T)
             steps += 1
             reach = _row_norms(w)  # ‖A·z‖, the rounding yardstick below
 
             # Classical Gram-Schmidt, twice, against each column's cycle
             # basis; columns at the same position share one stacked product.
-            h = np.zeros((active.size, RESTART + 1))
-            for length, group in _by_length(j + 1):
-                cycle = basis[active[group], :length]
-                part = w[group]
+            # ``h[i]`` holds entry i of every active column's new column.
+            h = np.zeros((RESTART + 1, active.size))
+            for length, rows, index in _cohorts(active, j + 1, columns):
+                cycle = basis[index, :length]
+                part = w[rows]
                 for _ in range(2):
                     coeff = (cycle @ part[:, :, None])[:, :, 0]
                     part -= (coeff[:, None, :] @ cycle)[:, 0, :]
-                    h[group, :length] += coeff
-                w[group] = part
+                    h[:length, rows] += coeff.T
+                w[rows] = part
             fresh = _row_norms(w)
-            h[rows, j + 1] = fresh
-            macs += matrix.size * active.size + n * int((4 * (j + 1) + 2).sum())
-            finite = np.isfinite(h).all(axis=1)
+            finite = np.isfinite(h).all(axis=0) & np.isfinite(fresh)
+            macs += (matrix.size + 6 * n) * active.size + 4 * n * int(j.sum())
 
-            # Earlier rotations (identity past a column's own position),
-            # then the one that annihilates the new subdiagonal entry.
-            for i in range(int(j.max())):
-                c, s = cos[active, i], sin[active, i]
-                h[:, i], h[:, i + 1] = (
-                    c * h[:, i] + s * h[:, i + 1],
-                    c * h[:, i + 1] - s * h[:, i],
-                )
-            top, below = h[rows, j], h[rows, j + 1]
-            rho = np.sqrt(top * top + below * below)
+            # Earlier rotations, in place and elementwise across the active
+            # columns (identity past a column's own position) ...
+            span = int(j.max())
+            cos_seen, sin_seen = cos[cols, :span].T, sin[cols, :span].T
+            for i in range(span):
+                c, s, upper, lower = cos_seen[i], sin_seen[i], h[i], h[i + 1]
+                rotated = c * upper + s * lower
+                lower *= c
+                lower -= s * upper
+                upper[:] = rotated
+            # ... then the one that annihilates the new subdiagonal entry.
+            lanes = slice(None) if lockstep else np.arange(active.size)
+            top = h[at, lanes]
+            rho = np.sqrt(top * top + fresh * fresh)
             # A direction within rounding of the span already built adds
             # nothing the least-squares solve can use.
             usable = finite & (rho > n * np.finfo(float).eps * reach)
             rho = np.where(usable, rho, 1.0)
+            c, s = top / rho, fresh / rho
+            h[at, lanes] = rho
 
-            u, ju = active[usable], j[usable]
-            h[rows, j] = rho
-            h[rows, j + 1] = 0.0
-            tri[u, :, ju] = h[usable, :RESTART]
-            cos[u, ju] = (top / rho)[usable]
-            sin[u, ju] = (below / rho)[usable]
+            whole = lockstep and usable.all()
+            keep, u, ju = (slice(None), cols, at) if whole else (usable, active[usable], j[usable])
+            tri[u, ju] = h[:RESTART, keep].T
+            cos[u, ju], sin[u, ju] = c[keep], s[keep]
             carried = rhs[u, ju]
-            rhs[u, ju] = cos[u, ju] * carried
-            rhs[u, ju + 1] = -sin[u, ju] * carried
-            directions[u, ju] = z.T[usable]
-            norm = np.where(fresh > 0.0, fresh, 1.0)[usable]
-            basis[u, ju + 1] = w[usable] / norm[:, None]
+            rhs[u, ju + 1] = -s[keep] * carried
+            rhs[u, ju] = c[keep] * carried
+            directions[u, ju] = z.T[keep]
+            basis[u, ju + 1] = w[keep] / np.where(fresh > 0.0, fresh, 1.0)[keep, None]
             pos[u] += 1
             res[u] = np.abs(rhs[u, ju + 1]) / denominators[u]
 
-            ended = ~usable | (res[active] <= rtol[active]) | (pos[active] == RESTART)
+            ended = ~usable | (res[cols] <= rtol[cols]) | (pos[cols] == RESTART)
             if steps == max_steps:
                 ended[:] = True
             if ended.any():
@@ -475,18 +477,7 @@ def refine_solve_result(
     """
     vector = b.ndim == 1
     big_b = b[:, None] if vector else b
-    columns = big_b.shape[1]
-    if columns == 0:
-        return replace(
-            base,
-            converged=True,
-            refine_steps=0,
-            refined_residual=0.0,
-            per_column_converged=np.zeros(0, dtype=bool),
-            refine_residual_trace=(0.0,),
-            per_column_residual=np.zeros(0),
-        )
-    targets = as_rtol_vector(rtol, columns)
+    targets = as_rtol_vector(rtol, big_b.shape[1])
     x0 = base.value[:, None] if vector else base.value
     fold = _CorrectionFold(solve_correction)
     dispatches_before = solver.engine_dispatches

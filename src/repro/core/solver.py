@@ -659,6 +659,8 @@ class GramcSolver:
         """
         from repro.devices.constants import G_MAX, G_MIN
 
+        if not any(m.array.has_stuck_cells for m in (primary, partner) if m is not None):
+            return None
         primary_faults = primary.array.region_faults
         if layout is PlaneLayout.PAIRED_COLUMNS:
             pos_faults = primary_faults[:, 0::2]

@@ -486,14 +486,12 @@ class AMCMacro:
     def _finish(self, solution: CircuitSolution, mode: AMCMode) -> MacroResult:
         """Sample a circuit's outputs and apply the saturation rule there:
         the circuit's railed columns plus those the ADC would clip."""
-        outputs = solution.outputs
-        lines = outputs.reshape(outputs.shape[0], -1)
         solution.column_saturated = self.adc.saturated_columns(
-            solution.column_saturated, lines.max(axis=0), lines.min(axis=0)
+            solution.column_saturated, solution.top, solution.low
         )
-        values = self._sample(outputs)
+        values = self._sample(solution.outputs)
         self.latch_output(values)
-        return MacroResult(values=values, raw=outputs, solution=solution, mode=mode)
+        return MacroResult(values=values, raw=solution.outputs, solution=solution, mode=mode)
 
     def latch_output(self, values: np.ndarray) -> None:
         """Latch one conversion's ADC values into the output buffer (the

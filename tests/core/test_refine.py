@@ -18,6 +18,7 @@ from repro.core.errors import ShapeError
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.refine import (
     DEFAULT_MAX_STEPS,
+    RESTART,
     RefineReport,
     as_rtol_vector,
     refine_solution,
@@ -394,8 +395,7 @@ class TestWishartRidgeOperands:
 
 
 class TestBitwiseDeterminism:
-    @pytest.mark.parametrize("seed", [4, 5, 7, 9, 12])
-    def test_refined_columns_are_batch_independent(self, seed):
+    def test_refined_columns_are_batch_independent(self):
         """Under column-independent deterministic mode on a noiseless
         stack, a column's *refined* answer must be bitwise identical
         whether it was solved alone or inside a batch — residuals are
@@ -427,24 +427,88 @@ class TestBitwiseDeterminism:
             )
             return GramcSolver(pool=pool, rng=np.random.default_rng(seed + 1))
 
-        rng = np.random.default_rng(seed)
-        n = 16
-        matrix = _well_conditioned(n, rng)
-        batch = rng.uniform(-1, 1, (n, 3))
+        for seed in (4, 5, 7, 9, 12):
+            rng = np.random.default_rng(seed)
+            n = 16
+            matrix = _well_conditioned(n, rng)
+            batch = rng.uniform(-1, 1, (n, 3))
+
+            with determinism.column_independent_apply(True):
+                twin_a = make_noiseless_solver(seed=7)
+                op_a = twin_a.compile(matrix, AMCMode.INV)
+                together = op_a.solve(batch, rtol=1e-10)
+
+                twin_b = make_noiseless_solver(seed=7)
+                op_b = twin_b.compile(matrix, AMCMode.INV)
+                alone = [
+                    op_b.solve(batch[:, [j]], rtol=1e-10) for j in range(3)
+                ]
+
+            for j in range(3):
+                assert np.array_equal(together.value[:, j], alone[j].value[:, 0])
+                assert together.per_column_residual[j] == alone[j].per_column_residual[0]
+                assert together.per_column_converged[j] == alone[j].per_column_converged[0]
+            assert together.refined_residual == max(a.refined_residual for a in alone)
+
+    def test_columns_out_of_lockstep_match_their_solo_runs(self):
+        """The loop's gather/scatter path, bitwise against the view path.
+
+        A block-diagonal operand gives each column its own block and its
+        own preconditioner: column 0 meets its target in a few steps,
+        column 1 opts out (``inf``), column 2 never meets an unreachable
+        target and runs past ``RESTART``, and column 3's preconditioner
+        is blind to half its block, so its steps turn unusable and its
+        cycle restarts early.  In the batch the columns sit at different
+        cycle positions and never form a whole active set; alone, each
+        runs in lockstep with itself.  Every column's value, residual and
+        verdict must be the same bits either way."""
+        rng = np.random.default_rng(3)
+        sizes = (6, 6, 40, 8)
+        edges = np.cumsum((0,) + sizes)
+        n = int(edges[-1])
+        matrix = np.zeros((n, n))
+        precondition = np.zeros((n, n))
+        b = np.zeros((n, len(sizes)))
+        for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            block = _well_conditioned(hi - lo, rng)
+            if c == 2:  # eigenvalues spread over three decades
+                block += np.diag(np.logspace(0, 3, hi - lo))
+            matrix[lo:hi, lo:hi] = block
+            inverse = np.linalg.inv(block)
+            if c == 2:
+                inverse = np.eye(hi - lo) / 30.0  # weak: slow to contract
+            elif c == 3:
+                inverse[(hi - lo) // 2 :] = 0.0  # blind to half the block
+            else:
+                inverse = inverse @ (np.eye(hi - lo) + 0.05 * rng.normal(size=inverse.shape))
+            precondition[lo:hi, lo:hi] = inverse
+            b[lo:hi, c] = rng.normal(size=hi - lo)
+        rtol = np.array([1e-12, np.inf, 1e-17, 1e-12])
+        max_steps = 45
+        widths = []
+
+        def resolve(v):
+            # Column by column, so a column's correction never depends on
+            # the batch it rides in.
+            widths.append(v.shape[1])
+            return np.stack([precondition @ v[:, c] for c in range(v.shape[1])], axis=1)
 
         with determinism.column_independent_apply(True):
-            twin_a = make_noiseless_solver(seed=7)
-            op_a = twin_a.compile(matrix, AMCMode.INV)
-            together = op_a.solve(batch, rtol=1e-10)
-
-            twin_b = make_noiseless_solver(seed=7)
-            op_b = twin_b.compile(matrix, AMCMode.INV)
-            alone = [
-                op_b.solve(batch[:, [j]], rtol=1e-10) for j in range(3)
+            x, report = refine_solution(
+                matrix, b, np.zeros_like(b), resolve, rtol, max_steps=max_steps
+            )
+            solo = [
+                refine_solution(
+                    matrix, b[:, [c]], np.zeros((n, 1)), resolve, rtol[[c]],
+                    max_steps=max_steps,
+                )
+                for c in range(len(sizes))
             ]
 
-        for j in range(3):
-            assert np.array_equal(together.value[:, j], alone[j].value[:, 0])
-            assert together.per_column_residual[j] == alone[j].per_column_residual[0]
-            assert together.per_column_converged[j] == alone[j].per_column_converged[0]
-        assert together.refined_residual == max(a.refined_residual for a in alone)
+        assert report.steps == max_steps > RESTART
+        assert report.per_column_converged.tolist() == [True, True, False, False]
+        assert len(set(widths)) > 1  # columns dropped out of the batch
+        for c, (x_alone, alone) in enumerate(solo):
+            assert np.array_equal(x[:, c], x_alone[:, 0])
+            assert report.per_column_residual[c] == alone.per_column_residual[0]
+            assert report.per_column_converged[c] == alone.per_column_converged[0]

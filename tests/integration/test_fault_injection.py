@@ -67,6 +67,28 @@ class TestCompensatedMVM:
         operator = solver.compile(matrix, AMCMode.MVM)
         assert any(tile.fault_correction is not None for tile in operator.tiles)
 
+    def test_injected_fault_flips_the_flag_and_brings_correction_back(self):
+        """A healthy array skips fault compensation on its flag; a stuck
+        cell injected after construction sets the flag, and the next
+        programming pass compensates it again."""
+        solver = _solver_with_faults(0.0)
+        matrix = wishart(16, rng=np.random.default_rng(7))
+        operator = solver.compile(matrix, AMCMode.MVM)
+        (tile,) = operator.tiles
+        array = tile.primary.array
+        assert not array.has_stuck_cells
+        assert tile.fault_correction is None
+
+        delta = np.zeros(array.shape, dtype=int)
+        delta[0, 0] = 1
+        assert array.inject_stuck_faults(delta) == 1
+        assert array.has_stuck_cells
+        operator.refresh()
+        (tile,) = operator.tiles
+        assert tile.primary.array is array
+        assert tile.fault_correction is not None
+        assert np.flatnonzero(tile.fault_correction).tolist() == [0]
+
     def test_paired_array_corrections_read_both_planes(self):
         """A tile too wide for paired columns spans two macros; its
         correction reads the stuck cells of both planes' active regions."""
