@@ -293,8 +293,9 @@ def refine_solution(
     # its preconditioned vectors Z, ``tri[c, i]`` column i of its rotated
     # Hessenberg matrix R and ``rhs`` the rotated ``‖r‖·e₁``.  Steps write
     # what they read (``basis[:, 0]`` aside, for a non-finite residual).
-    # One block holds basis and directions: the C allocator keeps it for
-    # the next solve, where two halves are unmapped and fault in afresh.
+    # One block holds basis and directions: freed, the C allocator keeps a
+    # block this size for the next solve, while two half-size ones go back
+    # to the system and every page a step writes faults in again.
     krylov = np.empty((columns, 2 * RESTART + 1, n))
     basis, directions = krylov[:, : RESTART + 1], krylov[:, RESTART + 1 :]
     basis[:, 0] = 0.0
