@@ -488,10 +488,11 @@ class TestBitwiseDeterminism:
         widths = []
 
         def resolve(v):
-            # Column by column, so a column's correction never depends on
-            # the batch it rides in.
+            # Column by column, each contiguous, so a column's correction
+            # never depends on the batch it rides in.
             widths.append(v.shape[1])
-            return np.stack([precondition @ v[:, c] for c in range(v.shape[1])], axis=1)
+            columns = [np.ascontiguousarray(v[:, c]) for c in range(v.shape[1])]
+            return np.stack([precondition @ column for column in columns], axis=1)
 
         with determinism.column_independent_apply(True):
             x, report = refine_solution(
