@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perfbench.harness import environment
+from perfbench.harness import environment, rollup, self_times
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
+from repro.obs import trace
 from repro.programming.write_verify import VgEstimator
 from repro.devices.constants import DEFAULT_STACK
 
@@ -62,6 +63,26 @@ def best_of():
         return best
 
     return _best_of
+
+
+@pytest.fixture(scope="session")
+def traced_layers():
+    """Run a call once under an in-memory tracer: its host self-time by
+    layer (perfbench's ``layer_of``), in seconds, and its traced wall."""
+    import time
+
+    def _traced(run) -> tuple[dict[str, float], float]:
+        previous = trace.get_tracer()
+        tracer = trace.configure("memory")
+        try:
+            start = time.perf_counter()
+            run()
+            wall = time.perf_counter() - start
+        finally:
+            trace.set_tracer(previous)
+        return rollup(self_times(tracer.spans())), wall
+
+    return _traced
 
 
 @pytest.fixture(scope="session")

@@ -30,17 +30,14 @@ wall, which the invariant check re-verifies; no wall-clock bound.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perfbench.harness import rollup, self_times
 from repro.analog.topologies import AMCMode
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
-from repro.obs import trace
 from repro.obs.report import solve_breakdown
 from repro.programming.levels import LevelMap
 from repro.workloads.matrices import block_dominant
@@ -68,18 +65,8 @@ _SWEEP_LAYERS = ("grid_engine", "backend")
 ``layer_of``)."""
 
 
-def _host_split(solve) -> dict:
-    """Run ``solve`` once under an in-memory tracer; its host self-time
-    by layer, in seconds, beside the traced wall."""
-    previous = trace.get_tracer()
-    tracer = trace.configure("memory")
-    try:
-        start = time.perf_counter()
-        solve()
-        wall = time.perf_counter() - start
-    finally:
-        trace.set_tracer(previous)
-    layers = rollup(self_times(tracer.spans()))
+def _host_split(layers: dict[str, float], wall: float) -> dict:
+    """A traced solve's host self-time, split around its refine steps."""
     refine_step = layers.pop("refine", 0.0)
     sweep_engine = sum(layers.pop(layer, 0.0) for layer in _SWEEP_LAYERS)
     return {
@@ -131,7 +118,7 @@ def bench_payload(write_bench):
     write_bench(_BENCH_JSON, payload)
 
 
-def test_perf_refined_blocked_solve(bench_payload, best_of):
+def test_perf_refined_blocked_solve(bench_payload, best_of, traced_layers):
     """256×256 blocked solve refined from the analog floor to 1e-10."""
     rng = np.random.default_rng(3)
     matrix = block_dominant(_SIZE, _TILE, rng=rng)
@@ -162,7 +149,7 @@ def test_perf_refined_blocked_solve(bench_payload, best_of):
 
     t_analog = best_of(_REPEATS, lambda: op.solve(batch))
     t_refined = best_of(_REPEATS, lambda: op.solve(batch, rtol=_RTOL))
-    host_split = _host_split(lambda: op.solve(batch, rtol=_RTOL))
+    host_split = _host_split(*traced_layers(lambda: op.solve(batch, rtol=_RTOL)))
 
     bench_payload["results"]["refined_blocked_inv"] = {
         "analog_floor": analog_floor,

@@ -37,7 +37,13 @@ class Backend(Protocol):
         the deterministic-engine contract of
         :func:`repro.analog.determinism.apply_matrix`: an einsum over
         C-contiguous operands whose per-column results do not depend on
-        how many columns ride in the batch.
+        how many columns ride in the batch.  Each slice's product must
+        not depend on how many slices ride in the stack either: the MVM
+        stage applies its planes one slot chunk at a time.
+
+        The MVM stage calls this concurrently from its lane threads, on
+        disjoint slot chunks, so a backend must be safe to call that way
+        (and should release the GIL to gain from it).
         """
 
 

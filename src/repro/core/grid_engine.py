@@ -19,12 +19,15 @@ Each stage runs **once over the whole stack**: the elementwise blocks of
 :mod:`repro.analog.blocks`, :mod:`repro.analog.inv` and
 :mod:`repro.converters` (DAC, inverter drive, TIA, INV amplifier settle,
 ADC — each written once, in place over ``(slots, lines, k)`` stacks), and
-one backend kernel per plane or INV stack: ``batched_matmul``, the
-stacked twin of :func:`repro.analog.determinism.apply_matrix`, applies
-the conductance planes in the MVM stage and each circuit's cached
-equilibrium inverse in the INV stage.  Ragged tiles are zero-padded;
-per-slot valid row/column counts mask the padding wherever it could
-leak.
+the backend's ``batched_matmul``, the stacked twin of
+:func:`repro.analog.determinism.apply_matrix`, which applies the
+conductance planes in the MVM stage (one call per plane and slot chunk,
+counted as one dispatch per plane) and each circuit's cached equilibrium
+inverse in the INV stage (one call per stack).  Ragged tiles are
+zero-padded; per-slot valid row/column counts mask the padding wherever
+it could leak.  A sweep subtracts the MVM products from the block
+right-hand sides as stack ops, rank by rank within each block row, in
+the per-slot order.
 
 The stacks are **version-aware**: each slice stores the residency key of
 the circuit it was copied from (register word sans ``g_f``, crossbar
@@ -49,17 +52,17 @@ under-used the converters re-enters the shared ranging loops
 retries run through the macro's one-slot chain
 (``compute_mvm``/``compute_inv``).
 
-Slot-parallel lanes: the MVM stage's two elementwise regions (gather,
-DAC and inverter drive before the plane matmuls; TIA, ADC and rescale
-after them) run on contiguous lanes of ``_ELEMENTWISE_CHUNK``-slot
-chunks — one lane on the caller, the rest on a lazily created
-module-level thread pool, one lane per usable CPU.  NumPy ufuncs and
+Slot-parallel lanes: the MVM stage is one pass over
+``_ELEMENTWISE_CHUNK``-slot chunks — gather, DAC, inverter drive, the
+chunk's plane products, TIA, ADC and rescale, while the chunk is in
+cache — split into contiguous lanes of whole chunks: one lane on the
+caller, the rest on a lazily created module-level thread pool, one lane
+per usable CPU.  NumPy ufuncs, the backend kernels and
 ``Generator.standard_normal`` release the GIL, slot ranges never
 interact, and a lane owns every slot that draws from a given macro's
 stream (stacks whose lanes would share a stream run serially), so each
 stream sees its draws in the serial order and the bitwise contract is
-unchanged.  The
-plane matmuls, ranging, fault correction and all accounting stay on the
+unchanged.  Ranging, fault correction and all accounting stay on the
 caller thread.
 """
 
@@ -284,6 +287,65 @@ def _stack_index(indices: list[int]) -> "slice | np.ndarray":
     return np.array(indices)
 
 
+def _chunk_index(index: "slice | np.ndarray", c: slice) -> "slice | np.ndarray":
+    """Positions ``c`` of a :func:`_stack_index` result."""
+    if isinstance(index, slice):
+        return slice(index.start + c.start, index.start + c.stop)
+    return index[c]
+
+
+def _progression(indices: np.ndarray) -> "slice | np.ndarray":
+    """Ascending ``indices`` as a (strided) view-producing slice when
+    evenly spaced, else as a gather index."""
+    first = int(indices[0])
+    if len(indices) == 1:
+        return slice(first, first + 1)
+    step = int(indices[1]) - first
+    if np.all(np.diff(indices) == step):
+        return slice(first, int(indices[-1]) + 1, step)
+    return indices
+
+
+class _StagePlan:
+    """What a stage derives from its slot list alone.
+
+    Built once per slot set and kept until :meth:`GridEngine.refresh`
+    rebinds or rebuilds a slot, so a steady-state stage walks no slot
+    list in Python to find its stack positions, noise streams or
+    accounting sizes.  ``lanes`` caches an MVM stage's
+    :meth:`GridEngine._lane_bounds`; ``subtract`` is a sweep stage's
+    :meth:`GridEngine._subtract_products` schedule.
+    """
+
+    __slots__ = (
+        "slots", "index", "col_draws", "row_draws", "latches", "rows", "cols", "amps",
+        "ragged", "faulty", "sources", "lanes", "subtract",
+    )
+
+    def __init__(self, slots: list[_Slot], lines: int, width: int | None):
+        self.slots = slots
+        self.index = _stack_index([s.index for s in slots])
+        self.col_draws = [(s.tile.primary.rng, s.cols) for s in slots]
+        self.row_draws = [(s.tile.primary.rng, s.rows) for s in slots]
+        self.latches = [(s.tile.primary.latch_output, s.rows) for s in slots]
+        self.rows = np.array([s.rows for s in slots])
+        self.cols = np.array([s.cols for s in slots])
+        self.amps = np.array([s.amps for s in slots], dtype=float)
+        # Slots with padded rows (of a ``lines``-row stack) and slots with
+        # a digital stuck-cell correction.
+        self.ragged = [t for t, s in enumerate(slots) if s.rows < lines]
+        self.faulty = [t for t, s in enumerate(slots) if s.tile.fault_correction is not None]
+        # Source block of each slot when every source slice is one aligned
+        # ``width``-wide block (the MVM stage gathers with one take).
+        self.sources = None
+        if width is not None:
+            self.sources = np.fromiter(
+                (s.src.start // width for s in slots), dtype=np.intp, count=len(slots)
+            )
+        self.lanes: list[tuple[int, int]] | None = None
+        self.subtract: list | None = None
+
+
 class GridEngine:
     """Stacked MVM and INV stages over a list of resident tiles.
 
@@ -292,19 +354,23 @@ class GridEngine:
     own tiles); both run the same stages.
     """
 
-    # Slot sub-range width for the elementwise MVM-stage chains: large
-    # grids stream ~30 passes over the stack, and running them a cache-
-    # sized group of slots at a time roughly halves the memory traffic.
+    # Slot sub-range width for the MVM-stage chain: large grids stream
+    # ~30 passes over the stack, and running them a cache-sized group of
+    # slots at a time roughly halves the memory traffic.
     # Chunks are also the lane unit: a stack of at least two chunks is
     # split into contiguous runs of whole chunks, one per usable CPU.
     # Results are bitwise independent of the chunk width and lane count.
     _ELEMENTWISE_CHUNK = 32
     # Lane count override for tests; ``None`` means one lane per usable
     # CPU (``os.sched_getaffinity``), capped by the number of chunks.
+    # Read when a stage plan is built, so set it before the engine runs.
     _LANES: int | None = None
     # Stage-buffer shapes kept per engine (a refinement loop masks
     # columns, so widths vary between calls).
     _BUFFER_SHAPES = 16
+    # Stage plans kept per engine: one per stage slot set (a Jacobi
+    # sweep needs two, Gauss-Seidel a few per block row).
+    _PLANS = 128
 
     def __init__(
         self,
@@ -326,6 +392,7 @@ class GridEngine:
             _Slot(t, i, j, src, handle, tile_index)
             for t, (i, j, src, handle, tile_index) in enumerate(off)
         ]
+        self._off_row = np.array([s.i for s in self._off_slots], dtype=np.intp)
         self._row_span: dict[int, tuple[int, int]] = {}
         for slot in self._off_slots:
             start, _ = self._row_span.get(slot.i, (slot.index, slot.index))
@@ -367,6 +434,7 @@ class GridEngine:
         self._diag_stable = np.ones(d, dtype=bool)
         # Per-(slot-count, columns) scratch arrays reused across stages.
         self._stage_buffers: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        self._plans: dict[tuple, _StagePlan] = {}
 
     @classmethod
     def for_grid(cls, tiled: "TiledOperator", backend: "Backend") -> "GridEngine":
@@ -399,6 +467,7 @@ class GridEngine:
         call.
         """
         rebuilt = 0
+        rebound = False
         for slots, resident, fill in (
             (self._off_slots, "resident_mvm_circuit", self._fill_off),
             (self._diag_slots, "resident_inv_circuit", self._fill_diag),
@@ -412,11 +481,30 @@ class GridEngine:
                     slot.amps = config.rows + config.cols
                     fill(slot.index, slot, tile, circuit)
                     rebuilt += 1
-                slot.tile = tile
+                if slot.tile is not tile:
+                    slot.tile = tile
+                    rebound = True
                 # One ladder read per call; mid-call moves happen only
                 # through the ranging branches, which re-cache after retuning.
                 slot.g_f = tile.primary.config.g_f
+        if rebuilt or rebound:
+            self._plans.clear()
         return rebuilt
+
+    def _plan(self, key: tuple, slots: list[_Slot], mvm: bool) -> _StagePlan:
+        """The cached :class:`_StagePlan` of ``slots`` (an MVM or INV
+        stage's), built under ``key`` on first use."""
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= self._PLANS:
+                self._plans.clear()
+            if mvm:
+                width = self._off_C if self._sources_uniform else None
+                plan = _StagePlan(slots, self._off_R, width)
+            else:
+                plan = _StagePlan(slots, self._diag_N, None)
+            self._plans[key] = plan
+        return plan
 
     @staticmethod
     def _put(stack: np.ndarray, t: int, value: np.ndarray) -> None:
@@ -485,45 +573,88 @@ class GridEngine:
         if gauss_seidel:
             for i in coupled:
                 start, stop = self._row_span.get(i, (0, 0))
-                products = self._mvm_stage(self._active(start, stop, x), x, stats)
-                rhs = self._rhs_stack(big_b, [i])
-                for slot, value in products:
-                    rhs[0, : slot.rows] -= value
-                self._diag_stage([i], rhs, x, stats)
+                self._coupled_stage([i], big_b, x, x, start, stop, stats)
             return
-        products = self._mvm_stage(
-            self._active(0, len(self._off_slots), source), source, stats
-        )
-        rhs = self._rhs_stack(big_b, coupled)
-        position = {i: p for p, i in enumerate(coupled)}
-        for slot, value in products:
-            rhs[position[slot.i], : slot.rows] -= value
-        self._diag_stage(coupled, rhs, x, stats)
+        self._coupled_stage(coupled, big_b, x, source, 0, len(self._off_slots), stats)
 
-    def _active(self, start: int, stop: int, source: np.ndarray) -> list[_Slot]:
-        """Slots ``[start, stop)`` whose source slice is not all zero.
+    def _coupled_stage(
+        self,
+        blocks: list[int],
+        big_b: np.ndarray,
+        x: np.ndarray,
+        source: np.ndarray,
+        start: int,
+        stop: int,
+        stats: SweepStats,
+    ) -> None:
+        """Solve diagonal blocks ``blocks`` against ``big_b`` minus the
+        products of off-diagonal slots ``[start, stop)`` on ``source``."""
+        rhs = self._rhs_stack(big_b, blocks)
+        plan = self._active(blocks, start, stop, source)
+        if plan is not None:
+            self._subtract_products(rhs, plan, self._mvm_stack(plan, source, stats))
+        self._diag_stage(blocks, rhs, x, stats)
+
+    @staticmethod
+    def _subtract_products(rhs: np.ndarray, plan: _StagePlan, products: np.ndarray) -> None:
+        """Subtract each slot's product from its block row's ``rhs`` slice.
+
+        Rank by rank: op ``r`` subtracts the ``r``-th active slot of every
+        block row at once, so each row still takes its products in stack
+        order — the bits of one subtraction per slot — in as many ops as
+        the widest row has slots.  Padded product rows are zero, so they
+        leave the INV stage's zero padding alone.
+        """
+        rows = products.shape[1]
+        for p, t in plan.subtract:
+            rhs[p, :rows] -= products[t]
+
+    def _subtract_plan(
+        self, blocks: list[int], slots: list[_Slot]
+    ) -> list[tuple["slice | np.ndarray", "slice | np.ndarray"]]:
+        """Per rank, the ``rhs`` positions and the stage-stack positions
+        of :meth:`_subtract_products` (strided views where they can be)."""
+        row_of = self._off_row[[s.index for s in slots]]
+        position = np.zeros(len(self._edges), dtype=np.intp)
+        position[blocks] = np.arange(len(blocks))
+        # Stack order is row-major, so a row's slots are one run of
+        # ``row_of`` and a slot's rank is its offset from the run start.
+        rank = np.arange(len(slots)) - np.searchsorted(row_of, row_of)
+        schedule = []
+        for r in range(int(rank.max()) + 1):
+            t = np.flatnonzero(rank == r)
+            schedule.append((_progression(position[row_of[t]]), _progression(t)))
+        return schedule
+
+    def _active(
+        self, blocks: list[int], start: int, stop: int, source: np.ndarray
+    ) -> _StagePlan | None:
+        """The plan of slots ``[start, stop)`` whose source slice is not
+        all zero, scheduled to subtract into ``blocks``' right-hand sides
+        (``None`` when every slot is dropped).
 
         A_ij·0 ≡ 0 exactly: a coupling reading an all-zero block (the
         first Jacobi sweep, untouched Gauss-Seidel blocks) is dropped from
         the stage — running it would only digitize noise and under-range
         the shared TIA ladder.  The test is per block *column* (every slot
-        in column j reads the same source slice), so it is memoized per
-        column.
+        in column j reads the same source slice), and the live columns
+        key the cached plan.
         """
-        cols_active: dict[int, bool] = {}
-        slots = []
-        for s in self._off_slots[start:stop]:
-            active = cols_active.get(s.j)
-            if active is None:
-                active = cols_active[s.j] = bool(source[s.src].any())
-            if active:
-                slots.append(s)
-        return slots
+        live = tuple(bool(source[cols].any()) for cols in self._edges)
+        key = ("sweep", tuple(blocks), start, stop, live)
+        plan = self._plans.get(key)
+        if plan is None:
+            slots = [s for s in self._off_slots[start:stop] if live[s.j]]
+            if not slots:
+                return None
+            plan = self._plan(key, slots, mvm=True)
+            plan.subtract = self._subtract_plan(blocks, slots)
+        return plan
 
     # ------------------------------------------------------------- MVM stage
 
     def _lane_bounds(self, slots: list) -> list[tuple[int, int]]:
-        """Slot ranges ``[lo, hi)`` of the elementwise lanes, in order.
+        """Slot ranges ``[lo, hi)`` of the stage lanes, in order.
 
         A stack of at least two chunks is split into contiguous runs of
         whole chunks, one per usable CPU; anything smaller, or a split
@@ -560,6 +691,7 @@ class GridEngine:
                 "x_raw": np.zeros(shape_in),
                 "v_in": np.empty(shape_in),
                 "v_neg": np.empty(shape_in),
+                "currents": np.empty(shape_out),
                 "values": np.empty(shape_out),
                 "rescaled": np.empty(shape_out),
             }
@@ -572,58 +704,83 @@ class GridEngine:
         stats: SweepStats,
         scales_in: np.ndarray | None = None,
     ) -> list[tuple[_Slot, np.ndarray]]:
-        """Attempt-1 MVM of ``slots`` as one stacked chain.
-
-        Returns ``(slot, value)`` pairs in slot order, where ``value`` is
-        the slot's problem-unit product block (fault-corrected, ranged).
-        Each slot's input is ``source[slot.src]`` divided by its
-        per-column scale: the caller's ``scales_in`` ``(k,)`` when given
-        (a handle scales each column once over its whole input),
-        otherwise the slot's own block peak (a grid).
-        """
+        """:meth:`_mvm_stack` as ``(slot, value)`` pairs in slot order,
+        each ``value`` a view of the slot's valid rows in the stage buffer
+        (valid until the next stage call)."""
         if not slots:
             return []
+        plan = self._plan(("mvm", *(s.index for s in slots)), slots, mvm=True)
+        products = self._mvm_stack(plan, source, stats, scales_in)
+        return [(slot, products[t, : slot.rows]) for t, slot in enumerate(slots)]
+
+    def _mvm_stack(
+        self,
+        plan: _StagePlan,
+        source: np.ndarray,
+        stats: SweepStats,
+        scales_in: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Attempt-1 MVM of ``plan``'s slots as one stacked chain.
+
+        Returns the ``(len(slots), R, k)`` stack of problem-unit product
+        blocks (fault-corrected, ranged) with zero padded rows — a reused
+        stage buffer, valid until the next stage call.  Each slot's input
+        is ``source[slot.src]`` divided by its per-column scale: the
+        caller's ``scales_in`` ``(k,)`` when given (a handle scales each
+        column once over its whole input), otherwise the slot's own block
+        peak (a grid).
+        """
         solver = self._solver
+        slots = plan.slots
         t_count = len(slots)
-        sl = _stack_index([s.index for s in slots])
+        sl = plan.index
         k = source.shape[1]
         primary = slots[0].tile.primary
         params, dac, adc = primary.opamp_params, primary.dac, primary.adc
 
-        # The elementwise chains stream ~30 passes over the stack; running
-        # them on sub-ranges of slots keeps each pass inside the cache
-        # instead of round-tripping the whole stack through memory.
-        # Chunking is bitwise-free: every op below is elementwise or a
-        # per-slot reduction, so disjoint slot ranges never interact — and
-        # the per-slot noise draws still visit slots in index order.  The
-        # same independence lets contiguous runs of chunks (lanes) run on
-        # separate threads; only the two plane matmuls stay whole-stack on
-        # the caller (one dispatch each).
+        # The chain streams ~30 passes over the stack; running it on
+        # sub-ranges of slots keeps each pass, plane products included,
+        # inside the cache instead of round-tripping the whole stack
+        # through memory.  Chunking is bitwise-free: every op below is
+        # elementwise, a per-slot reduction or a per-slot matrix product,
+        # so disjoint slot ranges never interact — and the per-slot noise
+        # draws still visit slots in index order.  The same independence
+        # lets contiguous runs of chunks (lanes) run on separate threads.
         width = self._ELEMENTWISE_CHUNK
-        lanes = self._lane_bounds(slots)
+        if plan.lanes is None:
+            plan.lanes = self._lane_bounds(slots)
         buf = self._buffers(t_count, k)
         x_raw, v_in, v_neg = buf["x_raw"], buf["v_in"], buf["v_neg"]
-        values, rescaled = buf["values"], buf["rescaled"]
+        currents, values, rescaled = buf["currents"], buf["values"], buf["rescaled"]
         scales = np.empty((t_count, k))
         if scales_in is not None:
             scales[:] = scales_in
         row_peak = np.empty((t_count, k))
         col_sat = np.empty((t_count, k), dtype=bool)
-        if self._sources_uniform:
-            j_idx = np.fromiter(
-                (s.src.start // self._off_C for s in slots), dtype=np.intp, count=t_count
-            )
+        j_idx = plan.sources
+        if j_idx is not None:
             whole = (source.shape[0] // self._off_C) * self._off_C
             source_blocks = source[:whole].reshape(-1, self._off_C, k)
-        inv_all = self._off_inv[sl] if self._off_any_neg else None
-        col_draws = [(s.tile.primary.rng, s.cols) for s in slots]
-        row_draws = [(s.tile.primary.rng, s.rows) for s in slots]
+        signed = self._off_any_neg
+        col_draws, row_draws = plan.col_draws, plan.row_draws
+        ci = determinism.column_independent()
+        matmul = self._backend.batched_matmul
 
-        def drive(lo: int, hi: int) -> None:
+        # TIA stage with the live per-macro ladder value (set_g_f moves
+        # are picked up at refresh without any stack invalidation; mid-
+        # call moves happen only through the ranging branches below,
+        # which re-cache the slot's ladder value after retuning).
+        g_f = np.array([slot.g_f for slot in slots])
+        # The problem-unit rescale ``−values · g_f · value_scale · scale``
+        # as one per-slot factor times the per-column scale.
+        factor = -g_f * self._off_vscale[sl]
+
+        def chain(lo: int, hi: int) -> None:
             for c0 in range(lo, hi, width):
                 c = slice(c0, min(c0 + width, hi))
-                xc, vc = x_raw[c], v_in[c]
-                if self._sources_uniform:
+                planes = _chunk_index(sl, c)
+                xc, vc, oc, ac = x_raw[c], v_in[c], currents[c], values[c]
+                if j_idx is not None:
                     # ``np.take`` copies the same block values the per-slot
                     # loop would, bit for bit.
                     np.take(source_blocks, j_idx[c], axis=0, out=xc)
@@ -641,54 +798,33 @@ class GridEngine:
                 # codes, which the zero-padded plane columns annihilate.
                 np.divide(xc, scales[c][:, None, :], out=vc)
                 dac.convert(vc, col_draws[c])
-                # Inverter plane inputs ride the same chunk while it is hot.
-                if self._off_any_neg:
-                    inverter_output(vc, inv_all[c], params, out=v_neg[c])
-
-        _run_lanes(drive, lanes)
-
-        ci = determinism.column_independent()
-        matmul = self._backend.batched_matmul
-        currents = self._kernel(
-            "batched_matmul", lambda: matmul(self._off_gp[sl], v_in, ci), slots=t_count, columns=k
-        )
-        if self._off_any_neg:
-            np.add(currents, self._kernel(
-                "batched_matmul", lambda: matmul(self._off_gn[sl], v_neg, ci),
-                slots=t_count, columns=k,
-            ), out=currents)
-
-        # TIA stage with the live per-macro ladder value (set_g_f moves
-        # are picked up at refresh without any stack invalidation; mid-
-        # call moves happen only through the ranging branches below,
-        # which re-cache the slot's ladder value after retuning).
-        g_f = np.array([slot.g_f for slot in slots])
-        gnode_all = self._off_gnode[sl]
-        gneg_sq_all = self._off_gneg_sq[sl] if self._off_any_neg else None
-        tia_all = self._off_tia[sl]
-        # The problem-unit rescale ``−values · g_f · value_scale · scale``
-        # as one per-slot factor times the per-column scale.
-        factor = -g_f * self._off_vscale[sl]
-
-        def sample(lo: int, hi: int) -> None:
-            for c0 in range(lo, hi, width):
-                c = slice(c0, min(c0 + width, hi))
-                oc, vc = currents[c], values[c]
+                # The chunk's plane products: one backend call per plane,
+                # each slice bitwise the whole-stack kernel's.
+                if signed:
+                    vn = inverter_output(vc, self._off_inv[planes], params, out=v_neg[c])
+                    np.add(
+                        matmul(self._off_gp[planes], vc, ci),
+                        matmul(self._off_gn[planes], vn, ci),
+                        out=oc,
+                    )
+                else:
+                    oc[...] = matmul(self._off_gp[planes], vc, ci)
                 # The TIA's noise draws land in the ADC buffer, which the
                 # sample below overwrites.
                 railed, top, low = tia_output(
-                    oc, gnode_all[c], tia_all[c], g_f[c], params, row_draws[c],
-                    None if gneg_sq_all is None else gneg_sq_all[c], scratch=vc,
+                    oc, self._off_gnode[planes], self._off_tia[planes], g_f[c], params,
+                    row_draws[c], self._off_gneg_sq[planes] if signed else None, scratch=ac,
                 )
                 np.maximum(top, -low, out=row_peak[c])
                 adc.saturated_columns(railed, top, low, out=col_sat[c])
-                adc.sample(oc, row_draws[c], out=vc)
+                adc.sample(oc, row_draws[c], out=ac)
                 # Batched problem-unit rescale in one pass (ranging slots
-                # overwrite their row below once the ladder settles).
-                np.multiply(vc, (factor[c][:, None] * scales[c])[:, None, :], out=rescaled[c])
+                # overwrite their rows below once the ladder settles).
+                np.multiply(ac, (factor[c][:, None] * scales[c])[:, None, :], out=rescaled[c])
 
-        _run_lanes(sample, lanes)
-        outputs = currents
+        _run_lanes(chain, plan.lanes)
+        # One logical dispatch per plane, however many chunks carried it.
+        solver.cost.add_dispatches(2 if signed else 1)
 
         peaks_out = row_peak.max(axis=1)
         target = solver._output_target
@@ -702,32 +838,40 @@ class GridEngine:
         # — two vector ops per stage, so always computed.
         settling = tia_settling_time(self._off_gmax[sl], g_f, params)
 
-        products = []
-        for t, slot in enumerate(slots):
-            primary = slot.tile.primary
-            primary.latch_output(values[t, : slot.rows, :k])
-            value = rescaled[t, : slot.rows, :k]
+        # Each slot latches its batch's last column.  Slots that need more
+        # than the batched chain (ranging, a stuck-cell correction) finish
+        # in slot order, after the latches of the slots before them.
+        last = values[:, :, -1]
+        latched = 0
+        for t in sorted({*np.flatnonzero(needs_ranging).tolist(), *plan.faulty}):
+            for u in range(latched, t + 1):
+                latch, r = plan.latches[u]
+                latch(last[u, :r])
+            latched = t + 1
+            slot = slots[t]
+            r, c = slot.rows, slot.cols
+            tile = slot.tile
+            primary = tile.primary
             if needs_ranging[t]:
-                r, c = slot.rows, slot.cols
-                partner = slot.tile.partner
+                partner = tile.partner
                 # Re-enter the shared ranging loop with this stacked attempt
                 # as its first result; retries run the macro's one-slot chain.
                 result, attempts = autorange_mvm(
                     lambda: self._kernel(
                         "pertile_mvm",
-                        lambda: primary.compute_mvm(x_raw[t, :c, :k] / scales[t], partner=partner),
+                        lambda: primary.compute_mvm(x_raw[t, :c] / scales[t], partner=partner),
                     ),
                     primary,
                     (partner,) if partner is not None else (),
                     target=target,
                     max_attempts=solver.max_attempts,
                     first=self._attempt(
-                        AMCMode.MVM, values[t, :r, :k], outputs[t, :r, :k], col_sat[t],
+                        AMCMode.MVM, values[t, :r], currents[t, :r], col_sat[t],
                         settling_time=float(settling[t]),
                     ),
                 )
                 slot.g_f = primary.config.g_f
-                value = result.values * (-slot.g_f * slot.tile.mapping.value_scale * scales[t])
+                rescaled[t, :r] = result.values * (-slot.g_f * tile.mapping.value_scale * scales[t])
                 self._book_ranged(
                     AMCMode.MVM, slot, stats, k, result,
                     attempts=attempts,
@@ -735,21 +879,26 @@ class GridEngine:
                     input_scales=scales[t],
                     column_saturated=result.solution.column_saturated,
                 )
-            fault = slot.tile.fault_correction
+            fault = tile.fault_correction
             if fault is not None:
                 # Known stuck-cell contributions are subtracted digitally.
-                chunk = x_raw[t, : slot.cols, :k] / scales[t]
-                np.subtract(value, (fault @ chunk) * scales[t], out=value)
-            products.append((slot, value))
+                value = rescaled[t, :r]
+                np.subtract(value, (fault @ (x_raw[t, :c] / scales[t])) * scales[t], out=value)
+        for u in range(latched, t_count):
+            latch, r = plan.latches[u]
+            latch(last[u, :r])
+        # Padded rows must not reach the INV stage's zero padding.
+        for t in plan.ragged:
+            rescaled[t, slots[t].rows :] = 0.0
 
         self._book_fast(
-            AMCMode.MVM, slots, stats, k, fast,
+            AMCMode.MVM, plan, stats, k, fast,
             stable=True,
             scales=scales,
             column_saturated=col_sat,
             settling=settling,
         )
-        return products
+        return rescaled
 
     @staticmethod
     def _attempt(
@@ -765,8 +914,9 @@ class GridEngine:
 
     def _kernel(self, kernel: str, run: Callable[[], object], **attrs):
         """Run one engine kernel: one ``engine_dispatch`` span, one
-        counted dispatch (a stage's batched kernels and every ranging
-        retry alike)."""
+        counted dispatch (the INV stage's batched kernel and every
+        ranging retry alike; the MVM stage's plane products run inside
+        its lanes and count their dispatches themselves)."""
         with trace.span("engine_dispatch", kernel=kernel, **attrs):
             out = run()
         self._solver.cost.add_dispatches(1)
@@ -786,7 +936,7 @@ class GridEngine:
     def _book_fast(
         self,
         mode: AMCMode,
-        slots: list[_Slot],
+        plan: _StagePlan,
         stats: SweepStats,
         k: int,
         fast: np.ndarray,
@@ -806,7 +956,7 @@ class GridEngine:
         count = int(np.count_nonzero(fast))
         if not count:
             return
-        sel = slice(None) if count == len(slots) else fast
+        sel = slice(None) if count == len(plan.slots) else fast
         input_scales = scales[sel].max(axis=0)
         stats.add(
             tiles=count,
@@ -816,18 +966,15 @@ class GridEngine:
             input_scales=input_scales,
             column_saturated=column_saturated[sel].any(axis=0),
         )
-        done = [slot for slot, hit in zip(slots, fast) if hit]
+        rows, cols = plan.rows[sel], plan.cols[sel]
         cost = self._solver.cost
         if settling is None:
             cost.add_solves(mode.value, count)
         else:
             times = settling[sel]
-            amps = np.array([slot.amps for slot in done], dtype=float)
-            cost.add_solves(mode.value, count, float(times.sum()), float(amps @ times))
-        cost.add_conversions(
-            dac=sum(slot.cols for slot in done) * k, adc=sum(slot.rows for slot in done) * k
-        )
-        cost.add_engine_macs(sum(slot.rows * slot.cols for slot in done) * k)
+            cost.add_solves(mode.value, count, float(times.sum()), float(plan.amps[sel] @ times))
+        cost.add_conversions(dac=int(cols.sum()) * k, adc=int(rows.sum()) * k)
+        cost.add_engine_macs(int((rows * cols).sum()) * k)
 
     # ------------------------------------------------------------- INV stage
 
@@ -841,18 +988,19 @@ class GridEngine:
         peak; solved blocks are scattered into ``x``.
         """
         solver = self._solver
-        slots = [self._diag_slots[d] for d in indices]
+        plan = self._plan(
+            ("inv", *indices), [self._diag_slots[d] for d in indices], mvm=False
+        )
+        slots, draws, sl = plan.slots, plan.row_draws, plan.index
         k = rhs.shape[2]
         primary = slots[0].tile.primary
         params, dac, adc = primary.opamp_params, primary.dac, primary.adc
-        draws = [(slot.tile.primary.rng, slot.rows) for slot in slots]
 
         scales = solver._input_scales(rhs)
         v_in = dac.convert(rhs / scales[:, None, :], draws)
         # Input currents from each slot's g_f ladder, plus the static
         # offset drive of the equilibrium system.
         g_f = np.array([slot.g_f for slot in slots])
-        sl = _stack_index(indices)
         i_in = g_f[:, None, None] * v_in
         rhs_c = -i_in + self._diag_offset[sl][:, :, None]
         # The settled loop state: each slot's cached equilibrium inverse
@@ -918,7 +1066,7 @@ class GridEngine:
             x[self._edges[slot.i]] = value
 
         self._book_fast(
-            AMCMode.INV, slots, stats, k, fast,
+            AMCMode.INV, plan, stats, k, fast,
             stable=bool(np.all(stable_flags[fast])),
             scales=scales,
             column_saturated=col_sat,

@@ -111,6 +111,13 @@ class TiledOperator(_Handle):
 
         self._diag: list["AnalogOperator"] = []
         self._off: dict[tuple[int, int], "AnalogOperator"] = {}
+        self._coupled: list[int] = []
+        self._uncoupled: list[int] = []
+        """Block rows with and without off-diagonal couplings, indexed
+        from ``_off`` whenever it is filled or cleared.  An uncoupled
+        block solves exactly once: its ``x_i = A_ii⁻¹·b_i`` is independent
+        of every other block, so sweeping it again would only re-spend
+        settling events on a fresh noise draw of the same answer."""
         self._diag_mvm: list["AnalogOperator | None"] = [None] * len(edges)
         """Lazily compiled MVM views of the diagonal blocks — only built
         when the operator is *applied* (``op @ x``); a pure solve workload
@@ -150,6 +157,7 @@ class TiledOperator(_Handle):
                         )
                         self._off[(i, j)] = handle
                         compiled.append(handle)
+            self._index_couplings()
         except Exception as error:
             # *Any* failure mid-grid (capacity, a bad operand raising in
             # quantization, ...) must not leak earlier blocks pinned in
@@ -159,6 +167,7 @@ class TiledOperator(_Handle):
                 handle.close()
             self._diag.clear()
             self._off.clear()
+            self._index_couplings()
             if not isinstance(error, CapacityError):
                 raise
             # ``error`` already carries owner_stats from the failed
@@ -168,6 +177,12 @@ class TiledOperator(_Handle):
                 f"{self.grid[0]}x{self.grid[1]} tile grid) does not fit the "
                 f"pool: {error}"
             ) from error
+
+    def _index_couplings(self) -> None:
+        """Re-derive the coupled/uncoupled block rows from ``_off``."""
+        rows = {i for i, _ in self._off}
+        self._coupled = sorted(rows)
+        self._uncoupled = [i for i in range(len(self._diag)) if i not in rows]
 
     # ----------------------------------------------------------- introspection
 
@@ -329,6 +344,7 @@ class TiledOperator(_Handle):
         self._pin_count = 0
         self._diag = []
         self._off = {}
+        self._index_couplings()
         self._diag_mvm = []
         self._engine = None
         self._closed = True
@@ -573,16 +589,7 @@ class TiledOperator(_Handle):
         """
         x = np.zeros_like(big_b)
 
-        # Blocks with no incoming couplings solve exactly once: their
-        # ``x_i = A_ii⁻¹·b_i`` is independent of every other block, so
-        # sweeping them again would only re-spend settling events on a
-        # fresh noise draw of the same answer.
-        coupled = [
-            i
-            for i in range(len(self._edges))
-            if any((i, j) in self._off for j in range(len(self._edges)))
-        ]
-        uncoupled = [i for i in range(len(self._edges)) if i not in coupled]
+        coupled, uncoupled = self._coupled, self._uncoupled
         if uncoupled:
             grid.presolve_uncoupled(big_b, x, uncoupled, stats)
 

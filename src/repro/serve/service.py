@@ -70,6 +70,17 @@ from repro.system.stats import ServiceStats
 
 _SHUTDOWN = object()
 
+
+def _expire(request: SolveRequest) -> None:
+    """A request's deadline: mark it timed out, then cancel its future.
+
+    In this order, in one callback, so whatever next sees the future done
+    (a scatter, a window's abandonment check) already reads ``timed_out``
+    and never books the request as a caller cancellation too."""
+    if not request.future.done():
+        request.timed_out = True
+        request.future.cancel()
+
 UNTIMED_DISPATCH_S = 0.002
 """Dispatch time assumed by :meth:`SolveService.retry_after_estimate`
 before any dispatch has been timed."""
@@ -305,16 +316,22 @@ class SolveService:
         self._queue.put_nowait(request)
         if timeout is None:
             timeout = self.config.default_timeout_s
+        deadline = None if timeout is None else loop.call_later(timeout, _expire, request)
         try:
-            return await asyncio.wait_for(request.future, timeout)
-        except TimeoutError:
-            request.timed_out = True
+            return await request.future
+        except asyncio.CancelledError:
+            if not request.timed_out:
+                raise  # the caller's own cancellation
             state.counters.timed_out += 1
+            if asyncio.current_task().cancelling():
+                raise  # cancelled as well: the deadline must not swallow it
             raise RequestTimeout(
                 f"tenant {tenant!r} {kind} request did not complete within "
                 f"{timeout}s (queue depths: {self.registry.queue_depths()})"
             ) from None
         finally:
+            if deadline is not None:
+                deadline.cancel()
             self._admission.release(request)
 
     # ------------------------------------------------------------------ dispatch

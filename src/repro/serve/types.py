@@ -177,8 +177,8 @@ class SolveRequest:
     refinement" — for requests without targets), so mixed-accuracy
     requests share one analog step and refine independently."""
     timed_out: bool = False
-    """Set by the submitter when the deadline cancelled the future, so
-    the dispatcher does not double-count it as a client cancellation."""
+    """Set by the deadline just before it cancels the future, so the
+    dispatcher does not double-count it as a client cancellation."""
     admitted_s: float | None = None
     """``time.perf_counter()`` at admission — the start of this request's
     queue wait (``None`` until admitted)."""

@@ -401,6 +401,63 @@ class TestLanes:
         self._assert_same(threaded, serial)
         self._assert_same(threaded, pertile, counters=False)
 
+    def test_fused_stage_passes_chunk_sized_plane_products(self, monkeypatch, lane_log):
+        """One lane pass per MVM stage: three-slot chunks, two lanes, a
+        ragged signed grid of 11 couplings (not a multiple of the chunk)
+        and noisy DAC, TIA and ADC, so every slot's three draws happen
+        inside the pass.  The backend sees only chunk-sized plane stacks,
+        and answers, dispatches and ledgers match one lane, one
+        whole-stack chunk (the kernel the chunks replace) and, on
+        answers, the per-tile loop."""
+        rng = np.random.default_rng(3)
+        matrix = block_dominant(N, TILE, rng=rng)
+        matrix[32:64, 64:96] = 0.0  # drop coupling (1, 2): 11 slots remain
+        b = rng.uniform(-1, 1, (N, COLUMNS))
+        config = _pool_config(noisy=True)
+        assert config.dac.noise_sigma > 0 and config.adc.noise_sigma > 0
+        assert config.opamp.noise_sigma > 0
+        plane_stacks: list[int] = []
+
+        def solves(chunk, lanes, engine="stacked"):
+            monkeypatch.setattr(GridEngine, "_ELEMENTWISE_CHUNK", chunk)
+            monkeypatch.setattr(GridEngine, "_LANES", lanes)
+            solver, stats = _lane_solver(noisy=True)
+            op = solver.compile(matrix, AMCMode.INV)
+            assert op.block_count == 4 + 11 and op.block_slices[-1] == slice(96, 100)
+            inner = solver.backend.batched_matmul
+
+            def spy(a, x, column_independent=False):
+                grid = op._engine
+                if grid is not None and any(
+                    np.shares_memory(a, plane) for plane in (grid._off_gp, grid._off_gn)
+                ):
+                    plane_stacks.append(a.shape[0])
+                return inner(a, x, column_independent)
+
+            monkeypatch.setattr(solver.backend, "batched_matmul", spy)
+            with determinism.column_independent_apply(True), _engine(engine):
+                results = [op.solve(b, method="jacobi") for _ in range(2)]
+            if engine == "stacked":
+                assert op._engine._off_any_neg  # signed: both planes run
+            op.close()
+            return results, stats.summary()
+
+        fused = solves(3, 2)
+        assert max(lane_log) == 2
+        assert sorted(set(plane_stacks)) == [2, 3]  # 11 = 3 + 3 + 3 + 2
+        plane_stacks.clear()
+        serial = solves(3, 1)
+        whole = solves(1000, 2)
+        assert sorted(set(plane_stacks)) == [2, 3, 11]
+        pertile = solves(3, 2, engine="pertile")
+        self._assert_same(fused, serial)
+        self._assert_same(fused, whole)
+        self._assert_same(fused, pertile, counters=False)
+        for result in fused[0]:
+            # One dispatch per plane per MVM stage (none on sweep 1's
+            # all-zero source) and one per INV stage, plus ranging retries.
+            assert result.engine_dispatches >= 3 * result.sweeps - 2
+
     def test_lanes_keep_the_callers_errstate(self):
         seen: list[str] = []
 

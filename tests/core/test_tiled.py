@@ -153,6 +153,28 @@ class TestDegenerateGrid:
         assert np.linalg.norm(result.value - exact) / np.linalg.norm(exact) < 0.1
         op.close()
 
+    def test_coupled_rows_are_indexed_at_compile(self, rng):
+        """Block rows with and without couplings are indexed once, with
+        the blocks: a solve reads the index and never probes the
+        coupling map, and closing the grid clears the index with it."""
+
+        class Unprobed(dict):
+            def __contains__(self, key):
+                raise AssertionError(f"coupling map probed for {key}")
+
+        solver = _solver()
+        matrix = block_dominant(96, 32, rng=rng)
+        matrix[32:64, :32] = matrix[32:64, 64:] = 0.0  # row 1 uncoupled
+        op = solver.compile(matrix, AMCMode.INV)
+        assert (op._coupled, op._uncoupled) == ([0, 2], [1])
+        op._off = Unprobed(op._off)
+        b = rng.uniform(-1, 1, (96, 2))
+        result = op.solve(b)
+        exact = np.linalg.solve(matrix, b)
+        assert np.linalg.norm(result.value - exact) / np.linalg.norm(exact) < 0.1
+        op.close()
+        assert (op._coupled, op._uncoupled) == ([], [])
+
 
 class TestBatchedPipeline:
     def test_matrix_rhs_shares_resident_decompositions(self, rng):

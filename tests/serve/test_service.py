@@ -30,6 +30,7 @@ from repro.serve import (
     SolveService,
     TenantQuota,
 )
+from repro.serve.coalescer import CoalescedBatch
 from tests.serve.conftest import make_noiseless_solver
 
 pytestmark = pytest.mark.asyncio
@@ -242,6 +243,56 @@ async def test_timeout_raises_request_timeout():
     assert service.stats.tenant("slow").timed_out == 1
     # The pending slot was returned despite the timeout.
     assert service.snapshot()["queue_depths"]["total"] == 0
+
+
+async def test_deadline_on_the_chip_counts_one_timeout_not_a_cancellation(monkeypatch):
+    """A request whose deadline fires after its window left the queue and
+    before its result is scattered lands in one outcome: timed out.  The
+    chip below hands its result back the moment the request's future is
+    done, so the scatter runs right after the deadline cancels that
+    future and before the submitter resumes — and must already read the
+    request as timed out, not as cancelled by its caller."""
+    batches: list[CoalescedBatch] = []
+    execute = CoalescedBatch.execute
+
+    def recording(self):
+        batches.append(self)
+        return execute(self)
+
+    monkeypatch.setattr(CoalescedBatch, "execute", recording)
+
+    class ChipDoneAtDeadline:
+        def submit(self, fn):
+            result = fn()
+            done = asyncio.get_running_loop().create_future()
+            batches[-1].requests[0].future.add_done_callback(
+                lambda _: done.set_result(result)
+            )
+            return done  # ``run_in_executor`` passes an asyncio future through
+
+        def shutdown(self, wait=True):
+            pass
+
+    solver = make_noiseless_solver(seed=12)
+    service = SolveService(solver)
+    service.register_tenant("t")
+    async with service:
+        op = await service.compile("t", np.eye(8) * 2.0, AMCMode.INV)
+        service._executor.shutdown(wait=True)
+        service._executor = ChipDoneAtDeadline()
+        with pytest.raises(RequestTimeout):
+            await service.solve("t", op, np.ones(8), timeout=0.05)
+    counters = service.stats.tenant("t")
+    assert len(batches) == 1  # the window did reach the chip
+    assert counters.timed_out == 1
+    assert counters.cancelled == 0
+    assert counters.submitted == (
+        counters.completed
+        + counters.failed
+        + counters.cancelled
+        + counters.timed_out
+        + counters.rejected
+    )
 
 
 async def test_idle_chip_dispatches_a_lone_request_at_once():
