@@ -19,8 +19,8 @@ families:
   solve that auto-ranging could not rescue, a diverging block sweep), or
   a served ``rtol`` request missed its target.
 * :class:`InputError` — an operand or right-hand side holds NaN or
-  infinity.  Raised at the handle boundary, before any engine call, and
-  also a :class:`ValueError`.  (A complex operand is a wrong argument
+  infinity, or an ``rtol`` target is not positive.  Raised at the handle
+  boundary, before any engine call, and also a :class:`ValueError`.  (A complex operand is a wrong argument
   type and raises :class:`TypeError` instead.)
 * :class:`DegradedChipError` — the analog substrate has degraded past
   what self-healing could recover, and the request was refused rather
@@ -84,7 +84,8 @@ class ConvergenceError(GramcError):
 
 
 class InputError(GramcError, ValueError):
-    """An input array holds non-finite values (NaN or ±inf)."""
+    """An input array holds non-finite values (NaN or ±inf), or an ``rtol``
+    target is not positive."""
 
 
 class DegradedChipError(GramcError):

@@ -557,42 +557,44 @@ class GridEngine:
         self,
         big_b: np.ndarray,
         x: np.ndarray,
-        source: np.ndarray,
         coupled: list[int],
         stats: SweepStats,
         gauss_seidel: bool,
     ) -> None:
-        """One full grid sweep as a constant number of stacked kernels.
+        """One full grid sweep of ``x`` in place, as a constant number of
+        stacked kernels.
 
-        Jacobi runs the whole off-diagonal stack against the frozen
-        previous iterate, then every coupled diagonal block in one
-        batched solve.  Gauss-Seidel must read the in-place updated
-        iterate, so it stages per block row — contiguous stack slices,
-        still one batched kernel set per row rather than one per tile.
+        Jacobi runs the whole off-diagonal stack against the previous
+        iterate, then every coupled diagonal block in one batched solve;
+        the MVM stage reads all of ``x`` before the INV stage writes it,
+        so ``x`` itself is the frozen previous iterate.  Gauss-Seidel
+        must read the in-place updated iterate, so it stages per block
+        row — contiguous stack slices, still one batched kernel set per
+        row rather than one per tile.
         """
         if gauss_seidel:
             for i in coupled:
                 start, stop = self._row_span.get(i, (0, 0))
-                self._coupled_stage([i], big_b, x, x, start, stop, stats)
+                self._coupled_stage([i], big_b, x, start, stop, stats)
             return
-        self._coupled_stage(coupled, big_b, x, source, 0, len(self._off_slots), stats)
+        self._coupled_stage(coupled, big_b, x, 0, len(self._off_slots), stats)
 
     def _coupled_stage(
         self,
         blocks: list[int],
         big_b: np.ndarray,
         x: np.ndarray,
-        source: np.ndarray,
         start: int,
         stop: int,
         stats: SweepStats,
     ) -> None:
-        """Solve diagonal blocks ``blocks`` against ``big_b`` minus the
-        products of off-diagonal slots ``[start, stop)`` on ``source``."""
+        """Solve diagonal blocks ``blocks`` into ``x`` against ``big_b``
+        minus the products of off-diagonal slots ``[start, stop)`` on the
+        ``x`` they read before the solve writes it."""
         rhs = self._rhs_stack(big_b, blocks)
-        plan = self._active(blocks, start, stop, source)
+        plan = self._active(blocks, start, stop, x)
         if plan is not None:
-            self._subtract_products(rhs, plan, self._mvm_stack(plan, source, stats))
+            self._subtract_products(rhs, plan, self._mvm_stack(plan, x, stats))
         self._diag_stage(blocks, rhs, x, stats)
 
     @staticmethod

@@ -25,6 +25,14 @@ The handle also speaks enough of the NumPy protocol to drop into array
 code: ``op @ x``, ``x @ op`` (transpose application through a lazily
 compiled transpose plane, as IBM's aihwkit ``AnalogMatrix`` does),
 ``op.T``, ``np.asarray(op)``, ``op.shape`` / ``op.ndim`` / ``op.dtype``.
+
+Every operation on either handle (``mvm``, ``solve``, ``lstsq``,
+``eigvec``, ``@``, ``x @ op``, ``.T``) crosses one call boundary.  It
+first checks the handle (open, right mode), the payload and ``rtol``, so
+a refusal raises before the fault clock ticks, the ledger is written or
+the engine runs; it then runs the body, under fault supervision when it
+is the top-level operation, and attaches each attempt's ledger delta and
+wall-clock as ``result.cost``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.arrays.mapping import DifferentialMapping
 from repro.core.errors import CapacityError, GramcError, InputError, ShapeError
 from repro.core.grid_engine import GridEngine, SweepStats
 from repro.core.ranging import autorange_gain_batch
-from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result
+from repro.core.refine import DEFAULT_MAX_STEPS, as_rtol_vector, refine_solve_result
 from repro.core.results import SolveResult
 from repro.macro.amc_macro import AMCMacro
 from repro.macro.registers import PlaneLayout
@@ -50,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.solver import GramcSolver
 
 
-def finite_input(values, name: str) -> np.ndarray:
+def finite_input(values, name: str, rows: int | None = None) -> np.ndarray:
     """``values`` as a float array, or a structured refusal.
 
     The one input check of the public entry points (handle calls and
@@ -58,13 +66,20 @@ def finite_input(values, name: str) -> np.ndarray:
     a complex array is a wrong argument type (``TypeError``), and NaN or
     infinity raises :class:`~repro.core.errors.InputError` instead of
     leaking a library error from deep inside a kernel or coming back as
-    a NaN answer.
+    a NaN answer.  With ``rows`` the values are a payload — a vector or
+    a batch of columns with that leading dimension — and any other shape
+    raises :class:`~repro.core.errors.ShapeError`.
     """
     if np.iscomplexobj(values):
         raise TypeError(f"{name} must be real-valued; got a complex array")
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise InputError(f"{name} contains NaN or infinite entries")
+    if rows is not None and (values.ndim not in (1, 2) or values.shape[0] != rows):
+        raise ShapeError(
+            f"{name} must have leading dimension {rows} (vector or batch); "
+            f"got shape {values.shape}"
+        )
     return values
 
 
@@ -88,63 +103,11 @@ class TileBinding:
 
 
 class _Handle:
-    """Call plumbing shared by the single-array and the tiled handle."""
+    """What the single-array and the tiled handle share: the NumPy
+    protocol, the lifetime reads and the call boundary (see the module
+    docstring)."""
 
-    _solver: "GramcSolver"
     macro_ids: tuple[int, ...]
-
-    def _capture_cost(self, result: SolveResult, before, started: float) -> SolveResult:
-        """Attach the solver-ledger delta of this call (plus its
-        wall-clock) as ``result.cost``."""
-        cost = self._solver.cost.delta(before)
-        cost.host_s = time.perf_counter() - started
-        result.cost = cost
-        return result
-
-    def _empty_result(self, mode: AMCMode, reference: np.ndarray, **extra) -> SolveResult:
-        """The zero-column call: nothing runs, metadata arrays are empty."""
-        return SolveResult(
-            mode=mode,
-            value=np.zeros_like(reference),
-            reference=reference,
-            attempts=0,
-            input_scale=1.0,
-            stable=True,
-            saturated=False,
-            macro_ids=self.macro_ids,
-            input_scales=np.zeros(0),
-            per_column_attempts=np.zeros(0, dtype=int),
-            column_saturated=np.zeros(0, dtype=bool),
-            **extra,
-        )
-
-    def _fault_injector(self):
-        """The chip's fault injector, when this call is the *top-level*
-        operation.  Nested calls — a tiled solve's block steps, canary
-        solves, healing retries — run bare: the injector freezes the
-        substrate for the duration of one logical operation, and only
-        that outermost operation is supervised (one tiled solve advances
-        the chip clock exactly once).  ``None`` on a fault-free chip,
-        keeping that path bitwise identical to a build without the
-        faults package."""
-        injector = getattr(self._solver.pool, "fault_injector", None)
-        if injector is None or injector.busy:
-            return None
-        return injector
-
-
-class AnalogOperator(_Handle):
-    """A pinned-to-hardware matrix operator with explicit lifetime.
-
-    Instances come from :meth:`GramcSolver.compile` /
-    :meth:`GramcChip.compile` — never construct one directly.
-    """
-
-    __array_ufunc__ = None
-    """Opt out of NumPy's ufunc protocol so ``x @ op`` dispatches to
-    :meth:`__rmatmul__` (the analog transpose application) instead of
-    being silently coerced through :meth:`__array__` into an exact
-    digital product."""
 
     def __init__(
         self,
@@ -152,44 +115,30 @@ class AnalogOperator(_Handle):
         key: str,
         mode: AMCMode,
         matrix: np.ndarray,
-        g_lambda: float = 0.0,
-        quant_peak: float | None = None,
+        quant_peak: float | None,
+        pins: int,
     ):
         self._solver = solver
         self.key = key
         self.mode = mode
         self.matrix = matrix
-        self.g_lambda = g_lambda
         self.quant_peak = quant_peak
-        self.program_count = 0
-        """How many times this handle's tiles have been written to hardware."""
         self._refs = 1
         """Holder count: each ``compile`` returning this handle adds one;
         ``close`` releases hardware only when the last holder lets go."""
-        self._tiles: list[TileBinding] | None = None
-        self._stale = False
-        self._closed = False
-        self._pin_count = 0
+        self._pin_count = pins
         """Counted like ``_refs``: the macros stay pool-pinned while any
         holder's pin is outstanding."""
+        self._closed = False
         self._ref_inverse: np.ndarray | None = None
-        """INV only: cached digital inverse for per-solve references."""
-        self._ref_pinv: np.ndarray | None = None
-        """PINV only: cached digital pseudoinverse for per-solve references."""
-        self._transpose: "AnalogOperator | None" = None
-        """PINV only: the handle holding the Aᵀ plane pair."""
-        self._t_view: "AnalogOperator | None" = None
-        """MVM only: lazily compiled transpose operator for ``x @ op`` / ``op.T``."""
-        self._egv_reference: np.ndarray | None = None
-        """EGV only: cached digital reference eigenvector (the matrix is
-        immutable, so one eigendecomposition serves every solve)."""
-        self._probe: "AnalogOperator | None" = None
-        """EGV only: the λ̂-estimate MVM probe; this handle owns one
-        reference and releases it on close."""
+        """INV: cached digital inverse for per-solve references."""
         self._engine: GridEngine | None = None
-        """MVM/INV: the handle's tiles as a stage stack (built on first use)."""
+        """The handle's tiles as a stage stack (built on first use)."""
 
-    # ------------------------------------------------------------- introspection
+    __array_ufunc__ = None
+    """Opt out of NumPy's ufunc protocol so ``x @ op`` dispatches to
+    ``__rmatmul__`` (an analog application) instead of being silently
+    coerced through :meth:`__array__` into an exact digital product."""
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -208,6 +157,146 @@ class AnalogOperator(_Handle):
         return np.array(self.matrix, dtype=dtype)
 
     @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def is_pinned(self) -> bool:
+        return self._pin_count > 0
+
+    def _retain(self):
+        """Register one more holder (a ``compile`` cache hit)."""
+        self._refs += 1
+        return self
+
+    def __enter__(self):
+        self._ensure_programmed()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def __matmul__(self, other) -> np.ndarray:
+        """``op @ x`` — the analog product as a plain array (vector or batch)."""
+        return self.mvm(other).value
+
+    # ------------------------------------------------------------ call boundary
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise GramcError(
+                "operator handle is closed; compile the matrix again for a new one"
+            )
+
+    def _accept(
+        self,
+        mode: AMCMode | None,
+        operation: str,
+        values=None,
+        rows: int = 0,
+        name: str = "b",
+        rtol=None,
+    ) -> np.ndarray | None:
+        """Check step of the boundary: refuse a closed handle, a mode
+        other than ``mode`` (``None``: any), a bad payload or a bad
+        ``rtol``.  Returns the payload as a float array."""
+        self._require_open()
+        if mode is not None and self.mode is not mode:
+            raise GramcError(
+                f"{operation} needs an operator compiled for {mode.value}; "
+                f"this handle is configured for {self.mode.value}"
+            )
+        if values is None:
+            return None
+        values = finite_input(values, name, rows)
+        if rtol is not None:
+            as_rtol_vector(rtol, values.shape[1] if values.ndim == 2 else 1)
+        return values
+
+    def _call(self, body, *, solve: bool = False, rtol=None) -> SolveResult:
+        """Run step of the boundary: ``body()`` of an accepted call.
+
+        Only the *top-level* operation is supervised: nested calls (a
+        tiled operation's block steps, canary solves, healing retries)
+        find the injector busy and run bare, so one logical operation
+        advances the chip clock exactly once; a fault-free chip runs
+        bare too, bitwise identical to a build without the faults
+        package.  Each attempt carries its own ledger delta and
+        wall-clock as ``result.cost``, so a healed retry's cost leaves
+        the healing out.
+        """
+
+        def attempt() -> SolveResult:
+            started = time.perf_counter()
+            before = self._solver.cost.snapshot()
+            result = body()
+            result.cost = self._solver.cost.delta(before)
+            result.cost.host_s = time.perf_counter() - started
+            return result
+
+        injector = getattr(self._solver.pool, "fault_injector", None)
+        if injector is None or injector.busy:
+            return attempt()
+        if solve:
+            return injector.supervised_solve(self, attempt, rtol=rtol)
+        return injector.supervised_op(self, attempt)
+
+    def _empty_result(self, mode: AMCMode, reference: np.ndarray, **extra) -> SolveResult:
+        """The zero-column call: nothing runs, metadata arrays are empty."""
+        return SolveResult(
+            mode=mode,
+            value=np.zeros_like(reference),
+            reference=reference,
+            attempts=0,
+            input_scale=1.0,
+            stable=True,
+            saturated=False,
+            macro_ids=self.macro_ids,
+            input_scales=np.zeros(0),
+            per_column_attempts=np.zeros(0, dtype=int),
+            column_saturated=np.zeros(0, dtype=bool),
+            **extra,
+        )
+
+
+class AnalogOperator(_Handle):
+    """A pinned-to-hardware matrix operator with explicit lifetime.
+
+    Instances come from :meth:`GramcSolver.compile` /
+    :meth:`GramcChip.compile` — never construct one directly.
+    """
+
+    def __init__(
+        self,
+        solver: "GramcSolver",
+        key: str,
+        mode: AMCMode,
+        matrix: np.ndarray,
+        g_lambda: float = 0.0,
+        quant_peak: float | None = None,
+    ):
+        super().__init__(solver, key, mode, matrix, quant_peak, pins=0)
+        self.g_lambda = g_lambda
+        self.program_count = 0
+        """How many times this handle's tiles have been written to hardware."""
+        self._tiles: list[TileBinding] | None = None
+        self._stale = False
+        self._ref_pinv: np.ndarray | None = None
+        """PINV only: cached digital pseudoinverse for per-solve references."""
+        self._transpose: "AnalogOperator | None" = None
+        """PINV only: the handle holding the Aᵀ plane pair."""
+        self._t_view: "AnalogOperator | None" = None
+        """MVM only: lazily compiled transpose operator for ``x @ op`` / ``op.T``."""
+        self._egv_reference: np.ndarray | None = None
+        """EGV only: cached digital reference eigenvector (the matrix is
+        immutable, so one eigendecomposition serves every solve)."""
+        self._probe: "AnalogOperator | None" = None
+        """EGV only: the λ̂-estimate MVM probe; this handle owns one
+        reference and releases it on close."""
+
+    # ------------------------------------------------------------- introspection
+
+    @property
     def tiles(self) -> list[TileBinding]:
         """The resident tile bindings (re-programming first if evicted)."""
         self._ensure_programmed()
@@ -218,36 +307,24 @@ class AnalogOperator(_Handle):
     def macro_ids(self) -> tuple[int, ...]:
         """Macros backing this handle (including a PINV transpose plane)."""
         self._ensure_programmed()
-        return self._resident_macro_ids()
+        return self.resident_macro_ids()
 
-    def _resident_macro_ids(self) -> tuple[int, ...]:
-        """Macro ids of the current tile bindings, without re-ensuring —
-        for use right after :meth:`_ensure_programmed` on hot solve paths."""
+    def resident_macro_ids(self) -> tuple[int, ...]:
+        """Macros of the current bindings, *without* re-programming.
+
+        For the solve paths right after :meth:`_ensure_programmed`, and
+        for the health monitor: diagnosing an evicted handle must not
+        trigger the very reprogramming it is deciding about (unlike
+        :attr:`macro_ids`, which re-ensures residency first).
+        """
         ids: list[int] = []
         for tile in self._tiles or []:
             ids.append(tile.primary.macro_id)
             if tile.partner is not None:
                 ids.append(tile.partner.macro_id)
         if self._transpose is not None:
-            ids.extend(self._transpose._resident_macro_ids())
+            ids.extend(self._transpose.resident_macro_ids())
         return tuple(ids)
-
-    def resident_macro_ids(self) -> tuple[int, ...]:
-        """Macros of the current bindings, *without* re-programming.
-
-        The health monitor's spelling: diagnosing an evicted handle must
-        not trigger the very reprogramming it is deciding about (unlike
-        :attr:`macro_ids`, which re-ensures residency first).
-        """
-        return self._resident_macro_ids()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def is_pinned(self) -> bool:
-        return self._pin_count > 0
 
     @property
     def resident(self) -> bool:
@@ -288,10 +365,7 @@ class AnalogOperator(_Handle):
     # ------------------------------------------------------------------ lifetime
 
     def _ensure_programmed(self) -> None:
-        if self._closed:
-            raise GramcError(
-                "operator handle is closed; compile the matrix again for a new one"
-            )
+        self._require_open()
         pool = self._solver.pool
         if (
             self._tiles is None
@@ -319,17 +393,9 @@ class AnalogOperator(_Handle):
         self._stale = True
         self._solver._forget(self)
 
-    def _retain(self) -> "AnalogOperator":
-        """Register one more holder (a ``compile`` cache hit)."""
-        self._refs += 1
-        return self
-
     def refresh(self) -> "AnalogOperator":
         """Force a re-program (write-verify anew) — drift recovery."""
-        if self._closed:
-            raise GramcError(
-                "operator handle is closed; compile the matrix again for a new one"
-            )
+        self._require_open()
         self._solver._program_operator(self)
         if self._transpose is not None:
             self._transpose.refresh()
@@ -453,13 +519,6 @@ class AnalogOperator(_Handle):
             self._probe.close()
             self._probe = None
 
-    def __enter__(self) -> "AnalogOperator":
-        self._ensure_programmed()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ----------------------------------------------------------------- execution
 
     @staticmethod
@@ -467,13 +526,6 @@ class AnalogOperator(_Handle):
         """Active amplifier count of one tile (controller EXE convention)."""
         config = tile.primary.config
         return config.rows + config.cols
-
-    def _require_mode(self, expected: AMCMode, operation: str) -> None:
-        if self.mode is not expected:
-            raise GramcError(
-                f"{operation} needs an operator compiled for {expected.value}; "
-                f"this handle is configured for {self.mode.value}"
-            )
 
     def mvm(self, x: np.ndarray) -> SolveResult:
         """Analog product ``A·x`` with full diagnostics (``x``: vector or batch).
@@ -483,27 +535,14 @@ class AnalogOperator(_Handle):
         one ``g_f`` per tile ranged by its worst column.  A vector is a
         batch of one column.
         """
-        x = finite_input(x, "x")
-        injector = self._fault_injector()
-        if injector is None:
-            return self._mvm_impl(x)
-        return injector.supervised_op(self, lambda: self._mvm_impl(x))
+        x = self._accept(AMCMode.MVM, "mvm", x, self.shape[1], "x")
+        return self._call(lambda: self._run_mvm(x))
 
-    def _mvm_impl(self, x: np.ndarray) -> SolveResult:
-        """The unsupervised MVM body (see :meth:`mvm`)."""
-        self._require_mode(AMCMode.MVM, "mvm")
-        if x.ndim == 0 or x.ndim > 2 or x.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"x must have leading dimension {self.shape[1]} (vector or batch)"
-            )
-        started = time.perf_counter()
-        before = self._solver.cost.snapshot()
+    def _run_mvm(self, x: np.ndarray) -> SolveResult:
         self._ensure_programmed()
         reference = self.matrix @ x
         if x.ndim == 2 and x.shape[1] == 0:
-            return self._capture_cost(
-                self._empty_result(self.mode, reference), before, started
-            )
+            return self._empty_result(self.mode, reference)
         big_x = x if x.ndim == 2 else x[:, None]
         k = big_x.shape[1]
         stats = SweepStats(k)
@@ -514,9 +553,7 @@ class AnalogOperator(_Handle):
             scales = self._solver._input_scales(big_x)
             for slot, value in stack._mvm_stage(stack._off_slots, big_x, stats, scales):
                 out[slot.tile.row_slice] += value
-        return self._capture_cost(
-            stats.result(self.mode, out, reference, self._resident_macro_ids(), x.ndim == 2), before, started
-        )
+        return stats.result(self.mode, out, reference, self.resident_macro_ids(), x.ndim == 2)
 
     def solve(
         self,
@@ -553,31 +590,22 @@ class AnalogOperator(_Handle):
         unmet contract is returned, not raised: ``converged`` is False
         and ``worst_columns`` names the offenders.
         """
-        b = finite_input(b, "b")
-        injector = self._fault_injector()
-        if injector is None:
-            return self._solve_impl(
-                b, _reference, rtol=rtol, max_refine_steps=max_refine_steps
-            )
-        return injector.supervised_solve(
-            self,
-            lambda: self._solve_impl(
-                b, _reference, rtol=rtol, max_refine_steps=max_refine_steps
-            ),
+        b = self._accept(AMCMode.INV, "solve", b, self.shape[0], rtol=rtol)
+        return self._call(
+            lambda: self._run_solve(b, _reference, rtol, max_refine_steps),
+            solve=True,
             rtol=rtol,
         )
 
-    def _solve_impl(
+    def _run_solve(
         self,
         b: np.ndarray,
-        _reference: np.ndarray | None = None,
-        *,
-        rtol: "float | np.ndarray | None" = None,
-        max_refine_steps: int = DEFAULT_MAX_STEPS,
+        reference: np.ndarray | None,
+        rtol: "float | np.ndarray | None",
+        max_refine_steps: int,
     ) -> SolveResult:
-        """The unsupervised solve body (see :meth:`solve`)."""
-        started = time.perf_counter()
-        before = self._solver.cost.snapshot()
+        """The accepted solve (also a 1×1 tile grid's whole solve): the
+        one-step analog solve, refined when ``rtol`` is set."""
         with trace.span(
             "solve",
             mode=self.mode.value,
@@ -585,10 +613,17 @@ class AnalogOperator(_Handle):
             columns=b.shape[1] if b.ndim == 2 else 1,
             refine=rtol is not None,
         ):
-            base = self._solve_analog(b, _reference)
+            if self._ref_inverse is None:
+                # One factorization of the immutable matrix covers every
+                # solve's digital reference (program-once / solve-many,
+                # digitally too).
+                self._ref_inverse = np.linalg.inv(self.matrix)
+            if reference is None:
+                reference = self._ref_inverse @ b
+            base = self._solve_batch(b if b.ndim == 2 else b[:, None], reference, b.ndim == 2)
             if rtol is None:
-                return self._capture_cost(base, before, started)
-            refined = refine_solve_result(
+                return base
+            return refine_solve_result(
                 base,
                 matrix=self.matrix,
                 b=b,
@@ -597,22 +632,6 @@ class AnalogOperator(_Handle):
                 solve_correction=self._solve_batch,
                 solver=self._solver,
             )
-        return self._capture_cost(refined, before, started)
-
-    def _solve_analog(
-        self, b: np.ndarray, _reference: np.ndarray | None = None
-    ) -> SolveResult:
-        """The raw one-step analog solve (no refinement)."""
-        self._require_mode(AMCMode.INV, "solve")
-        n = self.shape[0]
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ShapeError(f"b must have leading dimension {n} (vector or batch)")
-        if self._ref_inverse is None:
-            # One factorization of the immutable matrix covers every solve's
-            # digital reference (program-once / solve-many, digitally too).
-            self._ref_inverse = np.linalg.inv(self.matrix)
-        reference = self._ref_inverse @ b if _reference is None else _reference
-        return self._solve_batch(b if b.ndim == 2 else b[:, None], reference, b.ndim == 2)
 
     def _solve_batch(
         self, b: np.ndarray, reference: np.ndarray | None = None, batched: bool = True
@@ -629,44 +648,32 @@ class AnalogOperator(_Handle):
         stats = SweepStats(b.shape[1])
         x = np.empty(b.shape)
         self._stack()._diag_stage([0], b[None], x, stats)
-        return stats.result(self.mode, x, reference, self._resident_macro_ids(), batched)
+        return stats.result(self.mode, x, reference, self.resident_macro_ids(), batched)
 
     def lstsq(self, b: np.ndarray, _reference: np.ndarray | None = None) -> SolveResult:
-        """Analog least squares ``min‖A·y − b‖`` (``b``: vector or batch)."""
-        b = finite_input(b, "b")
-        injector = self._fault_injector()
-        if injector is None:
-            return self._lstsq_impl(b, _reference)
-        return injector.supervised_op(self, lambda: self._lstsq_impl(b, _reference))
-
-    def _lstsq_impl(
-        self, b: np.ndarray, _reference: np.ndarray | None = None
-    ) -> SolveResult:
-        """The unsupervised lstsq body (see :meth:`lstsq`): the PINV loop
-        in one engine call, a vector as a batch of one column."""
-        self._require_mode(AMCMode.PINV, "lstsq")
+        """Analog least squares ``min‖A·y − b‖`` (``b``: vector or batch):
+        the PINV loop in one engine call, a vector as a batch of one
+        column."""
+        b = self._accept(AMCMode.PINV, "lstsq", b, self.shape[0])
         if self._transpose is None:
             raise GramcError(
                 "this PINV handle holds only a transpose plane; "
                 "compile the tall matrix itself to run lstsq"
             )
-        m = self.shape[0]
-        if b.ndim not in (1, 2) or b.shape[0] != m:
-            raise ShapeError(f"b must have leading dimension {m} (vector or batch)")
-        started = time.perf_counter()
-        before = self._solver.cost.snapshot()
+        return self._call(lambda: self._run_lstsq(b, _reference))
+
+    def _run_lstsq(self, b: np.ndarray, reference: np.ndarray | None) -> SolveResult:
         if self._ref_pinv is None:
             # One pseudoinverse of the immutable matrix covers every solve.
             self._ref_pinv = np.linalg.pinv(self.matrix)
-        reference = self._ref_pinv @ b if _reference is None else _reference
+        if reference is None:
+            reference = self._ref_pinv @ b
         batched = b.ndim == 2
         big_b = b if batched else b[:, None]
         k = big_b.shape[1]
         with trace.span("solve", mode=self.mode.value, shape=str(self.shape), columns=k):
             if k == 0:
-                return self._capture_cost(
-                    self._empty_result(self.mode, reference), before, started
-                )
+                return self._empty_result(self.mode, reference)
             self._ensure_programmed()
             solver = self._solver
             assert self._tiles is not None and self._transpose._tiles is not None
@@ -705,23 +712,16 @@ class AnalogOperator(_Handle):
             input_scales=outcome.input_scales,
             column_saturated=outcome.result.solution.column_saturated,
         )
-        result = stats.result(
-            self.mode, outcome.value, reference, self._resident_macro_ids(), batched
+        return stats.result(
+            self.mode, outcome.value, reference, self.resident_macro_ids(), batched
         )
-        return self._capture_cost(result, before, started)
 
     def eigvec(self, transient: bool = False) -> SolveResult:
         """Dominant eigenvector via the EGV topology (unit norm)."""
-        injector = self._fault_injector()
-        if injector is None:
-            return self._eigvec_impl(transient)
-        return injector.supervised_op(self, lambda: self._eigvec_impl(transient))
+        self._accept(AMCMode.EGV, "eigvec")
+        return self._call(lambda: self._run_eigvec(transient))
 
-    def _eigvec_impl(self, transient: bool = False) -> SolveResult:
-        """The unsupervised eigvec body (see :meth:`eigvec`)."""
-        self._require_mode(AMCMode.EGV, "eigvec")
-        started = time.perf_counter()
-        before = self._solver.cost.snapshot()
+    def _run_eigvec(self, transient: bool) -> SolveResult:
         self._ensure_programmed()
         solver = self._solver
         assert self._tiles is not None
@@ -754,20 +754,16 @@ class AnalogOperator(_Handle):
         cost.add_analog(
             AMCMode.EGV.value, self._tile_amplifiers(tile), result.solution.settling_time
         )
-        return self._capture_cost(
-            SolveResult(
-                mode=AMCMode.EGV,
-                value=value,
-                reference=reference,
-                attempts=1,
-                input_scale=1.0,
-                stable=result.solution.stable,
-                saturated=result.solution.saturated,
-                settling_time=result.solution.settling_time,
-                macro_ids=self._resident_macro_ids(),
-            ),
-            before,
-            started,
+        return SolveResult(
+            mode=AMCMode.EGV,
+            value=value,
+            reference=reference,
+            attempts=1,
+            input_scale=1.0,
+            stable=result.solution.stable,
+            saturated=result.solution.saturated,
+            settling_time=result.solution.settling_time,
+            macro_ids=self.resident_macro_ids(),
         )
 
     def _stack(self) -> GridEngine:
@@ -782,26 +778,16 @@ class AnalogOperator(_Handle):
     @property
     def T(self) -> "AnalogOperator":
         """The transpose as its own operator (compiled on first access)."""
-        self._require_mode(AMCMode.MVM, "transpose application")
-        if self._closed:
-            raise GramcError(
-                "operator handle is closed; compile the matrix again for a new one"
-            )
+        self._accept(AMCMode.MVM, "transpose application")
         if self._t_view is None or self._t_view.closed:
             self._t_view = self._solver.compile(
                 self.matrix.T, AMCMode.MVM, quant_peak=self.quant_peak
             )
         return self._t_view
 
-    def __matmul__(self, other) -> np.ndarray:
-        """``op @ x`` — the analog product as a plain array (vector or batch)."""
-        self._require_mode(AMCMode.MVM, "'@'")
-        return self.mvm(other).value
-
     def __rmatmul__(self, other) -> np.ndarray:
         """``x @ op`` — transpose application ``xᵀ·A = (Aᵀ·x)ᵀ``."""
-        other = finite_input(other, "x")
-        transpose = self.T
-        if other.ndim == 1:
-            return transpose.mvm(other).value
-        return transpose.mvm(other.T).value.T
+        xt = self._accept(
+            AMCMode.MVM, "transpose application", np.transpose(other), self.shape[0], "x.T"
+        )
+        return self.T.mvm(xt).value.T

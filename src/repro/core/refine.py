@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.analog.determinism import apply_matrix_per_column
-from repro.core.errors import ShapeError
+from repro.core.errors import InputError, ShapeError
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,6 +134,10 @@ def as_rtol_vector(rtol, columns: int) -> np.ndarray:
     mixed-accuracy requests into one batch.
     """
     vector = np.asarray(rtol, dtype=float)
+    # Checked before a scalar is broadcast: a zero-column batch must not
+    # let a bad target through as an empty vector.
+    if np.any(np.isnan(vector)) or np.any(vector <= 0.0):
+        raise InputError("rtol targets must be positive (inf = no refinement)")
     if vector.ndim == 0:
         vector = np.full(columns, float(vector))
     if vector.shape != (columns,):
@@ -141,8 +145,6 @@ def as_rtol_vector(rtol, columns: int) -> np.ndarray:
             f"rtol must be a scalar or a ({columns},) per-column vector; "
             f"got shape {vector.shape}"
         )
-    if np.any(np.isnan(vector)) or np.any(vector <= 0.0):
-        raise ValueError("rtol targets must be positive (inf = no refinement)")
     return vector
 
 

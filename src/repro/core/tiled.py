@@ -35,7 +35,6 @@ array (or any square operand with an explicit ``tile=``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -43,9 +42,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analog.topologies import AMCMode
-from repro.core.errors import CapacityError, ConvergenceError, GramcError, ShapeError
+from repro.core.errors import CapacityError, ConvergenceError, GramcError
 from repro.core.grid_engine import GridEngine, SweepStats
-from repro.core.operator import _Handle, finite_input
+from repro.core.operator import _Handle
 from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result, scaled_norm
 from repro.core.results import SolveResult
 from repro.obs import trace
@@ -67,10 +66,6 @@ class TiledOperator(_Handle):
     one directly.
     """
 
-    __array_ufunc__ = None
-    """As for :class:`AnalogOperator`: keep NumPy from coercing matmul
-    through ``__array__`` into an exact digital product."""
-
     def __init__(
         self,
         solver: "GramcSolver",
@@ -80,25 +75,16 @@ class TiledOperator(_Handle):
         tag: str = "",
         quant_peak: float | None = None,
     ):
-        self._solver = solver
-        self.key = key
-        self.mode = AMCMode.INV
-        self.matrix = matrix
+        # ``quant_peak`` is a per-block quantization-scale override,
+        # forwarded to every block compile (``None``: each block
+        # auto-ranges to its own peak — the default, and usually the right
+        # call: a faint coupling block would lose all its resolution on a
+        # grid-wide scale).  Construction pins the grid for the first
+        # holder; every cache-hit compile adds another pin and every
+        # ``close`` (or explicit ``unpin``) drops one.
+        super().__init__(solver, key, AMCMode.INV, matrix, quant_peak, pins=1)
         self.tile = int(tile)
         self._tag = tag
-        self.quant_peak = quant_peak
-        """Per-block quantization-scale override, forwarded to every
-        block compile (``None``: each block auto-ranges to its own peak —
-        the default, and usually the right call: a faint coupling block
-        would lose all its resolution on a grid-wide scale)."""
-        self._refs = 1
-        self._pin_count = 1
-        """Counted per holder, like ``_refs``: construction pins the grid
-        for the first holder; every cache-hit compile adds another pin and
-        every ``close`` (or explicit ``unpin``) drops one.  The blocks
-        stay pool-pinned while any holder's pin is outstanding."""
-        self._closed = False
-        self._ref_inverse: np.ndarray | None = None
 
         n = matrix.shape[0]
         edges: list[slice] = []
@@ -122,9 +108,6 @@ class TiledOperator(_Handle):
         """Lazily compiled MVM views of the diagonal blocks — only built
         when the operator is *applied* (``op @ x``); a pure solve workload
         never pays their macros."""
-        self._engine: GridEngine | None = None
-        """Lazily constructed stacked grid engine; its slices re-sync
-        against the resident circuits at every solve."""
         self._compile_grid()
 
     # ------------------------------------------------------------- compilation
@@ -187,22 +170,6 @@ class TiledOperator(_Handle):
     # ----------------------------------------------------------- introspection
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape  # type: ignore[return-value]
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.matrix.dtype
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The digital copy of the blocked matrix (NumPy protocol)."""
-        return np.array(self.matrix, dtype=dtype)
-
-    @property
     def grid(self) -> tuple[int, int]:
         """Tile-grid dimensions ``(block_rows, block_cols)``."""
         return len(self._edges), len(self._edges)
@@ -223,10 +190,6 @@ class TiledOperator(_Handle):
     def _all_handles(self) -> list["AnalogOperator"]:
         extra = [h for h in self._diag_mvm if h is not None]
         return [*self._solve_handles(), *extra]
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     @property
     def resident(self) -> bool:
@@ -267,21 +230,11 @@ class TiledOperator(_Handle):
 
     # ---------------------------------------------------------------- lifetime
 
-    def _require_open(self) -> None:
-        if self._closed:
-            raise GramcError(
-                "operator handle is closed; compile the matrix again for a new one"
-            )
-
     def _ensure_programmed(self) -> None:
         """Re-ensure every block (transparently reprogramming evicted ones)."""
         self._require_open()
         for handle in self._solve_handles():
             handle._ensure_programmed()
-
-    def _retain(self) -> "TiledOperator":
-        self._refs += 1
-        return self
 
     def refresh(self) -> "TiledOperator":
         """Force a re-program of **every** tile (drift recovery).
@@ -293,10 +246,6 @@ class TiledOperator(_Handle):
         for handle in self._all_handles():
             handle.refresh()
         return self
-
-    @property
-    def is_pinned(self) -> bool:
-        return self._pin_count > 0
 
     def pin(self) -> "TiledOperator":
         """Add one holder's pin to every solve-path block."""
@@ -349,13 +298,6 @@ class TiledOperator(_Handle):
         self._engine = None
         self._closed = True
 
-    def __enter__(self) -> "TiledOperator":
-        self._ensure_programmed()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # --------------------------------------------------------------- execution
 
     def _grid_engine(self) -> GridEngine:
@@ -368,43 +310,6 @@ class TiledOperator(_Handle):
         return self._engine
 
     def solve(
-        self,
-        b: np.ndarray,
-        *,
-        tolerance: float = 1e-3,
-        max_sweeps: int = 40,
-        method: str = "gauss-seidel",
-        rtol: "float | np.ndarray | None" = None,
-        max_refine_steps: int = DEFAULT_MAX_STEPS,
-    ) -> SolveResult:
-        """Blocked analog solve with fault supervision when a plan is set
-        (observe → heal → one retry → structured ``DegradedChipError``);
-        see :meth:`_solve_impl` for the sweep semantics."""
-        b = finite_input(b, "b")
-        injector = self._fault_injector()
-        if injector is None:
-            return self._solve_impl(
-                b,
-                tolerance=tolerance,
-                max_sweeps=max_sweeps,
-                method=method,
-                rtol=rtol,
-                max_refine_steps=max_refine_steps,
-            )
-        return injector.supervised_solve(
-            self,
-            lambda: self._solve_impl(
-                b,
-                tolerance=tolerance,
-                max_sweeps=max_sweeps,
-                method=method,
-                rtol=rtol,
-                max_refine_steps=max_refine_steps,
-            ),
-            rtol=rtol,
-        )
-
-    def _solve_impl(
         self,
         b: np.ndarray,
         *,
@@ -446,16 +351,33 @@ class TiledOperator(_Handle):
         outcome, ``converged`` is the contract's verdict (an unmet
         contract is returned, never raised), and ``sweeps`` counts base
         and preconditioner sweeps together.
+
+        With a fault plan set the solve is supervised (observe → heal →
+        one retry → structured ``DegradedChipError``).
         """
-        self._require_open()
+        b = self._accept(AMCMode.INV, "solve", b, self.shape[0], rtol=rtol)
         if method not in _METHODS:
             raise GramcError(f"method must be one of {_METHODS}, not {method!r}")
-        n = self.shape[0]
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ShapeError(f"b must have leading dimension {n} (vector or batch)")
-        solver = self._solver
-        started = time.perf_counter()
-        before = solver.cost.snapshot()
+        result = self._call(
+            lambda: self._run_solve(
+                b, tolerance, max_sweeps, method == "gauss-seidel", rtol, max_refine_steps
+            ),
+            solve=True,
+            rtol=rtol,
+        )
+        result.engine_dispatches = result.cost.engine_dispatches
+        result.stack_rebuilds = result.cost.stack_rebuilds
+        return result
+
+    def _run_solve(
+        self,
+        b: np.ndarray,
+        tolerance: float,
+        max_sweeps: int,
+        gauss_seidel: bool,
+        rtol: "float | np.ndarray | None",
+        max_refine_steps: int,
+    ) -> SolveResult:
         if self._ref_inverse is None:
             # One factorization of the immutable matrix serves every solve.
             self._ref_inverse = np.linalg.inv(self.matrix)
@@ -474,26 +396,23 @@ class TiledOperator(_Handle):
                     refine_residual_trace=(0.0,),
                     per_column_residual=np.zeros(0),
                 )
-            return self._capture_cost(empty, before, started)
+            return empty
         self._ensure_programmed()
 
         if len(self._edges) == 1:
             # Degenerate 1×1 grid: exactly the direct single-array path
             # (bit-for-bit — no extra engine calls, no extra noise draws).
-            inner = self._diag[0].solve(
-                b, _reference=reference, rtol=rtol, max_refine_steps=max_refine_steps
-            )
-            floor = self._residual_floor(b, inner.value)
-            inner = replace(
-                inner, sweeps=1, residual_floor=floor,
+            inner = self._diag[0]._run_solve(b, reference, rtol, max_refine_steps)
+            return replace(
+                inner,
+                sweeps=1,
+                residual_floor=self._residual_floor(b, inner.value),
                 converged=True if rtol is None else inner.converged,
                 macro_ids=self.macro_ids,
             )
-            return self._capture_counted(inner, before, started)
 
         big_b = b if batched else b[:, None]
         columns = big_b.shape[1]
-        gauss_seidel = method == "gauss-seidel"
         stats = SweepStats(columns)
         grid = self._grid_engine()
 
@@ -550,21 +469,13 @@ class TiledOperator(_Handle):
                     rtol=rtol,
                     max_steps=max_refine_steps,
                     solve_correction=correction,
-                    solver=solver,
+                    solver=self._solver,
                 )
                 result = replace(result, sweeps=sweeps + correction_sweeps)
             # The floor of the returned answer: measured once, after any
             # refinement.
             result.residual_floor = self._residual_floor(b, result.value)
             sp.set(sweeps=result.sweeps, converged=bool(result.converged))
-        return self._capture_counted(result, before, started)
-
-    def _capture_counted(self, result: SolveResult, before, started: float) -> SolveResult:
-        """Capture the call's cost and report its engine dispatches and
-        stack rebuilds from that same ledger delta."""
-        result = self._capture_cost(result, before, started)
-        result.engine_dispatches = result.cost.engine_dispatches
-        result.stack_rebuilds = result.cost.stack_rebuilds
         return result
 
     def _run_sweeps(
@@ -583,48 +494,47 @@ class TiledOperator(_Handle):
         relative update falls below it, the update stalls, or ``sweeps``
         run out.  With ``tolerance=None`` (the base solve and every
         refinement correction of an ``rtol`` solve) it runs exactly
-        ``sweeps`` sweeps.  Returns ``(x, sweeps_run, converged)``;
-        ``stats`` accumulates the engine-call diagnostics of this solve
-        only.
+        ``sweeps`` sweeps (one, in every caller) and keeps no update
+        bookkeeping: from zero, one sweep's update is the coupled rows of
+        ``x``, so a non-finite ``x`` is the whole divergence test.
+        Returns ``(x, sweeps_run, converged)``; ``stats`` accumulates the
+        engine-call diagnostics of this solve only.
         """
         x = np.zeros_like(big_b)
 
         coupled, uncoupled = self._coupled, self._uncoupled
         if uncoupled:
             grid.presolve_uncoupled(big_b, x, uncoupled, stats)
+        if not coupled:
+            return x, 1, True
 
-        sweeps_run = 0
         converged = False
         previous_delta = float("inf")
         stalled = 0
-        if not coupled:
-            sweeps_run = 1
-            converged = True
+        sweep = 0
         for sweep in range(1, sweeps + 1):
-            if not coupled:
-                break
-            previous = x.copy()
-            # Gauss-Seidel reads the in-place updated iterate; Jacobi the
-            # frozen previous sweep.  Same loop, different source view.
-            source = x if gauss_seidel else previous
+            previous = None if tolerance is None else x.copy()
             with trace.span(
                 "sweep",
                 sweep=sweep,
                 method="gauss-seidel" if gauss_seidel else "jacobi",
                 tiles=len(coupled),
             ):
-                grid.sweep(big_b, x, source, coupled, stats, gauss_seidel)
-            sweeps_run = sweep
-            # Scale-safe norms: a 1e300 right-hand side must not read as
-            # an overflowing (diverged) update.
-            delta = scaled_norm(x - previous)
-            scale = scaled_norm(x)
-            if not np.isfinite(delta) or delta > 1e9 * scale:
+                grid.sweep(big_b, x, coupled, stats, gauss_seidel)
+            if previous is None:
+                diverged = not np.isfinite(x).all()
+            else:
+                # Scale-safe norms: a 1e300 right-hand side must not read
+                # as an overflowing (diverged) update.
+                delta = scaled_norm(x - previous)
+                scale = scaled_norm(x)
+                diverged = not np.isfinite(delta) or delta > 1e9 * scale
+            if diverged:
                 raise ConvergenceError(
                     "block sweep diverged — the operand is not block-"
                     "diagonally dominant enough for a stationary blocked solve"
                 )
-            if tolerance is None:
+            if previous is None:
                 continue
             relative_delta = delta / scale if scale > 0.0 else 0.0
             if relative_delta < tolerance:
@@ -644,7 +554,7 @@ class TiledOperator(_Handle):
             else:
                 stalled = 0
             previous_delta = relative_delta
-        return x, sweeps_run, converged
+        return x, sweep, converged
 
     def _residual_floor(self, b: np.ndarray, value: np.ndarray) -> float:
         """Digitally evaluated relative residual of the analog solution.
@@ -680,26 +590,14 @@ class TiledOperator(_Handle):
         be a vector or an ``(n, k)`` batch — every per-tile product is
         one batched engine call.
         """
-        x = finite_input(x, "x")
-        injector = self._fault_injector()
-        if injector is None:
-            return self._mvm_impl(x)
-        return injector.supervised_op(self, lambda: self._mvm_impl(x))
+        x = self._accept(None, "mvm", x, self.shape[1], "x")
+        return self._call(lambda: self._run_mvm(x))
 
-    def _mvm_impl(self, x: np.ndarray) -> SolveResult:
-        """The unsupervised blocked-MVM body (see :meth:`mvm`)."""
-        self._require_open()
-        n = self.shape[0]
-        if x.ndim not in (1, 2) or x.shape[0] != n:
-            raise ShapeError(f"x must have leading dimension {n} (vector or batch)")
+    def _run_mvm(self, x: np.ndarray) -> SolveResult:
         reference = self.matrix @ x
         batched = x.ndim == 2
-        started = time.perf_counter()
-        before = self._solver.cost.snapshot()
         if batched and x.shape[1] == 0:
-            return self._capture_cost(
-                self._empty_result(AMCMode.MVM, reference), before, started
-            )
+            return self._empty_result(AMCMode.MVM, reference)
         self._ensure_programmed()
         big_x = x if batched else x[:, None]
         out = np.zeros_like(big_x)
@@ -728,9 +626,4 @@ class TiledOperator(_Handle):
                         column_saturated=product.column_saturated,
                         tiles=product.per_column_attempts,
                     )
-        result = stats.result(AMCMode.MVM, out, reference, self.macro_ids, batched)
-        return self._capture_cost(result, before, started)
-
-    def __matmul__(self, other) -> np.ndarray:
-        """``op @ x`` — the blocked analog product as a plain array."""
-        return self.mvm(other).value
+        return stats.result(AMCMode.MVM, out, reference, self.macro_ids, batched)

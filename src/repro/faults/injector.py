@@ -1,7 +1,7 @@
 """The fault injector: a seeded degradation engine over one macro pool.
 
 The injector owns the chip's **logical clock**.  Operator handles enter
-:meth:`FaultInjector.operation` once per top-level solve/MVM; the
+:meth:`FaultInjector.operation` once per accepted top-level call; the
 outermost entry advances the clock by one tick, fires every scheduled
 :class:`~repro.faults.plan.FaultPlan` event that came due, and re-applies
 retention drift to every drifting macro.  Nested entries (a tiled solve

@@ -576,13 +576,8 @@ class SolveService:
             )
         if kind == "eigvec":
             return None, 1, True
-        payload = finite_input(payload, f"{kind} payload")
-        expected = operator.shape[1] if kind == "mvm" else operator.shape[0]
-        if payload.ndim not in (1, 2) or payload.shape[0] != expected:
-            raise ShapeError(
-                f"{kind} payload must be a vector or batch with leading "
-                f"dimension {expected}; got shape {payload.shape}"
-            )
+        rows = operator.shape[1] if kind == "mvm" else operator.shape[0]
+        payload = finite_input(payload, f"{kind} payload", rows)
         vector = payload.ndim == 1
         columns = 1 if vector else int(payload.shape[1])
         if columns == 0:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analog.topologies import AMCMode
-from repro.core.errors import DegradedChipError
+from repro.core.errors import DegradedChipError, ShapeError
 from repro.core.pool import MacroPool, PoolConfig
 from repro.core.solver import GramcSolver
 from repro.faults import (
@@ -153,8 +153,9 @@ def test_supervised_solve_heals_and_raises_structured_error():
 
 
 def test_chip_level_wiring_reaches_operator_solves():
-    """GramcChip(faults=...) ticks the clock once per top-level solve —
-    including every block step of a tiled solve under one tick."""
+    """GramcChip(faults=...) ticks the clock once per accepted top-level
+    solve — including every block step of a tiled solve under one tick;
+    a refused call does not tick it."""
     from repro.system.gramc import GramcChip
 
     rng = np.random.default_rng(0)
@@ -165,6 +166,9 @@ def test_chip_level_wiring_reaches_operator_solves():
     op = chip.compile(a, AMCMode.INV)
     for expected in (1, 2, 3):
         op.solve(rng.normal(0, 1, 8))
+        assert chip.clock == expected
+        with pytest.raises(ShapeError):
+            op.solve(np.ones(5))
         assert chip.clock == expected
 
 

@@ -57,10 +57,10 @@ class PerTileEngine:
             x[rows] = inner.value
             _fold(stats, inner)
 
-    def sweep(self, big_b, x, source, coupled, stats, gauss_seidel) -> None:
-        # ``gauss_seidel`` needs no branch here: the caller passes the
-        # in-place iterate as ``source`` for Gauss-Seidel and the frozen
-        # previous sweep for Jacobi.
+    def sweep(self, big_b, x, coupled, stats, gauss_seidel) -> None:
+        # Block rows are written one at a time, so Jacobi must read a
+        # frozen copy of the previous iterate; Gauss-Seidel reads ``x``.
+        source = x if gauss_seidel else x.copy()
         edges = self._tiled.block_slices
         for i in coupled:
             rows = edges[i]
