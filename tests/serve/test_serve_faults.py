@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro.analog.topologies import AMCMode
-from repro.core.errors import ConvergenceError, DegradedChipError
+from repro.core.errors import (
+    CapacityError,
+    ConvergenceError,
+    DegradedChipError,
+    ShapeError,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.serve.coalescer import CoalescedBatch
 from repro.serve.service import UNTIMED_DISPATCH_S, SolveService
@@ -113,6 +118,114 @@ async def test_without_injector_convergence_errors_pass_through():
         with pytest.raises(ConvergenceError):
             await service.solve("alice", op, b[:, 0])
     assert service.stats.fault_retries == 0
+
+
+# -------------------------------------------------------- recovery matrix
+
+#: Scripted chip failures; any other ``GramcError`` is a malformed group.
+FAILURES = {
+    "capacity": lambda: CapacityError("injected: pool full"),
+    "convergence": lambda: ConvergenceError("injected: diverged"),
+    "degraded": lambda: DegradedChipError("injected: degraded"),
+    "other": lambda: ShapeError("injected: malformed group"),
+}
+
+
+def _scripted(operator, script):
+    """Wrap ``operator.solve`` to raise the scripted failures in order,
+    then solve; returns the list of chip executions (column widths)."""
+    original = operator.solve
+    widths: list[int] = []
+
+    def solve(payload, **kwargs):
+        widths.append(np.asarray(payload).shape[1])
+        if len(widths) <= len(script) and script[len(widths) - 1] is not None:
+            raise FAILURES[script[len(widths) - 1]]()
+        return original(payload, **kwargs)
+
+    operator.solve = solve
+    return widths
+
+
+def _expected_recovery(script, victim: bool, injector: bool):
+    """The documented recovery order, replayed over a failure script:
+    a capacity failure gets one ``make_room`` retry (``ServiceOverloaded``
+    without a victim or on a second capacity failure); a convergence or
+    degraded failure gets one heal-and-retry with an injector, after
+    which a ``DegradedChipError`` passes and anything else is wrapped in
+    one; every other failure rejects the group.
+
+    Returns (caller error or None, whether healing wrapped it,
+    executions, fault retries, whether a victim was preempted)."""
+    executions = retries = 0
+    made_room = False
+    for failure in [*script, None]:
+        executions += 1
+        if failure is None:
+            return None, False, executions, retries, made_room
+        if retries:
+            wrapped = failure != "degraded"
+            return DegradedChipError, wrapped, executions, retries, made_room
+        if failure == "capacity":
+            if made_room or not victim:
+                return ServiceOverloaded, False, executions, retries, made_room
+            made_room = True
+        elif failure in ("convergence", "degraded") and injector:
+            retries = 1
+        else:
+            return type(FAILURES[failure]()), False, executions, retries, made_room
+    raise AssertionError("unreachable")
+
+
+@pytest.mark.parametrize("injector", [True, False], ids=["injector", "no_injector"])
+@pytest.mark.parametrize("retry", [None, *FAILURES], ids=lambda r: f"then_{r or 'ok'}")
+@pytest.mark.parametrize(
+    "first", ["capacity_victim", "capacity_no_victim", "convergence", "degraded", "other"]
+)
+async def test_recovery_matrix(first, retry, injector):
+    """Every first failure × every retry outcome, with and without a
+    fault injector: what the caller sees, how often the chip ran, and
+    every counter the recovery touches."""
+    a, b = _problem()
+    solver = make_noiseless_solver(seed=31)
+    if injector:
+        FaultInjector(FaultPlan(), solver.pool)
+    service = SolveService(solver, ServeConfig())
+    service.register_tenant("alice")
+    service.register_tenant("bob")
+    script = ["capacity" if first.startswith("capacity") else first, retry]
+    victim = first != "capacity_no_victim"
+    async with service:
+        bystander = await service.compile("bob", a.T, AMCMode.INV)
+        if not victim:
+            bystander.pin()
+        op = await service.compile("alice", a, AMCMode.INV)
+        widths = _scripted(op, script)
+        outcomes = await asyncio.gather(
+            service.solve("alice", op, b[:, 0]),
+            service.solve("alice", op, b[:, 1]),
+            return_exceptions=True,
+        )
+    error, wrapped, executions, retries, preempted = _expected_recovery(
+        script, victim, injector
+    )
+    assert widths == [2] * executions  # the window rode every execution whole
+    alice = service.registry.get("alice").counters
+    if error is None:
+        assert all(result.value.shape == (N,) for result in outcomes)
+        assert (alice.completed, alice.failed) == (2, 0)
+    else:
+        assert all(type(outcome) is error for outcome in outcomes)
+        assert outcomes[0] is outcomes[1]  # one error for the whole group
+        assert (alice.completed, alice.failed) == (0, 2)
+        # Healing wraps a second failure with evidence; a degraded one
+        # already carries its own and passes through.
+        assert ("after serve-level healing" in str(outcomes[0])) == wrapped
+        assert (getattr(outcomes[0], "health", None) is not None) == wrapped
+    assert service.stats.fault_retries == retries
+    assert service.stats.shed_requests == (2 if error is ServiceOverloaded else 0)
+    assert alice.cancelled == 0 and alice.preemptions == 0
+    assert service.registry.get("bob").counters.preemptions == int(preempted)
 
 
 # ------------------------------------------------------ cancellation race
