@@ -639,9 +639,8 @@ class AnalogOperator(_Handle):
         """Matrix right-hand side through the INV loop as a one-slot INV
         stage: all ``k`` columns share the resident circuit's one
         equilibrium inverse — "the feedback loop settles once for the whole
-        block"."""
-        if reference is None:
-            reference = self._ref_inverse @ b
+        block".  A refinement correction passes no ``reference``: its
+        result is read only for the value and the ranging diagnostics."""
         if b.shape[1] == 0:
             return self._empty_result(self.mode, reference)
         self._ensure_programmed()

@@ -145,9 +145,10 @@ class HealthMonitor:
             self.penalize([entry["macro"]], penalty)
 
     def observe_solve(self, operator, result) -> None:
-        """Consume one solve's free health signals."""
+        """Consume one solve's free health signals (a zero-column result
+        carries none)."""
         macro_ids = tuple(getattr(result, "macro_ids", ()) or ())
-        if not macro_ids:
+        if not macro_ids or getattr(result, "columns", None) == 0:
             return
         penalty = 0.0
         if getattr(result, "saturated", False) or not getattr(result, "stable", True):

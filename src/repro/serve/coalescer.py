@@ -25,6 +25,8 @@ its own future with :class:`~repro.core.errors.ConvergenceError`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.errors import ConvergenceError
@@ -191,12 +193,9 @@ class CoalescedBatch:
     ) -> SolveResult:
         # An engine call on the coalesced (n, k) batch always carries
         # the (k,) per-column arrays.
-        value = result.value[:, start:stop]
-        reference = result.reference[:, start:stop]
         scales = result.input_scales[start:stop]
         attempts = result.per_column_attempts[start:stop]
         saturated = result.column_saturated[start:stop]
-        refine = self._slice_refinement(result, start, stop, request)
         # Cost attribution: each caller is charged its column share of the
         # window's engine work, plus its *own* queue wait — siblings that
         # arrived earlier waited longer for the same dispatch.
@@ -211,28 +210,12 @@ class CoalescedBatch:
             share = 0.0 if request.rtol is None else request.columns / max(refining, 1)
             for name in ("refine_macs", "refine_steps", "refine_dispatches"):
                 setattr(cost, name, round(getattr(result.cost, name) * share))
-        if request.vector:
-            return SolveResult(
-                mode=result.mode,
-                value=value[:, 0],
-                reference=reference[:, 0],
-                attempts=int(attempts[0]),
-                input_scale=float(scales[0]),
-                stable=result.stable,
-                saturated=bool(saturated[0]),
-                macro_ids=result.macro_ids,
-                sweeps=result.sweeps,
-                engine_dispatches=result.engine_dispatches,
-                stack_rebuilds=result.stack_rebuilds,
-                cost=cost,
-                **refine,
-            )
-        return SolveResult(
+        sliced = SolveResult(
             mode=result.mode,
-            value=value,
-            reference=reference,
-            attempts=int(attempts.max(initial=0)),
-            input_scale=float(scales.max(initial=1.0)),
+            value=result.value[:, start:stop],
+            reference=result.reference[:, start:stop],
+            attempts=int(attempts.max()),
+            input_scale=float(scales.max()),
             stable=result.stable,
             saturated=bool(saturated.any()),
             macro_ids=result.macro_ids,
@@ -243,7 +226,18 @@ class CoalescedBatch:
             engine_dispatches=result.engine_dispatches,
             stack_rebuilds=result.stack_rebuilds,
             cost=cost,
-            **refine,
+            **self._slice_refinement(result, start, stop, request),
+        )
+        if not request.vector:
+            return sliced
+        # A vector caller's one column, without per-column arrays.
+        return replace(
+            sliced,
+            value=sliced.value[:, 0],
+            reference=sliced.reference[:, 0],
+            input_scales=None,
+            per_column_attempts=None,
+            column_saturated=None,
         )
 
     @staticmethod
@@ -258,29 +252,20 @@ class CoalescedBatch:
         worst-of-its-columns residual, not the window-wide worst."""
         if request.rtol is None or result.per_column_converged is None:
             return {}
-        converged = np.asarray(result.per_column_converged[start:stop], dtype=bool)
-        refine: dict = {
+        residuals = result.per_column_residual[start:stop]
+        # Scalar residual over this caller's *contracted* columns (finite
+        # targets) — inf entries opted out and sit at the analog floor by
+        # design.
+        tracked = np.isfinite(request.rtol)
+        if not tracked.any():
+            tracked = np.ones(residuals.size, dtype=bool)
+        return {
             "refine_steps": result.refine_steps,
-            "per_column_converged": converged,
+            "per_column_converged": result.per_column_converged[start:stop],
             "refine_residual_trace": result.refine_residual_trace,
+            "per_column_residual": residuals,
+            "refined_residual": float(residuals[tracked].max()),
         }
-        if result.per_column_residual is not None:
-            residuals = np.asarray(
-                result.per_column_residual[start:stop], dtype=float
-            )
-            refine["per_column_residual"] = residuals
-            # Scalar residual over this caller's *contracted* columns
-            # (finite targets) — inf entries opted out and sit at the
-            # analog floor by design.
-            tracked = np.isfinite(request.rtol)
-            if not tracked.any():
-                tracked = np.ones(residuals.size, dtype=bool)
-            refine["refined_residual"] = (
-                float(residuals[tracked].max()) if residuals.size else 0.0
-            )
-        else:
-            refine["refined_residual"] = result.refined_residual
-        return refine
 
 
 def count_abandoned(request: SolveRequest, registry: TenantRegistry) -> None:

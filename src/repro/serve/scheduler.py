@@ -20,6 +20,7 @@ Two fairness mechanisms, both cheap:
 
 from __future__ import annotations
 
+from repro.analog.topologies import AMCMode
 from repro.core.pool import MacroPool
 from repro.serve.coalescer import CoalescedBatch
 from repro.serve.tenancy import TenantRegistry, TenantState
@@ -84,78 +85,44 @@ class FairShareScheduler:
         of operators preempted.  In steady state (everything resident)
         this is a no-op, preserving zero reprogramming."""
         operator = batch.operator
-        if getattr(operator, "resident", False):
+        if operator.resident:
             return 0
-        needed = self._estimated_macros(operator)
-        requesting = set(batch.tenant_names())
-        reclaimed = 0
-        while self._pool.free_count < needed:
-            victims = [
-                (self.resident_macros(state) - state.quota.max_macros, state)
-                for state in self._registry
-                if state.name not in requesting and state.operators
-            ]
-            victims = [(over, state) for over, state in victims if over > 0]
-            victims.sort(key=lambda item: -item[0])
-            evicted_one = False
-            for _, state in victims:
-                for candidate in state.operators.values():
-                    if getattr(candidate, "is_pinned", False):
-                        continue
-                    evicted = sum(
-                        self._pool.preempt(owner)
-                        for owner in _operator_owner_names(candidate)
-                    )
-                    if evicted:
-                        state.counters.preemptions += 1
-                        reclaimed += 1
-                        evicted_one = True
-                        break
-                if evicted_one:
-                    break
-            if not evicted_one:
-                break
-        return reclaimed
-
-    @staticmethod
-    def _estimated_macros(operator) -> int:
-        """Macros a programming pass will want (conservative estimate)."""
-        explicit = getattr(operator, "macros", None)
-        if isinstance(explicit, int):
-            return explicit
-        mode = getattr(operator, "mode", None)
         # A direct handle programs 1-2 macros per plane set; PINV holds
         # the operand and its transpose plane simultaneously.
-        return 4 if getattr(mode, "value", "") == "pinv" else 2
+        needed = 4 if operator.mode is AMCMode.PINV else 2
+        reclaimed = 0
+        while self._pool.free_count < needed and self._preempt_one(batch, any_share=False):
+            reclaimed += 1
+        return reclaimed
 
     def make_room(self, batch: CoalescedBatch) -> bool:
-        """Preempt one operator of the most over-share tenant.
+        """Preempt one victim after the batch's dispatch found the pool
+        full.  Tenants at or under their share qualify too — last — so a
+        full pool can be reclaimed from *somebody* unpinned; ``False``
+        when every candidate is pinned (the caller then sheds)."""
+        return self._preempt_one(batch, any_share=True)
 
-        Returns ``True`` if at least one macro was reclaimed (the caller
-        retries its dispatch), ``False`` if no victim exists — every
-        other resident operator is pinned or belongs to a tenant at or
-        under its share, in which case the dispatch fails with the
-        pool's own :class:`~repro.core.errors.CapacityError` semantics."""
+    def _preempt_one(self, batch: CoalescedBatch, any_share: bool) -> bool:
+        """Preempt one unpinned operator of the most over-share tenant
+        outside ``batch`` (ties: registration order).  Tenants at or under
+        their share qualify only with ``any_share``."""
         requesting = set(batch.tenant_names())
-        candidates: list[tuple[int, TenantState]] = []
-        for state in self._registry:
-            if state.name in requesting or not state.operators:
-                continue
-            over = self.resident_macros(state) - state.quota.max_macros
-            candidates.append((over, state))
-        # Most over-share first (ties: registration order); tenants at or
-        # under their share are still candidates — last — so a full pool
-        # can always be reclaimed from *somebody* unpinned.
+        candidates = [
+            (self.resident_macros(state) - state.quota.max_macros, state)
+            for state in self._registry
+            if state.name not in requesting and state.operators
+        ]
         candidates.sort(key=lambda item: -item[0])
-        for _, state in candidates:
+        for over, state in candidates:
+            if over <= 0 and not any_share:
+                break
             for operator in state.operators.values():
-                if getattr(operator, "is_pinned", False):
+                if operator.is_pinned:
                     continue
-                evicted = 0
-                for owner in _operator_owner_names(operator):
-                    if self._pool.preempt(owner):
-                        evicted += 1
-                if evicted:
+                evicted = [
+                    self._pool.preempt(owner) for owner in _operator_owner_names(operator)
+                ]
+                if any(evicted):
                     state.counters.preemptions += 1
                     return True
         return False

@@ -30,6 +30,20 @@ Design points:
   solve issued alone whenever the window's shared TIA ladder is in range
   for every column (and the configuration is noiseless — noise draws are
   per-engine-call by physics).
+* **One recovery order.**  Each group's dispatch recovers from each kind
+  of failure at most once, in one loop:
+
+  - a :class:`CapacityError` preempts one victim and retries; with no
+    victim, or on a second capacity failure, the group is shed with
+    :class:`ServiceOverloaded`;
+  - a :class:`ConvergenceError` or :class:`DegradedChipError` heals the
+    operator and retries only the still-live requests (a caller that
+    cancelled or timed out meanwhile is neither re-executed nor
+    re-billed).  Without a fault injector the error stands.  After the
+    heal a :class:`DegradedChipError` passes through and any other
+    failure is wrapped in one carrying the health snapshot;
+  - any other :class:`GramcError` (stale handle, shape defect) fails only
+    its own group; the window's other groups proceed.
 """
 
 from __future__ import annotations
@@ -358,17 +372,22 @@ class SolveService:
                 columns += nxt.columns
             await self._dispatch_window(window)
 
-    async def _dispatch_window(self, window: "list[SolveRequest]") -> None:
-        tracer = trace.get_tracer()
-        live: list[SolveRequest] = []
-        for request in window:
+    def _live(self, requests: "list[SolveRequest]") -> "list[SolveRequest]":
+        """The requests whose callers still wait.  One cancelled or timed
+        out meanwhile (queued, or while its group healed) is booked here
+        and its queue span, if still open, closed."""
+        live = []
+        for request in requests:
             if request.future.done():
-                # Cancelled (or deadline-cancelled) while queued.
-                tracer.finish(request.queue_span, outcome="abandoned")
+                trace.get_tracer().finish(request.queue_span, outcome="abandoned")
                 request.queue_span = None
                 count_abandoned(request, self.registry)
-                continue
-            live.append(request)
+            else:
+                live.append(request)
+        return live
+
+    async def _dispatch_window(self, window: "list[SolveRequest]") -> None:
+        live = self._live(window)
         if not live:
             return
         with trace.span(
@@ -384,7 +403,6 @@ class SolveService:
             window_span.set(batches=len(batches))
 
     async def _run_batch(self, batch: CoalescedBatch) -> None:
-        loop = asyncio.get_running_loop()
         # Fairness-steered eviction: if this batch's operator needs
         # (re-)programming, reclaim tiles from over-share tenants first so
         # quota, not LRU recency, picks the victim.  No-op in steady state.
@@ -403,130 +421,81 @@ class SolveService:
             )
             request.queue_span = None
 
-        # ``batch.execute`` runs on the chip thread, outside this task's
-        # context: adopt the window span there so chip-side spans (solve,
-        # sweeps, refine steps) nest under the serve window.
-        parent = tracer.current()
+        await self._dispatch(batch, tracer.current())
 
-        def execute():
-            with tracer.adopt(parent):
-                with trace.span(
-                    "dispatch",
-                    operator=batch.operator.key[:12],
-                    kind=batch.kind,
-                    columns=batch.columns,
-                    requests=len(batch.requests),
-                ):
-                    return batch.execute()
-
-        started = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(self._executor, execute)
-        except CapacityError:
-            if not self._scheduler.make_room(batch):
-                batch.reject_all(self._overloaded(batch), self.registry)
-                return
-            try:
-                result = await loop.run_in_executor(self._executor, execute)
-            except CapacityError:
-                batch.reject_all(self._overloaded(batch), self.registry)
-                return
-            except (ConvergenceError, DegradedChipError) as error:
-                await self._retry_degraded(batch, error, parent)
-                return
-            except GramcError as error:
+    async def _dispatch(
+        self, batch: CoalescedBatch, parent, error: GramcError | None = None
+    ) -> None:
+        """Run ``batch`` on the chip in the module's one recovery order,
+        starting from ``error`` when a failure was already seen."""
+        loop = asyncio.get_running_loop()
+        injector = getattr(self.solver.pool, "fault_injector", None)
+        span, made_room, healing = "dispatch", False, None
+        while True:
+            if error is None:
+                started = time.perf_counter()
+                try:
+                    result = await loop.run_in_executor(
+                        self._executor, lambda: self._execute(batch, parent, span)
+                    )
+                except GramcError as failure:
+                    error = failure
+                else:
+                    self.stats.record_dispatch(
+                        batch.tenant_names(), batch.columns,
+                        seconds=time.perf_counter() - started,
+                    )
+                    with trace.span(
+                        "scatter", columns=batch.columns, requests=len(batch.requests)
+                    ):
+                        batch.scatter(result, self.registry)
+                    self._scheduler.charge(batch)
+                    return
+            if healing is not None:
+                if not isinstance(error, DegradedChipError):
+                    error = DegradedChipError(
+                        f"dispatch failed again after serve-level healing: {error}",
+                        health=injector.monitor.snapshot(),
+                        healing=healing,
+                    )
                 batch.reject_all(error, self.registry)
                 return
-        except (ConvergenceError, DegradedChipError) as error:
-            # The chip is degrading under this batch.  One serve-level
-            # recovery attempt keeps the rest of the coalesced window's
-            # callers alive instead of failing them all outright.
-            await self._retry_degraded(batch, error, parent)
-            return
-        except GramcError as error:
-            # A malformed group (stale handle, shape defect) fails only
-            # its own futures; the window's other groups proceed.
-            batch.reject_all(error, self.registry)
-            return
-        self._finish_batch(batch, result, time.perf_counter() - started)
-
-    def _finish_batch(
-        self, batch: CoalescedBatch, result, elapsed_s: float
-    ) -> None:
-        self.stats.record_dispatch(
-            batch.tenant_names(), batch.columns, seconds=elapsed_s
-        )
-        with trace.span(
-            "scatter", columns=batch.columns, requests=len(batch.requests)
-        ):
-            batch.scatter(result, self.registry)
-        self._scheduler.charge(batch)
-
-    async def _retry_degraded(
-        self, batch: CoalescedBatch, error: GramcError, parent
-    ) -> None:
-        """One serve-level recovery attempt for a batch that failed on a
-        degraded chip.
-
-        Heals the batch's operator on the chip thread, rebuilds the group
-        from requests whose futures are still live — a caller that
-        cancelled (or timed out) while the fault was being handled must
-        not be re-executed or re-billed — and re-dispatches exactly once.
-        A second failure rejects every live future with a structured
-        :class:`DegradedChipError` carrying the health snapshot: callers
-        get evidence, never a silently wrong answer.  Without a fault
-        injector there is nothing to heal, so the original error stands.
-        """
-        injector = getattr(self.solver.pool, "fault_injector", None)
-        if injector is None:
-            batch.reject_all(error, self.registry)
-            return
-        loop = asyncio.get_running_loop()
-        tracer = trace.get_tracer()
-        with trace.span("serve_heal", operator=batch.operator.key[:12]):
-            healing = await loop.run_in_executor(
-                self._executor,
-                lambda: injector.monitor.heal_operator(batch.operator),
-            )
-        live = []
-        for request in batch.requests:
-            if request.future.done():
-                count_abandoned(request, self.registry)
+            if isinstance(error, CapacityError):
+                if made_room or not self._scheduler.make_room(batch):
+                    batch.reject_all(self._overloaded(batch), self.registry)
+                    return
+                made_room = True
+            elif injector is not None and isinstance(
+                error, (ConvergenceError, DegradedChipError)
+            ):
+                with trace.span("serve_heal", operator=batch.operator.key[:12]):
+                    healing = await loop.run_in_executor(
+                        self._executor, lambda: injector.monitor.heal_operator(batch.operator)
+                    )
+                live = self._live(batch.requests)
+                if not live:
+                    return
+                batch = CoalescedBatch(batch.operator, batch.kind, live)
+                self.stats.fault_retries += 1
+                span = "dispatch_retry"
             else:
-                live.append(request)
-        if not live:
-            return
-        retry = CoalescedBatch(batch.operator, batch.kind, live)
-        self.stats.fault_retries += 1
+                batch.reject_all(error, self.registry)
+                return
+            error = None
 
-        def execute():
-            with tracer.adopt(parent):
-                with trace.span(
-                    "dispatch_retry",
-                    operator=retry.operator.key[:12],
-                    kind=retry.kind,
-                    columns=retry.columns,
-                    requests=len(retry.requests),
-                ):
-                    return retry.execute()
-
-        started = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(self._executor, execute)
-        except DegradedChipError as second:
-            retry.reject_all(second, self.registry)
-            return
-        except GramcError as second:
-            retry.reject_all(
-                DegradedChipError(
-                    f"dispatch failed again after serve-level healing: {second}",
-                    health=injector.monitor.snapshot(),
-                    healing=healing,
-                ),
-                self.registry,
-            )
-            return
-        self._finish_batch(retry, result, time.perf_counter() - started)
+    @staticmethod
+    def _execute(batch: CoalescedBatch, parent, span: str) -> SolveResult:
+        """One engine call for ``batch``, on the chip thread.  ``parent``
+        (the serve window) is adopted there so chip-side spans (solve,
+        sweeps, refine steps) nest under it."""
+        with trace.get_tracer().adopt(parent), trace.span(
+            span,
+            operator=batch.operator.key[:12],
+            kind=batch.kind,
+            columns=batch.columns,
+            requests=len(batch.requests),
+        ):
+            return batch.execute()
 
     def _overloaded(self, batch: CoalescedBatch) -> ServiceOverloaded:
         tenants = batch.tenant_names()

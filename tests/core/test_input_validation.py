@@ -224,6 +224,17 @@ def test_refusals_leave_the_chip_untouched(entry, case):
     _assert_refused(solver, injector, lambda: call(op, values))
 
 
+@pytest.mark.parametrize("entry", ["solve", "mvm", "tiled_solve"])
+def test_zero_column_calls_return_empty_on_a_faulted_chip(entry):
+    """A zero-column batch is accepted under fault supervision and comes
+    back empty: the health monitor has nothing to observe in it."""
+    kind, n, call = ENTRY_POINTS[entry]
+    solver, _ = _fault_solver()
+    result = call(_compile(solver, kind), np.zeros((n, 0)))
+    assert result.value.shape == (n, 0)
+    assert result.columns == 0
+
+
 BAD_RTOLS = {"zero": 0.0, "negative": -1.0, "nan": np.nan, "wrong_length": np.full(3, 1e-6)}
 
 

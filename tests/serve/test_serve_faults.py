@@ -257,8 +257,8 @@ async def test_cancelled_request_is_not_reexecuted_or_rebilled():
         batch = CoalescedBatch(op, "solve", requests)
         widths = _flaky(op, 0, None)
         requests[0].future.cancel()  # alice bails during the fault window
-        await service._retry_degraded(
-            batch, ConvergenceError("injected tile fault"), parent=None
+        await service._dispatch(
+            batch, parent=None, error=ConvergenceError("injected tile fault")
         )
         assert widths == [1]  # only bob's column was re-executed
         assert requests[0].future.cancelled()
@@ -290,8 +290,8 @@ async def test_retry_skipped_entirely_when_every_caller_left():
         batch = CoalescedBatch(op, "solve", [request])
         widths = _flaky(op, 0, None)
         request.future.cancel()
-        await service._retry_degraded(
-            batch, ConvergenceError("injected"), parent=None
+        await service._dispatch(
+            batch, parent=None, error=ConvergenceError("injected")
         )
         assert widths == []  # chip never touched again
     assert service.stats.fault_retries == 0

@@ -142,6 +142,29 @@ async def test_mixed_shapes_coalesce_bitwise(solver_twins):
     assert np.array_equal(r2.value, want_vec3)
 
 
+async def test_batched_input_scale_is_the_worst_applied_divisor(solver_twins):
+    """A served batch reports the worst of its applied input divisors as
+    ``input_scale``, as its solo twin does, also when every divisor is
+    below 1 (payloads far under the DAC range)."""
+    serve_solver, reference_solver = solver_twins
+    rng = np.random.default_rng(45)
+    a, _ = _problem(rng)
+    b = rng.uniform(-0.01, 0.01, (N, 2))
+    with column_independent_apply():
+        with reference_solver.compile(a, AMCMode.INV) as op:
+            solo = op.solve(b)
+
+    service = SolveService(serve_solver)
+    service.register_tenant("alice")
+    async with service:
+        op = await service.compile("alice", a, AMCMode.INV)
+        served = await service.solve("alice", op, b)
+    assert np.array_equal(served.value, solo.value)
+    assert np.array_equal(served.input_scales, solo.input_scales)
+    assert served.input_scale == served.input_scales.max() == solo.input_scale
+    assert served.input_scale < 1.0
+
+
 async def test_cancellation_mid_window_leaves_siblings_bitwise(solver_twins):
     serve_solver, reference_solver = solver_twins
     rng = np.random.default_rng(44)
