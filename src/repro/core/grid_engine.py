@@ -437,20 +437,19 @@ class GridEngine:
         self._plans: dict[tuple, _StagePlan] = {}
 
     @classmethod
-    def for_grid(cls, tiled: "TiledOperator", backend: "Backend") -> "GridEngine":
-        """Couplings as the MVM stack, diagonal blocks as the INV stack."""
-        edges = tiled.block_slices
-        off = [(i, j, edges[j], tiled._off[(i, j)], 0) for i, j in sorted(tiled._off)]
-        return cls(tiled._solver, backend, edges, off, list(tiled._diag))
-
-    @classmethod
-    def for_handle(cls, handle: "AnalogOperator") -> "GridEngine":
-        """One handle as a stack of its tiles: an MVM handle's tiles form
-        the MVM stack (each reads its column slice of ``x``), an INV
-        handle is a one-slot INV stack."""
+    def for_handle(cls, handle: "AnalogOperator | TiledOperator") -> "GridEngine":
+        """A handle as a stack.  A grid, which binds no tiles itself, puts
+        its couplings in the MVM stack and its diagonal blocks in the INV
+        stack; a single-array MVM handle's tiles form the MVM stack (each
+        reads its column slice of ``x``), and an INV handle is a one-slot
+        INV stack."""
         solver = handle._solver
         tiles = handle._tiles
         assert tiles is not None
+        if not tiles:
+            edges = handle.block_slices
+            off = [(i, j, edges[j], handle._off[(i, j)], 0) for i, j in sorted(handle._off)]
+            return cls(solver, solver.backend, edges, off, list(handle._diag))
         if handle.mode is AMCMode.INV:
             return cls(solver, solver.backend, [slice(0, handle.shape[0])], [], [handle])
         off = [(t, t, tile.col_slice, handle, t) for t, tile in enumerate(tiles)]

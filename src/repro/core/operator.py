@@ -104,10 +104,32 @@ class TileBinding:
 
 class _Handle:
     """What the single-array and the tiled handle share: the NumPy
-    protocol, the lifetime reads and the call boundary (see the module
-    docstring)."""
+    protocol, the call boundary and the whole lifetime (see the module
+    docstring).
 
-    macro_ids: tuple[int, ...]
+    A handle declares three things, and every lifetime operation —
+    residency, owner names, macro ids, pins, refresh, re-verify and
+    close — is written once over them:
+
+    * its own tile bindings, ``_tiles`` (a grid binds none itself);
+    * its **parts**, :meth:`_parts`: the handles its operations need
+      resident with it — a PINV handle's transpose plane, a grid's INV
+      and MVM blocks;
+    * its **held** references, ``_held``: handles it keeps open and
+      closes with itself — the ``x @ op`` transpose view, the EGV probe,
+      a grid's lazily compiled diagonal MVM views.
+    """
+
+    _HOLDER_PINS = False
+    """Whether every holder gets a pin, dropped by its ``close`` (a grid:
+    a blocked sweep needs every block resident between a holder's
+    solves).  A single-array handle is pinned only on request."""
+
+    _REFRESH_HELD = False
+    """Whether ``refresh`` and healing reach the held handles too (a
+    grid: its diagonal MVM views are its blocks for ``op @ x``).  A
+    single-array handle's transpose view and EGV probe are operators of
+    their own."""
 
     def __init__(
         self,
@@ -116,7 +138,6 @@ class _Handle:
         mode: AMCMode,
         matrix: np.ndarray,
         quant_peak: float | None,
-        pins: int,
     ):
         self._solver = solver
         self.key = key
@@ -126,10 +147,15 @@ class _Handle:
         self._refs = 1
         """Holder count: each ``compile`` returning this handle adds one;
         ``close`` releases hardware only when the last holder lets go."""
-        self._pin_count = pins
+        self._pin_count = int(self._HOLDER_PINS)
         """Counted like ``_refs``: the macros stay pool-pinned while any
         holder's pin is outstanding."""
         self._closed = False
+        self._tiles: list[TileBinding] | None = None
+        """The handle's own bindings: ``None`` until programmed and after
+        close, ``[]`` for a grid (its blocks bind the tiles)."""
+        self._stale = False
+        self._held: dict[object, _Handle] = {}
         self._ref_inverse: np.ndarray | None = None
         """INV: cached digital inverse for per-solve references."""
         self._engine: GridEngine | None = None
@@ -164,10 +190,267 @@ class _Handle:
     def is_pinned(self) -> bool:
         return self._pin_count > 0
 
+    def _parts(self) -> "list[_Handle]":
+        """The handles this one's operations need resident with it."""
+        return []
+
+    def _drop_parts(self) -> None:
+        """Forget the parts once they are closed (a grid's rollback)."""
+
     def _retain(self):
-        """Register one more holder (a ``compile`` cache hit)."""
+        """Register one more holder (a ``compile`` cache hit), with its
+        pin when every holder gets one."""
+        if self._HOLDER_PINS:
+            self.pin()
         self._refs += 1
         return self
+
+    def _hold(self, name: object, handle: "_Handle") -> None:
+        """Keep one holder reference of ``handle`` as ``name``, closed
+        with this handle; a further reference to a held name is dropped."""
+        if name in self._held:
+            handle.close()
+        else:
+            self._held[name] = handle
+
+    def _view(self, name: object, build) -> "_Handle":
+        """The held handle ``name``, built on first use (and again once
+        closed)."""
+        handle = self._held.get(name)
+        if handle is None or handle.closed:
+            handle = self._held[name] = build()
+        return handle
+
+    # ----------------------------------------------------------------- lifetime
+
+    def _tile_owners(self) -> list[str]:
+        """Pool owner names of this handle's own tiles."""
+        return [f"{self.key}/tile{i}" for i in range(len(self._tiles or ()))]
+
+    def _holds_tiles(self) -> bool:
+        pool = self._solver.pool
+        return all(pool.holds(owner) for owner in self._tile_owners())
+
+    def owner_names(self) -> list[str]:
+        """Every pool owner name behind this handle: its tiles', then its
+        parts'."""
+        names = self._tile_owners()
+        for part in self._parts():
+            names.extend(part.owner_names())
+        return names
+
+    def resident_macro_ids(self) -> tuple[int, ...]:
+        """Macros of the current bindings and the parts', *without*
+        re-programming.
+
+        For the solve paths right after :meth:`_ensure_programmed`, and
+        for the health monitor: diagnosing an evicted handle must not
+        trigger the very reprogramming it is deciding about (unlike
+        :attr:`macro_ids`, which re-ensures residency first).
+        """
+        ids: list[int] = []
+        for tile in self._tiles or ():
+            ids.append(tile.primary.macro_id)
+            if tile.partner is not None:
+                ids.append(tile.partner.macro_id)
+        for part in self._parts():
+            ids.extend(part.resident_macro_ids())
+        return tuple(ids)
+
+    @property
+    def macro_ids(self) -> tuple[int, ...]:
+        """Macros backing this handle and its parts (re-programming first
+        if evicted)."""
+        self._ensure_programmed()
+        return self.resident_macro_ids()
+
+    @property
+    def resident(self) -> bool:
+        """Whether the conductances — the parts' too — are on the macros
+        right now."""
+        if self._closed or self._tiles is None or self._stale:
+            return False
+        return self._holds_tiles() and all(part.resident for part in self._parts())
+
+    def _ensure_tiles(self) -> None:
+        """Re-program this handle's own tiles if stale or evicted, else
+        mark them most recently used."""
+        self._require_open()
+        pool = self._solver.pool
+        owners = self._tile_owners()
+        if self._tiles is None or self._stale or not all(pool.holds(o) for o in owners):
+            self._solver._program_operator(self)
+        else:
+            for owner in owners:
+                pool.touch(owner)
+
+    def _ensure_programmed(self) -> None:
+        """Make the tiles and every part resident, re-programming what
+        was evicted."""
+        self._ensure_tiles()
+        parts = self._parts()
+        for part in parts:
+            part._ensure_programmed()
+        # Programming a part may have evicted our own tiles (they must be
+        # resident *simultaneously*); solving with a stale binding would
+        # compute garbage.
+        if parts and not self._holds_tiles():
+            raise CapacityError(
+                "the operator and its parts cannot all fit in the pool's "
+                "evictable capacity; close or unpin other operators first"
+            )
+
+    def _on_evicted(self, owner: str) -> None:
+        """Pool release callback: our macros were taken by another operand."""
+        self._stale = True
+        self._solver._forget(self)
+
+    def _refreshed(self) -> "list[_Handle]":
+        """The handles ``refresh`` and healing reach besides this one."""
+        held = list(self._held.values()) if self._REFRESH_HELD else []
+        return [*self._parts(), *held]
+
+    def tile_handles(self) -> "list[_Handle]":
+        """The handles that bind tiles, each one unit of healing: this
+        handle, or a grid's blocks and diagonal views."""
+        return [self] if self._tiles else self._refreshed()
+
+    def refresh(self):
+        """Force a re-program (write-verify anew) of the tiles and every
+        part — drift recovery.  One drifted crossbar spoils a grid's
+        whole accuracy budget, so a grid's refresh is grid-wide."""
+        self._require_open()
+        if self._tiles:
+            self._solver._program_operator(self)
+        for handle in self._refreshed():
+            handle.refresh()
+        return self
+
+    def reverify_tiles(self, *, band: float, apply: bool = True) -> dict:
+        """Targeted re-verify of every resident tile, the parts' too
+        (healing rung 2).
+
+        Measures each plane's stored conductances against the intended
+        mapping targets and (when ``apply``) rewrites only the healthy
+        cells that drifted further than ``band`` (a fraction of the
+        G_MIN..G_MAX window) — the write-verify retry loop pointed at
+        drift instead of a fresh program.  Stuck cells are excluded from
+        deviation (they cannot be rewritten); their density is reported
+        so the monitor can choose between digital compensation (MVM) and
+        quarantine.  ``max_deviation`` is measured after any rewrite.
+        """
+        self._ensure_programmed()
+        solver = self._solver
+        cells_rewritten = 0
+        max_deviation = 0.0
+        out_of_band = 0
+        stuck_cells = 0
+        region_cells = 0
+        for tile in self._tiles or ():
+            for macro, targets in tile.primary.plane_targets(tile.mapping, tile.partner):
+                stats = macro.array.reverify(targets, band=band, apply=apply)
+                cells_rewritten += stats["cells_rewritten"]
+                max_deviation = max(max_deviation, stats["max_deviation"])
+                out_of_band += stats["out_of_band"]
+                stuck_cells += stats["stuck_cells"]
+                region_cells += stats["region_cells"]
+                # Same ledger entry as _program_tiles.
+                solver.cost.add_programming(stats["cells_rewritten"])
+        for part in self._parts():
+            inner = part.reverify_tiles(band=band, apply=apply)
+            cells_rewritten += inner["cells_rewritten"]
+            max_deviation = max(max_deviation, inner["max_deviation"])
+            out_of_band += inner["out_of_band"]
+            stuck_cells += int(round(inner["stuck_fraction"] * inner["region_cells"]))
+            region_cells += inner["region_cells"]
+        return {
+            "cells_rewritten": cells_rewritten,
+            "max_deviation": max_deviation,
+            "out_of_band": out_of_band,
+            "stuck_fraction": stuck_cells / region_cells if region_cells else 0.0,
+            "region_cells": region_cells,
+        }
+
+    def pin(self):
+        """Exempt the tiles and every part from LRU eviction.
+
+        Pins are counted per holder, like references: the macros become
+        evictable again only after as many :meth:`unpin` calls.
+        """
+        self._ensure_tiles()
+        for owner in self._tile_owners():
+            self._solver.pool.pin(owner)
+        self._pin_count += 1
+        for part in self._parts():
+            part.pin()
+        return self
+
+    def _owned_owners(self) -> list[str]:
+        """The pool entries this handle itself holds right now — a stale,
+        superseded handle must not release or unpin a replacement's macros,
+        while a partially evicted handle must still free its survivors."""
+        pool = self._solver.pool
+        return [
+            owner
+            for owner in self._tile_owners()
+            if pool.owned_by(owner, self._on_evicted)
+        ]
+
+    def unpin(self):
+        """Drop one holder's pin; evictable again when none remain (an
+        evicted tile transparently re-programs on next use).  One
+        holder's unpin never strips a co-holder's pin — but where every
+        holder gets a pin (a grid), ``close`` drops the closing holder's,
+        so call either ``unpin()`` or rely on ``close()``, not both."""
+        if self._pin_count > 0:
+            self._pin_count -= 1
+            if self._pin_count == 0:
+                for owner in self._owned_owners():
+                    self._solver.pool.unpin(owner)
+            for part in self._parts():
+                part.unpin()
+        return self
+
+    def close(self) -> None:
+        """Release the macros back to the pool; the handle becomes unusable.
+
+        Handles are cached per operand, so several callers may hold the
+        same one; each ``compile`` adds a reference and the macros are
+        only released when the last holder closes (a ``with`` block on a
+        shared handle therefore never tears it down under another user).
+        Call ``close`` exactly once per ``compile`` — like a duplicated
+        file descriptor, an extra close releases a co-holder's reference.
+        The parts and held handles are closed with the last holder.
+        """
+        if self._closed:
+            return
+        if self._HOLDER_PINS:
+            self.unpin()  # this holder's pin dies with its reference
+        self._refs -= 1
+        if self._refs > 0:
+            return
+        while self._pin_count > 0:  # pins leaked by a missing unpin
+            self.unpin()
+        for owner in self._owned_owners():
+            self._solver.pool.release(owner)
+        self._solver._forget(self)
+        self._tiles = None
+        self._engine = None
+        self._closed = True
+        for handle in (*self._parts(), *self._held.values()):
+            handle.close()
+        self._drop_parts()
+        self._held = {}
+
+    def _grid_engine(self) -> GridEngine:
+        """The handle as a stage stack, built on first use and re-synced
+        for this call; the slices a re-sync rebuilds go on the ledger."""
+        if self._engine is None:
+            self._engine = GridEngine.for_handle(self)
+        rebuilt = self._engine.refresh()
+        if rebuilt:
+            self._solver.cost.add_stack_rebuilds(rebuilt)
+        return self._engine
 
     def __enter__(self):
         self._ensure_programmed()
@@ -263,8 +546,13 @@ class AnalogOperator(_Handle):
     """A pinned-to-hardware matrix operator with explicit lifetime.
 
     Instances come from :meth:`GramcSolver.compile` /
-    :meth:`GramcChip.compile` — never construct one directly.
+    :meth:`GramcChip.compile` — never construct one directly.  Building
+    one programs its tiles and, for a PINV operand, compiles its
+    transpose plane under ``transpose_tag``.
     """
+
+    block_count = 1
+    """One array: a single block (a grid counts its blocks)."""
 
     def __init__(
         self,
@@ -274,25 +562,31 @@ class AnalogOperator(_Handle):
         matrix: np.ndarray,
         g_lambda: float = 0.0,
         quant_peak: float | None = None,
+        transpose_tag: str | None = None,
     ):
-        super().__init__(solver, key, mode, matrix, quant_peak, pins=0)
+        super().__init__(solver, key, mode, matrix, quant_peak)
         self.g_lambda = g_lambda
         self.program_count = 0
         """How many times this handle's tiles have been written to hardware."""
-        self._tiles: list[TileBinding] | None = None
-        self._stale = False
         self._ref_pinv: np.ndarray | None = None
         """PINV only: cached digital pseudoinverse for per-solve references."""
-        self._transpose: "AnalogOperator | None" = None
-        """PINV only: the handle holding the Aᵀ plane pair."""
-        self._t_view: "AnalogOperator | None" = None
-        """MVM only: lazily compiled transpose operator for ``x @ op`` / ``op.T``."""
         self._egv_reference: np.ndarray | None = None
         """EGV only: cached digital reference eigenvector (the matrix is
         immutable, so one eigendecomposition serves every solve)."""
-        self._probe: "AnalogOperator | None" = None
-        """EGV only: the λ̂-estimate MVM probe; this handle owns one
-        reference and releases it on close."""
+        self._transpose: "AnalogOperator | None" = None
+        """PINV only: the part holding the Aᵀ plane pair."""
+        self._ensure_programmed()
+        if transpose_tag is not None:
+            self._transpose = solver.compile(
+                matrix.T,
+                AMCMode.PINV,
+                tag=transpose_tag,
+                quant_peak=quant_peak,
+                _transpose_plane=True,
+            )
+
+    def _parts(self) -> "list[_Handle]":
+        return [] if self._transpose is None else [self._transpose]
 
     # ------------------------------------------------------------- introspection
 
@@ -302,46 +596,6 @@ class AnalogOperator(_Handle):
         self._ensure_programmed()
         assert self._tiles is not None
         return self._tiles
-
-    @property
-    def macro_ids(self) -> tuple[int, ...]:
-        """Macros backing this handle (including a PINV transpose plane)."""
-        self._ensure_programmed()
-        return self.resident_macro_ids()
-
-    def resident_macro_ids(self) -> tuple[int, ...]:
-        """Macros of the current bindings, *without* re-programming.
-
-        For the solve paths right after :meth:`_ensure_programmed`, and
-        for the health monitor: diagnosing an evicted handle must not
-        trigger the very reprogramming it is deciding about (unlike
-        :attr:`macro_ids`, which re-ensures residency first).
-        """
-        ids: list[int] = []
-        for tile in self._tiles or []:
-            ids.append(tile.primary.macro_id)
-            if tile.partner is not None:
-                ids.append(tile.partner.macro_id)
-        if self._transpose is not None:
-            ids.extend(self._transpose.resident_macro_ids())
-        return tuple(ids)
-
-    @property
-    def resident(self) -> bool:
-        """Whether the conductances are on the macros right now."""
-        if self._closed or self._tiles is None or self._stale:
-            return False
-        pool = self._solver.pool
-        if not all(pool.holds(owner) for owner in self.owner_names()):
-            return False
-        if self._transpose is not None:
-            return self._transpose.resident
-        return True
-
-    def owner_names(self) -> list[str]:
-        """This handle's tile-owner names inside the macro pool."""
-        count = len(self._tiles) if self._tiles is not None else 0
-        return [f"{self.key}/tile{i}" for i in range(count)]
 
     def quantized(self) -> np.ndarray:
         """The 4-bit quantized matrix actually targeted on the arrays."""
@@ -361,163 +615,6 @@ class AnalogOperator(_Handle):
             f"<AnalogOperator {self.mode.value} {self.shape[0]}×{self.shape[1]} "
             f"{state}{pin}, programmed ×{self.program_count}>"
         )
-
-    # ------------------------------------------------------------------ lifetime
-
-    def _ensure_programmed(self) -> None:
-        self._require_open()
-        pool = self._solver.pool
-        if (
-            self._tiles is None
-            or self._stale
-            or not all(pool.holds(owner) for owner in self.owner_names())
-        ):
-            self._solver._program_operator(self)
-        else:
-            for owner in self.owner_names():
-                pool.touch(owner)
-        if self._transpose is not None:
-            self._transpose._ensure_programmed()
-            # Programming the transpose plane may have evicted our own tiles
-            # (both plane sets must be resident *simultaneously* for PINV);
-            # solving with a stale binding would compute garbage.
-            if not all(pool.holds(owner) for owner in self.owner_names()):
-                raise CapacityError(
-                    "the operator and its transpose plane cannot both fit in "
-                    "the pool's evictable capacity; close or unpin other "
-                    "operators first"
-                )
-
-    def _on_evicted(self, owner: str) -> None:
-        """Pool release callback: our macros were taken by another operand."""
-        self._stale = True
-        self._solver._forget(self)
-
-    def refresh(self) -> "AnalogOperator":
-        """Force a re-program (write-verify anew) — drift recovery."""
-        self._require_open()
-        self._solver._program_operator(self)
-        if self._transpose is not None:
-            self._transpose.refresh()
-        return self
-
-    def reverify_tiles(self, *, band: float, apply: bool = True) -> dict:
-        """Targeted re-verify of every resident tile (healing rung 2).
-
-        Measures each plane's stored conductances against the intended
-        mapping targets and (when ``apply``) rewrites only the healthy
-        cells that drifted further than ``band`` (a fraction of the
-        G_MIN..G_MAX window) — the write-verify retry loop pointed at
-        drift instead of a fresh program.  Stuck cells are excluded from
-        deviation (they cannot be rewritten); their density is reported
-        so the monitor can choose between digital compensation (MVM) and
-        quarantine.  ``max_deviation`` is measured after any rewrite.
-        """
-        self._ensure_programmed()
-        solver = self._solver
-        cells_rewritten = 0
-        max_deviation = 0.0
-        out_of_band = 0
-        stuck_cells = 0
-        region_cells = 0
-        assert self._tiles is not None
-        for tile in self._tiles:
-            for macro, targets in tile.primary.plane_targets(tile.mapping, tile.partner):
-                stats = macro.array.reverify(targets, band=band, apply=apply)
-                cells_rewritten += stats["cells_rewritten"]
-                max_deviation = max(max_deviation, stats["max_deviation"])
-                out_of_band += stats["out_of_band"]
-                stuck_cells += stats["stuck_cells"]
-                region_cells += stats["region_cells"]
-                # Same ledger entry as _program_tiles.
-                solver.cost.add_programming(stats["cells_rewritten"])
-        if self._transpose is not None:
-            inner = self._transpose.reverify_tiles(band=band, apply=apply)
-            cells_rewritten += inner["cells_rewritten"]
-            max_deviation = max(max_deviation, inner["max_deviation"])
-            out_of_band += inner["out_of_band"]
-            stuck_cells += int(
-                round(inner["stuck_fraction"] * inner["region_cells"])
-            )
-            region_cells += inner["region_cells"]
-        return {
-            "cells_rewritten": cells_rewritten,
-            "max_deviation": max_deviation,
-            "out_of_band": out_of_band,
-            "stuck_fraction": stuck_cells / region_cells if region_cells else 0.0,
-            "region_cells": region_cells,
-        }
-
-    def pin(self) -> "AnalogOperator":
-        """Exempt this operator's macros from LRU eviction.
-
-        Pins are counted per holder, like references: the macros become
-        evictable again only after as many :meth:`unpin` calls.
-        """
-        self._ensure_programmed()
-        for owner in self.owner_names():
-            self._solver.pool.pin(owner)
-        self._pin_count += 1
-        if self._transpose is not None:
-            self._transpose.pin()
-        return self
-
-    def _owned_owners(self) -> list[str]:
-        """The pool entries this handle itself holds right now — a stale,
-        superseded handle must not release or unpin a replacement's macros,
-        while a partially evicted handle must still free its survivors."""
-        pool = self._solver.pool
-        return [
-            owner
-            for owner in self.owner_names()
-            if pool.owned_by(owner, self._on_evicted)
-        ]
-
-    def unpin(self) -> "AnalogOperator":
-        """Drop one holder's pin; evictable again when none remain."""
-        if self._pin_count > 0:
-            self._pin_count -= 1
-        if self._pin_count == 0:
-            for owner in self._owned_owners():
-                self._solver.pool.unpin(owner)
-        if self._transpose is not None:
-            self._transpose.unpin()
-        return self
-
-    def close(self) -> None:
-        """Release the macros back to the pool; the handle becomes unusable.
-
-        Handles are cached per operand, so several callers may hold the
-        same one; each ``compile`` adds a reference and the macros are
-        only released when the last holder closes (a ``with`` block on a
-        shared handle therefore never tears it down under another user).
-        Call ``close`` exactly once per ``compile`` — like a duplicated
-        file descriptor, an extra close releases a co-holder's reference.
-        """
-        if self._closed:
-            return
-        self._refs -= 1
-        if self._refs > 0:
-            return
-        pool = self._solver.pool
-        for owner in self._owned_owners():
-            pool.release(owner)
-        if self._solver._operators.get(self.key) is self:
-            self._solver._forget(self)
-        self._tiles = None
-        self._engine = None
-        self._pin_count = 0
-        self._closed = True
-        if self._transpose is not None:
-            self._transpose.close()
-        # Release the holder references this handle took out on its lazily
-        # compiled helpers; refcounting keeps them alive for other holders.
-        if self._t_view is not None:
-            self._t_view.close()
-            self._t_view = None
-        if self._probe is not None:
-            self._probe.close()
-            self._probe = None
 
     # ----------------------------------------------------------------- execution
 
@@ -549,7 +646,7 @@ class AnalogOperator(_Handle):
         out = np.zeros((self.shape[0], k))
         assert self._tiles is not None
         with trace.span("mvm", shape=str(self.shape), columns=k, tiles=len(self._tiles)):
-            stack = self._stack()
+            stack = self._grid_engine()
             scales = self._solver._input_scales(big_x)
             for slot, value in stack._mvm_stage(stack._off_slots, big_x, stats, scales):
                 out[slot.tile.row_slice] += value
@@ -646,7 +743,7 @@ class AnalogOperator(_Handle):
         self._ensure_programmed()
         stats = SweepStats(b.shape[1])
         x = np.empty(b.shape)
-        self._stack()._diag_stage([0], b[None], x, stats)
+        self._grid_engine()._diag_stage([0], b[None], x, stats)
         return stats.result(self.mode, x, reference, self.resident_macro_ids(), batched)
 
     def lstsq(self, b: np.ndarray, _reference: np.ndarray | None = None) -> SolveResult:
@@ -765,24 +862,16 @@ class AnalogOperator(_Handle):
             macro_ids=self.resident_macro_ids(),
         )
 
-    def _stack(self) -> GridEngine:
-        """This handle as a stack of its tiles, re-synced for this call."""
-        if self._engine is None:
-            self._engine = GridEngine.for_handle(self)
-        self._engine.refresh()
-        return self._engine
-
     # -------------------------------------------------------------- numpy sugar
 
     @property
     def T(self) -> "AnalogOperator":
         """The transpose as its own operator (compiled on first access)."""
         self._accept(AMCMode.MVM, "transpose application")
-        if self._t_view is None or self._t_view.closed:
-            self._t_view = self._solver.compile(
-                self.matrix.T, AMCMode.MVM, quant_peak=self.quant_peak
-            )
-        return self._t_view
+        return self._view(
+            "T",
+            lambda: self._solver.compile(self.matrix.T, AMCMode.MVM, quant_peak=self.quant_peak),
+        )
 
     def __rmatmul__(self, other) -> np.ndarray:
         """``x @ op`` — transpose application ``xᵀ·A = (Aᵀ·x)ᵀ``."""

@@ -43,9 +43,8 @@ class SolveResult:
     meaning as the worst (largest) of these.  ``None`` for vector solves."""
     per_column_attempts: np.ndarray | None = None
     """Batched solves: engine evaluations each column took part in (shape
-    ``(k,)``).  With the batched engine all columns ride every re-ranging
-    pass together, so the entries are equal; the column-loop fallback
-    records genuinely per-column counts.  ``None`` for vector solves."""
+    ``(k,)``).  All columns ride every re-ranging pass together, so the
+    entries are equal.  ``None`` for vector solves."""
     column_saturated: np.ndarray | None = None
     """Batched solves: per-column post-ranging saturation state ``(k,)``
     (railed or outside the ADC range).  ``None`` for vector solves."""

@@ -288,52 +288,53 @@ class GramcSolver:
             raise ShapeError("operands must be 2-D matrices")
         if original.size == 0:
             raise ShapeError(f"operands must be non-empty; got shape {original.shape}")
-        if mode is AMCMode.INV and (
+        qp = "" if quant_peak is None else f"/qp={quant_peak!r}"
+        tiled = mode is AMCMode.INV and (
             tile is not None or original.shape[0] > self._tile_max
-        ):
-            return self._compile_tiled(
-                original, tile=tile, tag=tag, quant_peak=quant_peak, pin=pin
-            )
-        self._validate_mode_shape(original, mode, _transpose_plane)
-        if mode is AMCMode.EGV and g_lambda is None:
-            operator = self._compile_egv(
-                original, lambda_hat, tag=tag, quant_peak=quant_peak
-            )
-            if pin:
-                operator.pin()
-            return operator
-        if mode is AMCMode.EGV and not _egv_auto:
-            # An explicitly chosen loop gain is part of the operand identity:
-            # a cached handle with a different g_lambda must not be returned.
-            tag = f"{tag}/gl={g_lambda!r}"
-        if quant_peak is not None:
-            tag = f"{tag}/qp={quant_peak!r}"
-        key = _operand_key(original, mode, tag)
-        cached = self._operators.get(key)
+        )
+        self._validate_mode_shape(original, mode, _transpose_plane, tiled)
+        if tiled:
+            tile_size = self._grid_tile(tile)
+            key = _operand_key(original, mode, f"{tag}/tiled:{tile_size}{qp}")
+
+            def build():
+                operator = TiledOperator(
+                    self, key, self._private_copy(original), tile_size,
+                    tag=tag, quant_peak=quant_peak,
+                )
+                self._operators[key] = operator
+                return operator
+        elif mode is AMCMode.EGV and g_lambda is None:
+            egv_tag = f"{tag}/egv" if tag else "egv"
+            # Only an estimated loop gain is cached under the operand
+            # alone; an explicit ``lambda_hat`` compiles its own handle,
+            # keyed by the resulting gain.
+            key = None if lambda_hat is not None else _operand_key(original, mode, egv_tag + qp)
+
+            def build():
+                return self._compile_egv(original, lambda_hat, egv_tag, quant_peak)
+        else:
+            transpose_tag = None
+            if mode is AMCMode.PINV and not _transpose_plane:
+                transpose_tag = "transpose" if tag == "" else f"{tag}/transpose"
+            if mode is AMCMode.EGV and not _egv_auto:
+                # An explicitly chosen loop gain is part of the operand
+                # identity: a handle with another g_lambda must not match.
+                tag = f"{tag}/gl={g_lambda!r}"
+            key = _operand_key(original, mode, tag + qp)
+
+            def build():
+                return AnalogOperator(
+                    self, key, mode, self._private_copy(original),
+                    g_lambda=0.0 if g_lambda is None else g_lambda,
+                    quant_peak=quant_peak, transpose_tag=transpose_tag,
+                )
+        cached = None if key is None else self._operators.get(key)
         if cached is not None and not cached.closed:
             cached._ensure_programmed()
-            if pin:
-                cached.pin()
-            return cached._retain()
-        operator = AnalogOperator(
-            self,
-            key,
-            mode,
-            self._private_copy(original),
-            g_lambda=0.0 if g_lambda is None else g_lambda,
-            quant_peak=quant_peak,
-        )
-        operator._ensure_programmed()
-        if mode is AMCMode.PINV and not _transpose_plane:
-            base = tag.split("/qp=")[0]
-            transpose_tag = "transpose" if base == "" else f"{base}/transpose"
-            operator._transpose = self.compile(
-                operator.matrix.T,
-                AMCMode.PINV,
-                tag=transpose_tag,
-                quant_peak=quant_peak,
-                _transpose_plane=True,
-            )
+            operator = cached._retain()
+        else:
+            operator = build()
         if pin:
             operator.pin()
         return operator
@@ -352,63 +353,26 @@ class GramcSolver:
         private.setflags(write=False)
         return private
 
-    def _compile_tiled(
-        self,
-        original: np.ndarray,
-        *,
-        tile: int | None,
-        tag: str,
-        quant_peak: float | None = None,
-        pin: bool = False,
-    ) -> TiledOperator:
-        """Blocked-engine compilation for square SOLVE operands.
+    def _grid_tile(self, tile: int | None) -> int:
+        """The block edge of a SOLVE operand's tile grid.
 
-        Every compile hands out a *pinned* holder reference (the grid
-        must stay resident between a holder's solves); ``pin=True`` adds
-        one more explicit pin on top, symmetric with the direct path.
+        Every block must land on one macro tile (the grid engine stacks
+        tiles, not operands), so the edge never exceeds either side of
+        an array.
         """
-        rows, cols = original.shape
-        if rows != cols:
-            raise ShapeError("solve needs a square matrix")
         tile_size = self._tile_max if tile is None else int(tile)
         if tile_size < 1:
             raise ShapeError("tile size must be a positive block edge")
-        # Every block must land on one macro tile (the grid engine stacks
-        # tiles, not operands), so the edge never exceeds either side of
-        # an array.
-        tile_size = min(tile_size, self._tile_max)
-        grid_tag = f"{tag}/tiled:{tile_size}"
-        if quant_peak is not None:
-            grid_tag = f"{grid_tag}/qp={quant_peak!r}"
-        key = _operand_key(original, AMCMode.INV, grid_tag)
-        cached = self._operators.get(key)
-        if cached is not None and not cached.closed:
-            cached._ensure_programmed()
-            cached.pin()  # this holder's pin (dropped by its close/unpin)
-            if pin:
-                cached.pin()
-            return cached._retain()
-        operator = TiledOperator(
-            self,
-            key,
-            self._private_copy(original),
-            tile_size,
-            tag=tag,
-            quant_peak=quant_peak,
-        )
-        self._operators[key] = operator
-        if pin:
-            operator.pin()
-        return operator
+        return min(tile_size, self._tile_max)
 
     def _validate_mode_shape(
-        self, matrix: np.ndarray, mode: AMCMode, transpose_plane: bool
+        self, matrix: np.ndarray, mode: AMCMode, transpose_plane: bool, tiled: bool
     ) -> None:
         rows, cols = matrix.shape
         if mode is AMCMode.INV:
             if rows != cols:
                 raise ShapeError("solve needs a square matrix")
-            if rows > self._rows_max:
+            if rows > self._rows_max and not tiled:
                 raise ShapeError(f"INV supports up to {self._rows_max} unknowns")
         elif mode is AMCMode.EGV:
             if rows != cols:
@@ -424,37 +388,25 @@ class GramcSolver:
     def _compile_egv(
         self,
         matrix: np.ndarray,
-        lambda_hat: float | None = None,
-        tag: str = "",
-        quant_peak: float | None = None,
+        lambda_hat: float | None,
+        egv_tag: str,
+        quant_peak: float | None,
     ) -> AnalogOperator:
         """EGV compilation: probe-based λ̂ estimate, then the loop operator."""
-        auto = lambda_hat is None
-        prefix = f"{tag}/" if tag else ""
-        egv_tag = f"{prefix}egv"
-        lookup_tag = f"{egv_tag}/qp={quant_peak!r}" if quant_peak is not None else egv_tag
-        cached = self._operators.get(_operand_key(matrix, AMCMode.EGV, lookup_tag))
-        if auto and cached is not None and not cached.closed:
-            # Skip the probe + power-iteration estimate: the loop operator is
-            # already compiled (its g_lambda is baked into the registers).
-            # An explicit lambda_hat never takes this shortcut — it compiles
-            # its own handle keyed by the resulting gain.
-            cached._ensure_programmed()
-            return cached._retain()
         # Digital eigenvalue estimate on the quantized matrix (functional module).
         probe = self.compile(
-            matrix, AMCMode.MVM, tag=f"{prefix}egv-probe", quant_peak=quant_peak
+            matrix, AMCMode.MVM, tag=f"{egv_tag}-probe", quant_peak=quant_peak
         )
         quantized = probe.tiles[0].mapping.quantized_matrix()
-        if lambda_hat is None:
+        auto = lambda_hat is None
+        if auto:
             # 7 % margin keeps the loop gain above one even after programming
             # noise shifts the realised spectrum slightly downward.
             lambda_hat = 0.93 * estimate_dominant_eigenvalue(quantized, rng=self.rng)
         if lambda_hat <= 0.0:
             probe.close()  # release the reference taken above — no operator owns it
             raise ConvergenceError("EGV requires a positive dominant eigenvalue")
-        value_scale = probe.tiles[0].mapping.value_scale
-        g_lambda = lambda_hat / value_scale
+        g_lambda = lambda_hat / probe.tiles[0].mapping.value_scale
         operator = self.compile(
             matrix,
             AMCMode.EGV,
@@ -463,13 +415,10 @@ class GramcSolver:
             quant_peak=quant_peak,
             _egv_auto=auto,
         )
-        # The EGV operator owns the probe's reference: the probe stays cached
-        # for repeated compiles (no re-programming) and is released together
-        # with the operator, so a scoped EGV handle frees everything on close.
-        if operator._probe is None:
-            operator._probe = probe
-        else:
-            probe.close()  # operator already holds a reference — drop this one
+        # The EGV operator holds the probe's reference: the probe stays
+        # cached for repeated compiles (no re-programming) and is released
+        # together with the operator.
+        operator._hold("probe", probe)
         return operator
 
     def resident_operators(self) -> "dict[str, AnalogOperator]":
@@ -513,7 +462,7 @@ class GramcSolver:
         operator.program_count += 1
         self._operators[operator.key] = operator
         if operator.is_pinned:
-            for owner in operator.owner_names():
+            for owner in operator._tile_owners():
                 self.pool.pin(owner)
 
     def _program_tiles(

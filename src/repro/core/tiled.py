@@ -63,8 +63,12 @@ class TiledOperator(_Handle):
     blocks as MVM handles; all-zero off-diagonal blocks are skipped
     entirely (block-sparse operands pay only for their couplings).
     Instances come from :meth:`GramcSolver.compile` — never construct
-    one directly.
+    one directly.  The blocks are the grid's parts; its lifetime (pins,
+    residency, refresh, close) is :class:`~repro.core.operator._Handle`'s.
     """
+
+    _HOLDER_PINS = True
+    _REFRESH_HELD = True
 
     def __init__(
         self,
@@ -82,7 +86,8 @@ class TiledOperator(_Handle):
         # grid-wide scale).  Construction pins the grid for the first
         # holder; every cache-hit compile adds another pin and every
         # ``close`` (or explicit ``unpin``) drops one.
-        super().__init__(solver, key, AMCMode.INV, matrix, quant_peak, pins=1)
+        super().__init__(solver, key, AMCMode.INV, matrix, quant_peak)
+        self._tiles = []  # a grid binds no tiles itself; its blocks do
         self.tile = int(tile)
         self._tag = tag
 
@@ -104,10 +109,6 @@ class TiledOperator(_Handle):
         block solves exactly once: its ``x_i = A_ii⁻¹·b_i`` is independent
         of every other block, so sweeping it again would only re-spend
         settling events on a fresh noise draw of the same answer."""
-        self._diag_mvm: list["AnalogOperator | None"] = [None] * len(edges)
-        """Lazily compiled MVM views of the diagonal blocks — only built
-        when the operator is *applied* (``op @ x``); a pure solve workload
-        never pays their macros."""
         self._compile_grid()
 
     # ------------------------------------------------------------- compilation
@@ -148,9 +149,7 @@ class TiledOperator(_Handle):
             for handle in compiled:
                 handle.unpin()
                 handle.close()
-            self._diag.clear()
-            self._off.clear()
-            self._index_couplings()
+            self._drop_parts()
             if not isinstance(error, CapacityError):
                 raise
             # ``error`` already carries owner_stats from the failed
@@ -160,6 +159,14 @@ class TiledOperator(_Handle):
                 f"{self.grid[0]}x{self.grid[1]} tile grid) does not fit the "
                 f"pool: {error}"
             ) from error
+
+    def _parts(self) -> "list[_Handle]":
+        return [*self._diag, *self._off.values()]
+
+    def _drop_parts(self) -> None:
+        self._diag = []
+        self._off = {}
+        self._index_couplings()
 
     def _index_couplings(self) -> None:
         """Re-derive the coupled/uncoupled block rows from ``_off``."""
@@ -184,20 +191,6 @@ class TiledOperator(_Handle):
         """The row/column ranges of the (possibly ragged) tile edges."""
         return list(self._edges)
 
-    def _solve_handles(self) -> list["AnalogOperator"]:
-        return [*self._diag, *self._off.values()]
-
-    def _all_handles(self) -> list["AnalogOperator"]:
-        extra = [h for h in self._diag_mvm if h is not None]
-        return [*self._solve_handles(), *extra]
-
-    @property
-    def resident(self) -> bool:
-        """Whether every block's conductances are on the macros right now."""
-        if self._closed:
-            return False
-        return all(handle.resident for handle in self._solve_handles())
-
     @property
     def program_events(self) -> int:
         """Total hardware writes across the solve-path blocks.
@@ -205,14 +198,7 @@ class TiledOperator(_Handle):
         Constant across solves on a healthy grid — the benchmark's
         "zero reprogramming events per solve" is this number's delta.
         """
-        return sum(handle.program_count for handle in self._solve_handles())
-
-    @property
-    def macro_ids(self) -> tuple[int, ...]:
-        ids: list[int] = []
-        for handle in self._solve_handles():
-            ids.extend(handle.macro_ids)
-        return tuple(ids)
+        return sum(handle.program_count for handle in self._parts())
 
     @property
     def macros(self) -> int:
@@ -228,86 +214,7 @@ class TiledOperator(_Handle):
             f"{self.macros if not self._closed else 0} macros>"
         )
 
-    # ---------------------------------------------------------------- lifetime
-
-    def _ensure_programmed(self) -> None:
-        """Re-ensure every block (transparently reprogramming evicted ones)."""
-        self._require_open()
-        for handle in self._solve_handles():
-            handle._ensure_programmed()
-
-    def refresh(self) -> "TiledOperator":
-        """Force a re-program of **every** tile (drift recovery).
-
-        One drifted or externally rewritten crossbar invalidates the whole
-        grid's accuracy budget, so refresh is grid-wide by design.
-        """
-        self._require_open()
-        for handle in self._all_handles():
-            handle.refresh()
-        return self
-
-    def pin(self) -> "TiledOperator":
-        """Add one holder's pin to every solve-path block."""
-        self._require_open()
-        for handle in self._solve_handles():
-            handle.pin()
-        self._pin_count += 1
-        return self
-
-    def unpin(self) -> "TiledOperator":
-        """Drop one holder's pin; the grid becomes LRU-evictable when no
-        pins remain (an evicted block transparently re-programs on the
-        next solve, at the cost of reprogramming events).  One holder's
-        unpin never strips a co-holder's pin — but since ``close`` also
-        drops the closing holder's pin, call either ``unpin()`` or rely
-        on ``close()``, not both, per ``compile``."""
-        if self._pin_count > 0:
-            self._pin_count -= 1
-            for handle in self._solve_handles():
-                handle.unpin()
-        return self
-
-    def close(self) -> None:
-        """Release every block back to the pool; the handle becomes unusable.
-
-        Like :class:`AnalogOperator`, tiled handles are cached per
-        (operand, tile) and refcounted: the grid is only torn down when
-        the last holder closes.  Each close also drops the closing
-        holder's pin (every ``compile`` hands out a pinned reference).
-        """
-        if self._closed:
-            return
-        self.unpin()  # this holder's pin dies with its reference
-        self._refs -= 1
-        if self._refs > 0:
-            return
-        while self._pin_count > 0:  # clear pins leaked by a missing unpin
-            self.unpin()
-        for handle in self._solve_handles():
-            handle.close()
-        for handle in self._diag_mvm:
-            if handle is not None:
-                handle.close()
-        self._solver._forget(self)
-        self._pin_count = 0
-        self._diag = []
-        self._off = {}
-        self._index_couplings()
-        self._diag_mvm = []
-        self._engine = None
-        self._closed = True
-
     # --------------------------------------------------------------- execution
-
-    def _grid_engine(self) -> GridEngine:
-        """The stacked engine, built lazily and re-synced for this solve."""
-        if self._engine is None:
-            self._engine = GridEngine.for_grid(self, self._solver.backend)
-        rebuilt = self._engine.refresh()
-        if rebuilt:
-            self._solver.cost.add_stack_rebuilds(rebuilt)
-        return self._engine
 
     def solve(
         self,
@@ -408,7 +315,7 @@ class TiledOperator(_Handle):
                 sweeps=1,
                 residual_floor=self._residual_floor(b, inner.value),
                 converged=True if rtol is None else inner.converged,
-                macro_ids=self.macro_ids,
+                macro_ids=self.resident_macro_ids(),
             )
 
         big_b = b if batched else b[:, None]
@@ -434,7 +341,7 @@ class TiledOperator(_Handle):
             )
 
             result = stats.result(
-                AMCMode.INV, x, reference, self.macro_ids, batched,
+                AMCMode.INV, x, reference, self.resident_macro_ids(), batched,
                 sweeps=sweeps, converged=converged,
             )
 
@@ -571,15 +478,16 @@ class TiledOperator(_Handle):
     # ------------------------------------------------------------ application
 
     def _diag_mvm_handle(self, i: int) -> "AnalogOperator":
-        handle = self._diag_mvm[i]
-        if handle is None or handle.closed:
-            rows = self._edges[i]
-            handle = self._solver.compile(
-                self.matrix[rows, rows], AMCMode.MVM,
-                tag=self._tag, quant_peak=self.quant_peak,
-            )
-            self._diag_mvm[i] = handle
-        return handle
+        """The MVM view of diagonal block ``i``, held by the grid and
+        compiled only when the operator is *applied* (``op @ x``): a pure
+        solve workload never pays its macros."""
+        rows = self._edges[i]
+        return self._view(
+            i,
+            lambda: self._solver.compile(
+                self.matrix[rows, rows], AMCMode.MVM, tag=self._tag, quant_peak=self.quant_peak
+            ),
+        )
 
     def mvm(self, x: np.ndarray) -> SolveResult:
         """Blocked analog product ``A·x`` through the compiled handles.

@@ -147,24 +147,24 @@ class HealthMonitor:
     def observe_solve(self, operator, result) -> None:
         """Consume one solve's free health signals (a zero-column result
         carries none)."""
-        macro_ids = tuple(getattr(result, "macro_ids", ()) or ())
-        if not macro_ids or getattr(result, "columns", None) == 0:
+        macro_ids = result.macro_ids
+        if not macro_ids or result.columns == 0:
             return
         penalty = 0.0
-        if getattr(result, "saturated", False) or not getattr(result, "stable", True):
+        if result.saturated or not result.stable:
             penalty += 0.1
-        attempts = getattr(result, "per_column_attempts", None)
+        attempts = result.per_column_attempts
         if attempts is None:
-            attempts = getattr(result, "attempts", 1)
+            attempts = result.attempts
         if np.max(attempts) > 3 * _tile_evaluations(operator, result):
             penalty += 0.05
-        trace_values = getattr(result, "refine_residual_trace", None)
+        trace_values = result.refine_residual_trace
         if trace_values is not None and len(trace_values) >= 2:
             if trace_values[-1] > trace_values[0]:
                 penalty += 0.2
             elif _contraction_per_sweep(result, trace_values) > _SLOW_SWEEP_CONTRACTION:
                 penalty += 0.1
-        per_column = getattr(result, "per_column_converged", None)
+        per_column = result.per_column_converged
         if per_column is not None and not bool(np.all(per_column)):
             penalty += 0.25
         if penalty > 0.0:
@@ -198,17 +198,17 @@ class HealthMonitor:
             return 0
         ran = 0
         for operator in self._solver.resident_operators().values():
-            mode = getattr(operator, "mode", None)
-            if mode not in (AMCMode.INV, AMCMode.MVM):
-                continue
-            if not getattr(operator, "resident", False):
+            mode = operator.mode
+            if mode not in (AMCMode.INV, AMCMode.MVM) or not operator.resident:
                 continue
             matrix = np.asarray(operator.matrix, dtype=float)
             rhs = np.ones(matrix.shape[0])
             with trace.span("canary", operator=operator.key[:12]):
                 try:
                     if mode is AMCMode.INV:
-                        if hasattr(operator, "block_slices"):
+                        # A blocked canary bounds its sweeps; a one-block
+                        # grid solves directly and ignores the bounds.
+                        if operator.block_count > 1:
                             result = operator.solve(
                                 rhs, tolerance=1e-2, max_sweeps=8
                             )
@@ -259,9 +259,9 @@ class HealthMonitor:
             "migrated_tiles": 0,
         }
         band = self.plan.reverify_band
-        with trace.span("heal", operator=getattr(operator, "key", "?")[:12]):
-            for handle in self._handles(operator):
-                if not getattr(handle, "resident", False):
+        with trace.span("heal", operator=operator.key[:12]):
+            for handle in operator.tile_handles():
+                if not handle.resident:
                     # Already evicted (quarantine, preemption, death): the
                     # next use re-homes it onto healthy macros — that *is*
                     # the migration rung, no further action here.
@@ -326,16 +326,12 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------ plumbing
 
-    @staticmethod
-    def _handles(operator):
-        if hasattr(operator, "_all_handles"):
-            return list(operator._all_handles())
-        return [operator]
-
     def _operator_macros(self, operator) -> tuple:
+        """The resident macros of the operator's tile handles (an evicted
+        one has none to score)."""
         ids: list[int] = []
-        for handle in self._handles(operator):
-            if getattr(handle, "resident", False):
+        for handle in operator.tile_handles():
+            if handle.resident:
                 ids.extend(handle.resident_macro_ids())
         return tuple(ids)
 
@@ -371,11 +367,10 @@ def _tile_evaluations(operator, result) -> int:
     evaluation; a blocked one evaluates every tile once per sweep of its
     analog step (the base sweep of a refined solve: its per-column
     arrays describe that step)."""
-    tiles = getattr(operator, "block_count", 1)
-    sweeps = getattr(result, "sweeps", None)
-    if sweeps is None or getattr(result, "refine_steps", None) is not None:
+    sweeps = result.sweeps
+    if sweeps is None or result.refine_steps is not None:
         sweeps = 1
-    return max(int(tiles) * int(sweeps), 1)
+    return max(operator.block_count * sweeps, 1)
 
 
 def _contraction_per_sweep(result, trace_values) -> float:
@@ -386,5 +381,5 @@ def _contraction_per_sweep(result, trace_values) -> float:
     first, last = float(trace_values[0]), float(trace_values[-1])
     if first <= 0.0:
         return 0.0
-    sweeps = max(getattr(result, "sweeps", None) or 0, len(trace_values) - 1)
+    sweeps = max(result.sweeps or 0, len(trace_values) - 1)
     return (last / first) ** (1.0 / sweeps)

@@ -26,16 +26,6 @@ from repro.serve.coalescer import CoalescedBatch
 from repro.serve.tenancy import TenantRegistry, TenantState
 
 
-def _operator_owner_names(operator) -> list[str]:
-    """All pool owner entries backing a handle, including a PINV
-    transpose plane (which is its own handle with its own tile owners)."""
-    names = list(operator.owner_names())
-    transpose = getattr(operator, "_transpose", None)
-    if transpose is not None:
-        names.extend(transpose.owner_names())
-    return names
-
-
 class FairShareScheduler:
     """Orders window groups and reclaims tiles from over-share tenants."""
 
@@ -67,7 +57,7 @@ class FairShareScheduler:
         owner_stats = self._pool.owner_stats()
         total = 0
         for operator in state.operators.values():
-            for owner in _operator_owner_names(operator):
+            for owner in operator.owner_names():
                 stats = owner_stats.get(owner)
                 if stats is not None:
                     total += int(stats["macros"])
@@ -119,9 +109,7 @@ class FairShareScheduler:
             for operator in state.operators.values():
                 if operator.is_pinned:
                     continue
-                evicted = [
-                    self._pool.preempt(owner) for owner in _operator_owner_names(operator)
-                ]
+                evicted = [self._pool.preempt(owner) for owner in operator.owner_names()]
                 if any(evicted):
                     state.counters.preemptions += 1
                     return True

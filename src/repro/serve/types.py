@@ -156,8 +156,9 @@ class SolveRequest:
 
     tenant: str
     operator: object
-    """The compiled :class:`~repro.core.operator.AnalogOperator` (or
-    duck-compatible :class:`~repro.core.tiled.TiledOperator`) handle."""
+    """The compiled handle: an :class:`~repro.core.operator.AnalogOperator`
+    or a :class:`~repro.core.tiled.TiledOperator`, both built on the
+    shared ``repro.core.operator._Handle`` base."""
     kind: str
     """``"solve"`` | ``"mvm"`` | ``"lstsq"`` | ``"eigvec"``."""
     payload: np.ndarray | None

@@ -179,7 +179,7 @@ class TestInvalidation:
                 op = solver.compile(matrix, AMCMode.INV)
                 with _engine(engine):
                     op.solve(b)
-                    for handle in op._solve_handles():
+                    for handle in op._parts():
                         tile = handle._tiles[0]
                         tile.primary.set_g_f(tile.primary.config.g_f * 2.0)
                         if tile.partner is not None:
@@ -211,7 +211,26 @@ class TestInvalidation:
         stacked, pertile = results
         assert np.array_equal(stacked.value, pertile.value)
         assert stacked.stack_rebuilds == 1
-        assert pertile.stack_rebuilds == 0
+        # The per-tile loop runs the stolen block through the block's own
+        # one-slot stack, which rebuilds that same one slice.
+        assert pertile.stack_rebuilds == 1
+
+    def test_single_array_rebuilds_reach_the_ledger(self):
+        """A single-array handle's stack books its rebuilds like a grid's:
+        the first solve builds its one slot, steady state rebuilds
+        nothing, and a refresh rebuilds the slot once."""
+        rng = np.random.default_rng(4)
+        solver = _solver(noisy=False)
+        op = solver.compile(np.eye(8) * 2.0 + rng.normal(0.0, 0.05, (8, 8)), AMCMode.INV)
+        b = rng.uniform(-1, 1, (8, 2))
+        first = op.solve(b)
+        steady = op.solve(b)
+        op.refresh()
+        refreshed = op.solve(b)
+        rebuilds = [r.cost.stack_rebuilds for r in (first, steady, refreshed)]
+        assert rebuilds == [1, 0, 1]
+        assert solver.stack_rebuilds == 2
+        op.close()
 
     def test_steady_state_rebuilds_zero(self):
         matrix, b = _problem()

@@ -36,7 +36,7 @@ class TestNumpyProtocol:
         assert np.linalg.norm(y - reference) / np.linalg.norm(reference) < 0.35
         # The analog transpose plane really ran: numpy must not have coerced
         # the operator into an exact digital product via __array__.
-        assert op._t_view is not None
+        assert op._held.get("T") is not None
         assert not np.array_equal(y, reference)
 
     def test_transpose_property(self, small_solver, rng):

@@ -74,7 +74,7 @@ class TestRaggedTiling:
         op = solver.compile(matrix, AMCMode.INV)
         assert isinstance(op, TiledOperator)
         assert op.tile == 16 and op.grid == (3, 3)
-        assert all(len(h._tiles) == 1 for h in op._solve_handles())
+        assert all(len(h._tiles) == 1 for h in op._parts())
         b = rng.uniform(-1, 1, (48, 4))
         result = op.solve(b, rtol=1e-8)
         assert op._engine is not None  # swept on the stacked grid engine
@@ -221,6 +221,25 @@ class TestBatchedPipeline:
         for _ in range(3):
             op.solve(rng.uniform(-1, 1, (48, 6)))
         assert op.program_events == events
+        op.close()
+
+    def test_solve_ensures_each_block_once(self, rng, monkeypatch):
+        """A blocked solve makes its blocks resident once and reads their
+        macros without re-ensuring them, with and without ``rtol``."""
+        from repro.core.operator import AnalogOperator
+
+        solver = _solver()
+        op = solver.compile(block_dominant(128, 32, rng=rng), AMCMode.INV)
+        ensure = AnalogOperator._ensure_programmed
+        calls = []
+        monkeypatch.setattr(
+            AnalogOperator, "_ensure_programmed", lambda h: calls.append(h) or ensure(h)
+        )
+        b = rng.uniform(-1, 1, (128, 2))
+        for kwargs in ({}, {"rtol": 1e-8}):
+            calls.clear()
+            op.solve(b, **kwargs)
+            assert len(calls) == op.block_count == 16
         op.close()
 
     def test_empty_batch(self, rng):

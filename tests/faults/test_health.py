@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.analog.topologies import AMCMode
 from repro.core.pool import MacroPool, PoolConfig
+from repro.core.results import SolveResult
 from repro.core.solver import GramcSolver
 from repro.faults import DriftOnset, FaultInjector, FaultPlan, StuckCells
 from repro.obs.registry import MetricsRegistry
@@ -24,16 +25,15 @@ def make_stack(plan=None, num_macros=4, n=16, registry=None):
     return pool, injector, solver
 
 
-class _Result:
-    """Duck-typed SolveResult carrying only the health-relevant fields."""
+def _Result(macro_ids=(0,), **fields) -> SolveResult:
+    """A SolveResult carrying only the health-relevant fields."""
+    return SolveResult(AMCMode.INV, np.zeros(1), np.zeros(1), macro_ids=macro_ids, **fields)
 
-    def __init__(self, macro_ids=(0,), **fields):
-        self.macro_ids = macro_ids
-        self.saturated = False
-        self.stable = True
-        self.attempts = 1
-        for key, value in fields.items():
-            setattr(self, key, value)
+
+class _OneBlock:
+    """Stands in for a single-array handle: one tile evaluation per attempt."""
+
+    block_count = 1
 
 
 def test_scores_start_healthy_and_clamp():
@@ -65,12 +65,12 @@ def test_observe_solve_penalizes_refinement_regressions():
     _, injector, _ = make_stack()
     monitor = injector.monitor
     monitor.observe_solve(
-        None, _Result(refine_residual_trace=[1e-6, 1e-3])  # residual grew
+        _OneBlock(), _Result(refine_residual_trace=[1e-6, 1e-3])  # residual grew
     )
     assert monitor.score(0) < 1.0
     before = monitor.score(0)
     monitor.observe_solve(
-        None, _Result(per_column_converged=np.array([True, False]))
+        _OneBlock(), _Result(per_column_converged=np.array([True, False]))
     )
     assert monitor.score(0) < before
 
@@ -80,14 +80,14 @@ def test_observe_solve_rewards_clean_solves():
     monitor = injector.monitor
     monitor.penalize([0], 0.3)
     degraded = monitor.score(0)
-    monitor.observe_solve(None, _Result())
+    monitor.observe_solve(_OneBlock(), _Result())
     assert monitor.score(0) > degraded
 
 
 def test_ranging_retries_are_a_signal():
     _, injector, _ = make_stack()
     monitor = injector.monitor
-    monitor.observe_solve(None, _Result(attempts=5))
+    monitor.observe_solve(_OneBlock(), _Result(attempts=5))
     assert monitor.score(0) < 1.0
 
 

@@ -133,6 +133,9 @@ def test_supervised_solve_heals_and_raises_structured_error():
         mode = AMCMode.INV
         resident = False  # heal ladder counts it as a migration
 
+        def tile_handles(self):
+            return [self]
+
     attempts = []
 
     def failing_attempt():

@@ -591,3 +591,39 @@ async def test_coalesced_tiled_mvm_scatters_the_batched_per_column_flags():
     assert np.array_equal(batch.input_scales, want.input_scales[1:])
     assert np.array_equal(batch.per_column_attempts, want.per_column_attempts[1:])
     assert np.array_equal(batch.column_saturated, want.column_saturated[1:])
+
+
+async def test_preemption_survives_a_tenant_holding_a_tile_grid():
+    """A dispatch that needs room walks every tenant's resident set, a
+    service-compiled tile grid included: the requesting tenant is served
+    (or shed), the dispatcher keeps running, and the scheduler counts the
+    grid's block macros."""
+    solver = make_noiseless_solver(seed=19, num_macros=8, n=16)
+    service = SolveService(solver)
+    service.register_tenant("small")
+    service.register_tenant("grid")
+    rng = np.random.default_rng(19)
+    async with service:
+        op_small = await service.compile("small", np.eye(12) * 2.0, AMCMode.INV)
+        grid = await service.compile(
+            "grid", np.eye(16) * 4.0 + rng.normal(0.0, 0.05, (16, 16)), AMCMode.INV, tile=8
+        )
+        await service.compile("grid", np.eye(12) * 3.0, AMCMode.INV)
+        await service.compile("grid", np.eye(12) * 5.0, AMCMode.INV)
+        assert not op_small.resident  # LRU-evicted by grid's compiles
+        try:
+            result = await service.solve("small", op_small, np.ones(12), timeout=2.0)
+        except ServiceOverloaded:
+            pass
+        else:
+            assert np.allclose(result.value, 0.5, rtol=0.2)
+        assert not service._dispatcher.done()
+        held = solver.pool.owner_stats()
+        expected = sum(
+            int(held[owner]["macros"])
+            for operator in service.registry.get("grid").operators.values()
+            for owner in operator.owner_names()
+            if owner in held
+        )
+        assert len(grid.macro_ids) == 4 and expected >= 4
+        assert service._scheduler.resident_macros(service.registry.get("grid")) == expected
