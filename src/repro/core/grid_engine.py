@@ -5,14 +5,16 @@ This module is the simulator's one MVM/INV signal chain.  A
 resident tiles as contiguous 3-D stacks — MVM tiles in one stack
 (conductance planes, node loading, amplifier offsets), INV tiles in
 another (equilibrium inverse, offset drive, loop stability).  Two callers
-build one:
+build one, both through :meth:`GridEngine.for_handle`:
 
-* a :class:`~repro.core.tiled.TiledOperator` grid (:meth:`GridEngine.for_grid`)
-  — couplings form the MVM stack, diagonal blocks the INV stack, and a
-  block-Jacobi / Gauss-Seidel sweep is a constant number of stage calls;
-* a single :class:`~repro.core.operator.AnalogOperator` handle
-  (:meth:`GridEngine.for_handle`) — an MVM handle is a stack of its own
-  tiles, an INV handle a one-slot stack, and a vector is a batch of one
+* a :class:`~repro.core.tiled.TiledOperator` grid — couplings form the
+  MVM stack, diagonal blocks the INV stack, and a block-Jacobi /
+  Gauss-Seidel sweep is a constant number of stage calls; its product
+  stack puts the couplings and the diagonal MVM views in one MVM stack,
+  so ``op @ x`` is one stage;
+* a single :class:`~repro.core.operator.AnalogOperator` handle — an MVM
+  handle is a stack of its own tiles, an INV handle a one-slot INV stack
+  with no couplings (the one-block grid), and a vector is a batch of one
   column.
 
 Each stage runs **once over the whole stack**: the elementwise blocks of
@@ -247,21 +249,30 @@ class _Slot:
 
     ``i``/``j`` are the grid block coordinates (the scatter row and the
     source column of a coupling), ``src`` the slice of the stage input a
-    multiply reads, and ``tile_index`` the tile within ``handle``.
+    multiply reads, ``dst`` the output rows a product adds into, and
+    ``tile_index`` the tile within ``handle``.
     """
 
     __slots__ = (
-        "index", "i", "j", "src", "handle", "tile_index", "tile", "circuit",
+        "index", "i", "j", "src", "dst", "handle", "tile_index", "tile", "circuit",
         "key", "rows", "cols", "has_neg", "amps", "g_f",
     )
 
     def __init__(
-        self, index: int, i: int, j: int, src: slice, handle: "AnalogOperator", tile_index: int
+        self,
+        index: int,
+        i: int,
+        j: int,
+        src: slice,
+        dst: slice,
+        handle: "AnalogOperator",
+        tile_index: int,
     ):
         self.index = index
         self.i = i
         self.j = j
         self.src = src
+        self.dst = dst
         self.handle = handle
         self.tile_index = tile_index
         self.tile: "TileBinding | None" = None
@@ -349,9 +360,10 @@ class _StagePlan:
 class GridEngine:
     """Stacked MVM and INV stages over a list of resident tiles.
 
-    Built :meth:`for_grid` (a :class:`TiledOperator`'s couplings and
-    diagonal blocks) or :meth:`for_handle` (one handle as a stack of its
-    own tiles); both run the same stages.
+    Built :meth:`for_handle`: a :class:`TiledOperator`'s couplings and
+    diagonal blocks (or, for its product, couplings and diagonal MVM
+    views), or one handle as a stack of its own tiles; all run the same
+    stages.
     """
 
     # Slot sub-range width for the MVM-stage chain: large grids stream
@@ -377,7 +389,7 @@ class GridEngine:
         solver: "GramcSolver",
         backend: "Backend",
         edges: list[slice],
-        off: list[tuple[int, int, slice, "AnalogOperator", int]],
+        off: list[tuple[int, int, slice, slice, "AnalogOperator", int]],
         diag: list["AnalogOperator"],
     ):
         self._solver = solver
@@ -388,10 +400,7 @@ class GridEngine:
         # row-major (i, j) order, so a block row's slots are one
         # contiguous stack slice and Gauss-Seidel stages operate on views,
         # never gather copies.
-        self._off_slots = [
-            _Slot(t, i, j, src, handle, tile_index)
-            for t, (i, j, src, handle, tile_index) in enumerate(off)
-        ]
+        self._off_slots = [_Slot(t, *entry) for t, entry in enumerate(off)]
         self._off_row = np.array([s.i for s in self._off_slots], dtype=np.intp)
         self._row_span: dict[int, tuple[int, int]] = {}
         for slot in self._off_slots:
@@ -399,13 +408,16 @@ class GridEngine:
             self._row_span[slot.i] = (start, slot.index + 1)
 
         self._diag_slots = [
-            _Slot(i, i, i, edges[i], handle, 0) for i, handle in enumerate(diag)
+            _Slot(i, i, i, edges[i], edges[i], handle, 0) for i, handle in enumerate(diag)
         ]
+        # Block rows with and without couplings.  An uncoupled block
+        # solves exactly once: its ``x_i = A_ii⁻¹·b_i`` is independent of
+        # every other block, so sweeping it again would only re-spend
+        # settling events on a fresh noise draw of the same answer.
+        self.coupled = sorted(self._row_span)
+        self.uncoupled = [i for i in range(len(diag)) if i not in self._row_span]
 
-        self._off_R = max(
-            (_width(s.handle._tiles[s.tile_index].row_slice) for s in self._off_slots),
-            default=0,
-        )
+        self._off_R = max((_width(s.dst) for s in self._off_slots), default=0)
         self._off_C = max((_width(s.src) for s in self._off_slots), default=0)
         self._diag_N = max((_width(s.src) for s in self._diag_slots), default=0)
         # Uniform stacks (every source slice exactly stack-wide and
@@ -437,28 +449,38 @@ class GridEngine:
         self._plans: dict[tuple, _StagePlan] = {}
 
     @classmethod
-    def for_handle(cls, handle: "AnalogOperator | TiledOperator") -> "GridEngine":
-        """A handle as a stack.  A grid, which binds no tiles itself, puts
-        its couplings in the MVM stack and its diagonal blocks in the INV
-        stack; a single-array MVM handle's tiles form the MVM stack (each
-        reads its column slice of ``x``), and an INV handle is a one-slot
-        INV stack."""
+    def for_handle(
+        cls, handle: "AnalogOperator | TiledOperator", product: bool = False
+    ) -> "GridEngine":
+        """A handle as a stack.  A single-array MVM handle's tiles form
+        the MVM stack (each reads its column slice of ``x`` and adds into
+        its row slice), and an INV handle is a one-slot INV stack with no
+        couplings.  A grid, which binds no tiles itself, puts its
+        couplings in the MVM stack and its diagonal blocks in the INV
+        stack; its ``product`` stack is one MVM stack of its couplings
+        and diagonal MVM views, in row-major block order."""
         solver = handle._solver
         tiles = handle._tiles
         assert tiles is not None
-        if not tiles:
-            edges = handle.block_slices
-            off = [(i, j, edges[j], handle._off[(i, j)], 0) for i, j in sorted(handle._off)]
-            return cls(solver, solver.backend, edges, off, list(handle._diag))
-        if handle.mode is AMCMode.INV:
-            return cls(solver, solver.backend, [slice(0, handle.shape[0])], [], [handle])
-        off = [(t, t, tile.col_slice, handle, t) for t, tile in enumerate(tiles)]
-        return cls(solver, solver.backend, [], off, [])
+        if tiles:
+            if handle.mode is AMCMode.INV:
+                return cls(solver, solver.backend, [slice(0, handle.shape[0])], [], [handle])
+            off = [
+                (t, t, tile.col_slice, tile.row_slice, handle, t) for t, tile in enumerate(tiles)
+            ]
+            return cls(solver, solver.backend, [], off, [])
+        edges = handle.block_slices
+        blocks = dict(handle._off)
+        if product:
+            blocks.update(((i, i), handle._diag_mvm_handle(i)) for i in range(len(edges)))
+        off = [(i, j, edges[j], edges[i], blocks[i, j], 0) for i, j in sorted(blocks)]
+        return cls(solver, solver.backend, edges, off, [] if product else list(handle._diag))
 
     # ------------------------------------------------------------ stack upkeep
 
-    def refresh(self) -> int:
-        """Re-sync every stale slice against the resident circuits.
+    def refresh(self, off_slots: "list[_Slot] | None" = None) -> int:
+        """Re-sync every stale slice (of the MVM stack, only ``off_slots``
+        when given: the resident ones) against the resident circuits.
 
         Cheap in steady state (key comparisons only).  Returns the number
         of slices rebuilt, which is exactly the number of tiles whose
@@ -468,7 +490,11 @@ class GridEngine:
         rebuilt = 0
         rebound = False
         for slots, resident, fill in (
-            (self._off_slots, "resident_mvm_circuit", self._fill_off),
+            (
+                self._off_slots if off_slots is None else off_slots,
+                "resident_mvm_circuit",
+                self._fill_off,
+            ),
             (self._diag_slots, "resident_inv_circuit", self._fill_diag),
         ):
             for slot in slots:
@@ -538,11 +564,9 @@ class GridEngine:
 
     # --------------------------------------------------------------- sweeping
 
-    def presolve_uncoupled(
-        self, big_b: np.ndarray, x: np.ndarray, uncoupled: list[int], stats: SweepStats
-    ) -> None:
+    def presolve_uncoupled(self, big_b: np.ndarray, x: np.ndarray, stats: SweepStats) -> None:
         """One stacked solve of the coupling-free blocks."""
-        self._diag_stage(uncoupled, self._rhs_stack(big_b, uncoupled), x, stats)
+        self._diag_stage(self.uncoupled, self._rhs_stack(big_b, self.uncoupled), x, stats)
 
     def _rhs_stack(self, big_b: np.ndarray, blocks: list[int]) -> np.ndarray:
         """The zero-padded ``(len(blocks), N, k)`` stack of their rows of ``big_b``."""
@@ -553,15 +577,10 @@ class GridEngine:
         return rhs
 
     def sweep(
-        self,
-        big_b: np.ndarray,
-        x: np.ndarray,
-        coupled: list[int],
-        stats: SweepStats,
-        gauss_seidel: bool,
+        self, big_b: np.ndarray, x: np.ndarray, stats: SweepStats, gauss_seidel: bool
     ) -> None:
-        """One full grid sweep of ``x`` in place, as a constant number of
-        stacked kernels.
+        """One full sweep of the coupled block rows of ``x`` in place, as a
+        constant number of stacked kernels.
 
         Jacobi runs the whole off-diagonal stack against the previous
         iterate, then every coupled diagonal block in one batched solve;
@@ -572,11 +591,10 @@ class GridEngine:
         row rather than one per tile.
         """
         if gauss_seidel:
-            for i in coupled:
-                start, stop = self._row_span.get(i, (0, 0))
-                self._coupled_stage([i], big_b, x, start, stop, stats)
+            for i in self.coupled:
+                self._coupled_stage([i], big_b, x, *self._row_span[i], stats)
             return
-        self._coupled_stage(coupled, big_b, x, 0, len(self._off_slots), stats)
+        self._coupled_stage(self.coupled, big_b, x, 0, len(self._off_slots), stats)
 
     def _coupled_stage(
         self,

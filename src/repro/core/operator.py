@@ -39,16 +39,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analog.topologies import AMCMode
 from repro.arrays.mapping import DifferentialMapping
-from repro.core.errors import CapacityError, GramcError, InputError, ShapeError
+from repro.core.errors import CapacityError, ConvergenceError, GramcError, InputError, ShapeError
 from repro.core.grid_engine import GridEngine, SweepStats
 from repro.core.ranging import autorange_gain_batch
-from repro.core.refine import DEFAULT_MAX_STEPS, as_rtol_vector, refine_solve_result
+from repro.core.refine import DEFAULT_MAX_STEPS, as_rtol_vector, refine_solve_result, scaled_norm
 from repro.core.results import SolveResult
 from repro.macro.amc_macro import AMCMacro
 from repro.macro.registers import PlaneLayout
@@ -104,8 +105,9 @@ class TileBinding:
 
 class _Handle:
     """What the single-array and the tiled handle share: the NumPy
-    protocol, the call boundary and the whole lifetime (see the module
-    docstring).
+    protocol, the call boundary, the whole lifetime (see the module
+    docstring) and the bodies of ``solve`` and ``mvm``, each written once
+    over the handle's stage stacks (a single array is the one-block grid).
 
     A handle declares three things, and every lifetime operation —
     residency, owner names, macro ids, pins, refresh, re-verify and
@@ -130,6 +132,11 @@ class _Handle:
     grid: its diagonal MVM views are its blocks for ``op @ x``).  A
     single-array handle's transpose view and EGV probe are operators of
     their own."""
+
+    _SCALE_PER_BLOCK = False
+    """Whether a product scales each column per block, to the block's own
+    slice of ``x`` (a grid), instead of once over the whole ``x`` (a
+    single array)."""
 
     def __init__(
         self,
@@ -159,7 +166,9 @@ class _Handle:
         self._ref_inverse: np.ndarray | None = None
         """INV: cached digital inverse for per-solve references."""
         self._engine: GridEngine | None = None
-        """The handle's tiles as a stage stack (built on first use)."""
+        """The stage stack a solve runs (built on first use)."""
+        self._product: GridEngine | None = None
+        """The stage stack ``mvm`` runs (built on the first product)."""
 
     __array_ufunc__ = None
     """Opt out of NumPy's ufunc protocol so ``x @ op`` dispatches to
@@ -435,7 +444,7 @@ class _Handle:
             self._solver.pool.release(owner)
         self._solver._forget(self)
         self._tiles = None
-        self._engine = None
+        self._engine = self._product = None
         self._closed = True
         for handle in (*self._parts(), *self._held.values()):
             handle.close()
@@ -443,14 +452,23 @@ class _Handle:
         self._held = {}
 
     def _grid_engine(self) -> GridEngine:
-        """The handle as a stage stack, built on first use and re-synced
-        for this call; the slices a re-sync rebuilds go on the ledger."""
+        """The solve stack, built on first use and re-synced for this call."""
         if self._engine is None:
             self._engine = GridEngine.for_handle(self)
-        rebuilt = self._engine.refresh()
+        return self._synced(self._engine)
+
+    def _synced(self, engine: GridEngine, slots=None) -> GridEngine:
+        """``engine`` (or only its MVM ``slots``) re-synced for this call;
+        the slices a re-sync rebuilds go on the ledger."""
+        rebuilt = engine.refresh(slots)
         if rebuilt:
             self._solver.cost.add_stack_rebuilds(rebuilt)
-        return self._engine
+        return engine
+
+    def _span_attrs(self) -> dict:
+        """What an operation's trace span says of the handle: its shape
+        (a grid adds its block grid)."""
+        return {"shape": str(self.shape)}
 
     def __enter__(self):
         self._ensure_programmed()
@@ -497,7 +515,9 @@ class _Handle:
         return values
 
     def _call(self, body, *, solve: bool = False, rtol=None) -> SolveResult:
-        """Run step of the boundary: ``body()`` of an accepted call.
+        """Run step of the boundary: ``body()`` of an accepted call (with
+        ``solve``, an INV solve, which also reports its ledger's engine
+        dispatches and stack rebuilds).
 
         Only the *top-level* operation is supervised: nested calls (a
         tiled operation's block steps, canary solves, healing retries)
@@ -515,6 +535,9 @@ class _Handle:
             result = body()
             result.cost = self._solver.cost.delta(before)
             result.cost.host_s = time.perf_counter() - started
+            if solve:
+                result.engine_dispatches = result.cost.engine_dispatches
+                result.stack_rebuilds = result.cost.stack_rebuilds
             return result
 
         injector = getattr(self._solver.pool, "fault_injector", None)
@@ -540,6 +563,222 @@ class _Handle:
             column_saturated=np.zeros(0, dtype=bool),
             **extra,
         )
+
+    # --------------------------------------------------------------- operations
+
+    def _run_mvm(self, x: np.ndarray) -> SolveResult:
+        """The accepted product: one stacked MVM stage over the product
+        stack — a single array's tiles, or a grid's couplings and
+        diagonal MVM views — each slot adding into its output rows."""
+        reference = self.matrix @ x
+        batched = x.ndim == 2
+        if batched and x.shape[1] == 0:
+            return self._empty_result(AMCMode.MVM, reference)
+        big_x = x if batched else x[:, None]
+        k = big_x.shape[1]
+        stats = SweepStats(k)
+        out = np.zeros((self.shape[0], k))
+        with trace.span("mvm", columns=k, **self._span_attrs()):
+            if self._product is None:
+                self._product = GridEngine.for_handle(self, product=True)
+            stack = self._product
+            scales = None if self._SCALE_PER_BLOCK else self._solver._input_scales(big_x)
+            pending = stack._off_slots
+            while pending:
+                # Each handle the stage reads is made resident once, in
+                # slot order.  Where the pool cannot hold them all at
+                # once (a grid's unpinned diagonal views under pressure),
+                # a later one's programming evicts an earlier one, whose
+                # slots wait for the next stage.
+                held = dict.fromkeys(slot.handle for slot in pending)
+                for handle in held:
+                    handle._ensure_programmed()
+                for handle in held:
+                    held[handle] = handle._holds_tiles()
+                ready = [slot for slot in pending if held[slot.handle]]
+                self._synced(stack, ready)
+                for slot, value in stack._mvm_stage(ready, big_x, stats, scales):
+                    out[slot.dst] += value
+                pending = [slot for slot in pending if not held[slot.handle]]
+        return stats.result(AMCMode.MVM, out, reference, self.resident_macro_ids(), batched)
+
+    def _run_solve(
+        self,
+        b: np.ndarray,
+        reference: np.ndarray | None,
+        rtol: "float | np.ndarray | None",
+        max_refine_steps: int,
+        tolerance: float | None = None,
+        max_sweeps: int = 1,
+        gauss_seidel: bool = False,
+    ) -> SolveResult:
+        """The accepted solve on the solve stack, refined when ``rtol`` is
+        set.
+
+        A single array is the one-block grid: its stack is one INV slot
+        with no couplings, so its base solve and every refinement
+        correction are one sweep from zero and the sweep options go
+        unused.
+        """
+        if self._ref_inverse is None:
+            # One factorization of the immutable matrix serves every solve.
+            self._ref_inverse = np.linalg.inv(self.matrix)
+        if reference is None:
+            reference = self._ref_inverse @ b
+        batched = b.ndim == 2
+        big_b = b if batched else b[:, None]
+        columns = big_b.shape[1]
+        with trace.span(
+            "solve",
+            mode=AMCMode.INV.value,
+            columns=columns,
+            refine=rtol is not None,
+            **self._span_attrs(),
+        ) as sp:
+            if columns == 0:
+                result = self._empty_result(AMCMode.INV, reference, sweeps=0, converged=True)
+            else:
+                self._ensure_programmed()
+                grid = self._grid_engine()
+                stats = SweepStats(columns)
+                # Under ``rtol`` the base solve is a single sweep:
+                # refinement steps do the contracting, on the float64
+                # residual.
+                x, sweeps, converged = self._run_sweeps(
+                    big_b, stats, grid,
+                    sweeps=max_sweeps if rtol is None else 1,
+                    tolerance=tolerance if rtol is None else None,
+                    gauss_seidel=gauss_seidel,
+                )
+                result = stats.result(
+                    AMCMode.INV, x, reference, self.resident_macro_ids(), batched,
+                    sweeps=sweeps, converged=converged,
+                )
+
+            if rtol is not None:
+                # Each refinement step preconditions on the resident stack
+                # with one sweep from zero (zero reprogramming); its
+                # per-column metadata stays local to the step — the
+                # returned per-column arrays describe the base analog step,
+                # the scalar attempts/stable/saturated fold corrections in.
+                def correction(columns: np.ndarray) -> SimpleNamespace:
+                    corr_stats = SweepStats(columns.shape[1])
+                    xc, _, _ = self._run_sweeps(
+                        columns, corr_stats, grid,
+                        sweeps=1, tolerance=None, gauss_seidel=gauss_seidel,
+                    )
+                    return SimpleNamespace(
+                        value=xc,
+                        attempts=corr_stats.total_attempts,
+                        stable=corr_stats.stable,
+                        saturated=corr_stats.saturated,
+                    )
+
+                result = refine_solve_result(
+                    result,
+                    matrix=self.matrix,
+                    b=b,
+                    rtol=rtol,
+                    max_steps=max_refine_steps,
+                    solve_correction=correction,
+                    solver=self._solver,
+                )
+                result.sweeps += result.refine_steps  # one sweep per step
+            # The floor of the returned answer: measured once, after any
+            # refinement.
+            result.residual_floor = self._residual_floor(b, result.value)
+            sp.set(sweeps=result.sweeps, converged=bool(result.converged))
+        return result
+
+    @staticmethod
+    def _run_sweeps(
+        big_b: np.ndarray,
+        stats: SweepStats,
+        grid: GridEngine,
+        *,
+        sweeps: int,
+        tolerance: float | None,
+        gauss_seidel: bool,
+    ) -> tuple[np.ndarray, int, bool]:
+        """A blocked solve from a zero initial iterate.
+
+        The uncoupled block rows (a single array's one block) solve once;
+        the coupled ones sweep.  With a ``tolerance`` (the ``rtol=None``
+        solve) they sweep until the relative update falls below it, the
+        update stalls, or ``sweeps`` run out.  With ``tolerance=None``
+        (the base solve and every refinement correction of an ``rtol``
+        solve) they run exactly ``sweeps`` sweeps (one, in every caller)
+        and keep no update bookkeeping: from zero, one sweep's update is
+        the coupled rows of ``x``, so a non-finite ``x`` is the whole
+        divergence test.  Returns ``(x, sweeps_run, converged)``;
+        ``stats`` accumulates the engine-call diagnostics of this solve
+        only.
+        """
+        x = np.zeros_like(big_b)
+        if grid.uncoupled:
+            grid.presolve_uncoupled(big_b, x, stats)
+        if not grid.coupled:
+            return x, 1, True
+
+        converged = False
+        previous_delta = float("inf")
+        stalled = 0
+        sweep = 0
+        for sweep in range(1, sweeps + 1):
+            previous = None if tolerance is None else x.copy()
+            with trace.span(
+                "sweep",
+                sweep=sweep,
+                method="gauss-seidel" if gauss_seidel else "jacobi",
+                tiles=len(grid.coupled),
+            ):
+                grid.sweep(big_b, x, stats, gauss_seidel)
+            if previous is None:
+                diverged = not np.isfinite(x).all()
+            else:
+                # Scale-safe norms: a 1e300 right-hand side must not read
+                # as an overflowing (diverged) update.
+                delta = scaled_norm(x - previous)
+                scale = scaled_norm(x)
+                diverged = not np.isfinite(delta) or delta > 1e9 * scale
+            if diverged:
+                raise ConvergenceError(
+                    "block sweep diverged — the operand is not block-"
+                    "diagonally dominant enough for a stationary blocked solve"
+                )
+            if previous is None:
+                continue
+            relative_delta = delta / scale if scale > 0.0 else 0.0
+            if relative_delta < tolerance:
+                converged = True
+                break
+            # Inexact analog steps bound the attainable accuracy at the
+            # O(η·κ) floor: once the update stops contracting, further
+            # sweeps only burn settling events.  "Stopped contracting"
+            # must be judged near-flat (≥ 0.9× the previous update, three
+            # sweeps running) — a slowly convergent splitting with
+            # contraction rate 0.5–0.9 is still making real progress and
+            # deserves its full sweep budget.
+            if relative_delta > 0.9 * previous_delta:
+                stalled += 1
+                if stalled >= 3:
+                    break
+            else:
+                stalled = 0
+            previous_delta = relative_delta
+        return x, sweep, converged
+
+    def _residual_floor(self, b: np.ndarray, value: np.ndarray) -> float:
+        """Digitally evaluated relative residual of the analog solution.
+
+        A diagnostic, not part of the solve pipeline: one O(n²·k) digital
+        product per solve, reported so users see the O(η·κ) floor the
+        inexact-matvec model predicts.
+        """
+        b_norm = scaled_norm(b)
+        if b_norm == 0.0:
+            return scaled_norm(value)
+        return scaled_norm(b - self.matrix @ value) / b_norm
 
 
 class AnalogOperator(_Handle):
@@ -635,23 +874,6 @@ class AnalogOperator(_Handle):
         x = self._accept(AMCMode.MVM, "mvm", x, self.shape[1], "x")
         return self._call(lambda: self._run_mvm(x))
 
-    def _run_mvm(self, x: np.ndarray) -> SolveResult:
-        self._ensure_programmed()
-        reference = self.matrix @ x
-        if x.ndim == 2 and x.shape[1] == 0:
-            return self._empty_result(self.mode, reference)
-        big_x = x if x.ndim == 2 else x[:, None]
-        k = big_x.shape[1]
-        stats = SweepStats(k)
-        out = np.zeros((self.shape[0], k))
-        assert self._tiles is not None
-        with trace.span("mvm", shape=str(self.shape), columns=k, tiles=len(self._tiles)):
-            stack = self._grid_engine()
-            scales = self._solver._input_scales(big_x)
-            for slot, value in stack._mvm_stage(stack._off_slots, big_x, stats, scales):
-                out[slot.tile.row_slice] += value
-        return stats.result(self.mode, out, reference, self.resident_macro_ids(), x.ndim == 2)
-
     def solve(
         self,
         b: np.ndarray,
@@ -693,58 +915,6 @@ class AnalogOperator(_Handle):
             solve=True,
             rtol=rtol,
         )
-
-    def _run_solve(
-        self,
-        b: np.ndarray,
-        reference: np.ndarray | None,
-        rtol: "float | np.ndarray | None",
-        max_refine_steps: int,
-    ) -> SolveResult:
-        """The accepted solve (also a 1×1 tile grid's whole solve): the
-        one-step analog solve, refined when ``rtol`` is set."""
-        with trace.span(
-            "solve",
-            mode=self.mode.value,
-            shape=str(self.shape),
-            columns=b.shape[1] if b.ndim == 2 else 1,
-            refine=rtol is not None,
-        ):
-            if self._ref_inverse is None:
-                # One factorization of the immutable matrix covers every
-                # solve's digital reference (program-once / solve-many,
-                # digitally too).
-                self._ref_inverse = np.linalg.inv(self.matrix)
-            if reference is None:
-                reference = self._ref_inverse @ b
-            base = self._solve_batch(b if b.ndim == 2 else b[:, None], reference, b.ndim == 2)
-            if rtol is None:
-                return base
-            return refine_solve_result(
-                base,
-                matrix=self.matrix,
-                b=b,
-                rtol=rtol,
-                max_steps=max_refine_steps,
-                solve_correction=self._solve_batch,
-                solver=self._solver,
-            )
-
-    def _solve_batch(
-        self, b: np.ndarray, reference: np.ndarray | None = None, batched: bool = True
-    ) -> SolveResult:
-        """Matrix right-hand side through the INV loop as a one-slot INV
-        stage: all ``k`` columns share the resident circuit's one
-        equilibrium inverse — "the feedback loop settles once for the whole
-        block".  A refinement correction passes no ``reference``: its
-        result is read only for the value and the ranging diagnostics."""
-        if b.shape[1] == 0:
-            return self._empty_result(self.mode, reference)
-        self._ensure_programmed()
-        stats = SweepStats(b.shape[1])
-        x = np.empty(b.shape)
-        self._grid_engine()._diag_stage([0], b[None], x, stats)
-        return stats.result(self.mode, x, reference, self.resident_macro_ids(), batched)
 
     def lstsq(self, b: np.ndarray, _reference: np.ndarray | None = None) -> SolveResult:
         """Analog least squares ``min‖A·y − b‖`` (``b``: vector or batch):

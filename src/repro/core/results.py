@@ -49,30 +49,33 @@ class SolveResult:
     """Batched solves: per-column post-ranging saturation state ``(k,)``
     (railed or outside the ADC range).  ``None`` for vector solves."""
     sweeps: int | None = None
-    """Blocked solves: block-Jacobi / block-Gauss-Seidel sweeps actually
-    run over the tile grid.  ``None`` for direct single-array solves."""
+    """INV solves: sweeps run over the handle's stage stack, base and
+    refinement steps together.  A single array is the one-block grid: its
+    base solve is 1 sweep, and so is each refinement step.  Every INV
+    solve sets it; ``None`` for MVM, PINV and EGV results."""
     residual_floor: float | None = None
-    """Blocked solves: digitally evaluated relative residual
+    """INV solves: digitally evaluated relative residual
     ``‖b − A·y‖/‖b‖`` of the returned solution — the O(η·κ) floor the
     inexact-matvec model predicts for stationary sweeps with analog
-    (η-relative-error) products.  ``None`` for direct solves."""
+    (η-relative-error) products.  Every INV solve sets it."""
     converged: bool | None = None
     """Refined solves (any ``rtol``): the contract's verdict,
     ``per_column_converged.all()`` — an unmet contract is returned with
-    ``converged`` False, never raised.  Blocked solves without ``rtol``:
+    ``converged`` False, never raised.  INV solves without ``rtol``:
     whether the sweep update fell below tolerance before the sweep
-    budget ran out.  ``None`` for direct solves without ``rtol``."""
+    budget ran out (always True without couplings, as on a single
+    array).  Every INV solve sets it."""
     engine_dispatches: int | None = None
-    """Blocked solves: digital-engine kernel dispatches this solve issued.
+    """INV solves: digital-engine kernel dispatches this solve issued.
     The stacked grid engine pays a constant number per sweep (one batched
     kernel per stage); the per-tile baseline pays one per tile per sweep.
-    Read from the cost ledger (``cost.engine_dispatches``); ``None`` for
-    direct solves."""
+    Read from the cost ledger (``cost.engine_dispatches``); every INV
+    solve sets it."""
     stack_rebuilds: int | None = None
-    """Blocked solves: stacked slices (re)built for this solve — 0 in
+    """INV solves: stacked slices (re)built for this solve — 0 in
     steady state, >0 exactly when a crossbar version bump (programming,
     refresh, preemption) invalidated cached circuit state.  Read from the
-    cost ledger; ``None`` for direct solves."""
+    cost ledger; every INV solve sets it."""
     refine_steps: int | None = None
     """Refined solves (``solve(b, rtol=...)``): flexible-GMRES steps —
     batched analog preconditioner calls — applied on top of the analog

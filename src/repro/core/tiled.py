@@ -35,19 +35,15 @@ array (or any square operand with an explicit ``tile=``).
 
 from __future__ import annotations
 
-from dataclasses import replace
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analog.topologies import AMCMode
-from repro.core.errors import CapacityError, ConvergenceError, GramcError
-from repro.core.grid_engine import GridEngine, SweepStats
+from repro.core.errors import CapacityError, GramcError
 from repro.core.operator import _Handle
-from repro.core.refine import DEFAULT_MAX_STEPS, refine_solve_result, scaled_norm
+from repro.core.refine import DEFAULT_MAX_STEPS
 from repro.core.results import SolveResult
-from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.operator import AnalogOperator
@@ -64,11 +60,13 @@ class TiledOperator(_Handle):
     entirely (block-sparse operands pay only for their couplings).
     Instances come from :meth:`GramcSolver.compile` — never construct
     one directly.  The blocks are the grid's parts; its lifetime (pins,
-    residency, refresh, close) is :class:`~repro.core.operator._Handle`'s.
+    residency, refresh, close) and the bodies of ``solve`` and ``mvm``
+    are :class:`~repro.core.operator._Handle`'s.
     """
 
     _HOLDER_PINS = True
     _REFRESH_HELD = True
+    _SCALE_PER_BLOCK = True
 
     def __init__(
         self,
@@ -102,13 +100,6 @@ class TiledOperator(_Handle):
 
         self._diag: list["AnalogOperator"] = []
         self._off: dict[tuple[int, int], "AnalogOperator"] = {}
-        self._coupled: list[int] = []
-        self._uncoupled: list[int] = []
-        """Block rows with and without off-diagonal couplings, indexed
-        from ``_off`` whenever it is filled or cleared.  An uncoupled
-        block solves exactly once: its ``x_i = A_ii⁻¹·b_i`` is independent
-        of every other block, so sweeping it again would only re-spend
-        settling events on a fresh noise draw of the same answer."""
         self._compile_grid()
 
     # ------------------------------------------------------------- compilation
@@ -141,7 +132,6 @@ class TiledOperator(_Handle):
                         )
                         self._off[(i, j)] = handle
                         compiled.append(handle)
-            self._index_couplings()
         except Exception as error:
             # *Any* failure mid-grid (capacity, a bad operand raising in
             # quantization, ...) must not leak earlier blocks pinned in
@@ -166,13 +156,10 @@ class TiledOperator(_Handle):
     def _drop_parts(self) -> None:
         self._diag = []
         self._off = {}
-        self._index_couplings()
 
-    def _index_couplings(self) -> None:
-        """Re-derive the coupled/uncoupled block rows from ``_off``."""
-        rows = {i for i, _ in self._off}
-        self._coupled = sorted(rows)
-        self._uncoupled = [i for i in range(len(self._diag)) if i not in rows]
+    def _span_attrs(self) -> dict:
+        rows, cols = self.grid
+        return {**super()._span_attrs(), "grid": f"{rows}x{cols}"}
 
     # ----------------------------------------------------------- introspection
 
@@ -265,215 +252,14 @@ class TiledOperator(_Handle):
         b = self._accept(AMCMode.INV, "solve", b, self.shape[0], rtol=rtol)
         if method not in _METHODS:
             raise GramcError(f"method must be one of {_METHODS}, not {method!r}")
-        result = self._call(
+        return self._call(
             lambda: self._run_solve(
-                b, tolerance, max_sweeps, method == "gauss-seidel", rtol, max_refine_steps
+                b, None, rtol, max_refine_steps,
+                tolerance, max_sweeps, method == "gauss-seidel",
             ),
             solve=True,
             rtol=rtol,
         )
-        result.engine_dispatches = result.cost.engine_dispatches
-        result.stack_rebuilds = result.cost.stack_rebuilds
-        return result
-
-    def _run_solve(
-        self,
-        b: np.ndarray,
-        tolerance: float,
-        max_sweeps: int,
-        gauss_seidel: bool,
-        rtol: "float | np.ndarray | None",
-        max_refine_steps: int,
-    ) -> SolveResult:
-        if self._ref_inverse is None:
-            # One factorization of the immutable matrix serves every solve.
-            self._ref_inverse = np.linalg.inv(self.matrix)
-        reference = self._ref_inverse @ b
-        batched = b.ndim == 2
-        if batched and b.shape[1] == 0:
-            empty = self._empty_result(
-                AMCMode.INV, reference, sweeps=0, residual_floor=0.0, converged=True
-            )
-            if rtol is not None:
-                empty = replace(
-                    empty,
-                    refine_steps=0,
-                    refined_residual=0.0,
-                    per_column_converged=np.zeros(0, dtype=bool),
-                    refine_residual_trace=(0.0,),
-                    per_column_residual=np.zeros(0),
-                )
-            return empty
-        self._ensure_programmed()
-
-        if len(self._edges) == 1:
-            # Degenerate 1×1 grid: exactly the direct single-array path
-            # (bit-for-bit — no extra engine calls, no extra noise draws).
-            inner = self._diag[0]._run_solve(b, reference, rtol, max_refine_steps)
-            return replace(
-                inner,
-                sweeps=1,
-                residual_floor=self._residual_floor(b, inner.value),
-                converged=True if rtol is None else inner.converged,
-                macro_ids=self.resident_macro_ids(),
-            )
-
-        big_b = b if batched else b[:, None]
-        columns = big_b.shape[1]
-        stats = SweepStats(columns)
-        grid = self._grid_engine()
-
-        with trace.span(
-            "solve",
-            mode=AMCMode.INV.value,
-            shape=str(self.shape),
-            columns=columns,
-            grid=f"{len(self._edges)}x{len(self._edges)}",
-            refine=rtol is not None,
-        ) as sp:
-            # Under ``rtol`` the base solve is a single sweep: refinement
-            # steps do the contracting, on the float64 residual.
-            x, sweeps, converged = self._run_sweeps(
-                big_b, stats,
-                sweeps=max_sweeps if rtol is None else 1,
-                tolerance=tolerance if rtol is None else None,
-                gauss_seidel=gauss_seidel, grid=grid,
-            )
-
-            result = stats.result(
-                AMCMode.INV, x, reference, self.resident_macro_ids(), batched,
-                sweeps=sweeps, converged=converged,
-            )
-
-            if rtol is not None:
-                # Each refinement step preconditions on the resident grid
-                # with one sweep from zero (zero reprogramming); its
-                # per-column metadata stays local to the step — the
-                # returned per-column arrays describe the base analog step,
-                # the scalar attempts/stable/saturated fold corrections in.
-                correction_sweeps = 0
-
-                def correction(columns: np.ndarray) -> SimpleNamespace:
-                    nonlocal correction_sweeps
-                    corr_stats = SweepStats(columns.shape[1])
-                    xc, csweeps, _ = self._run_sweeps(
-                        columns, corr_stats,
-                        sweeps=1, tolerance=None,
-                        gauss_seidel=gauss_seidel, grid=grid,
-                    )
-                    correction_sweeps += csweeps
-                    return SimpleNamespace(
-                        value=xc,
-                        attempts=corr_stats.total_attempts,
-                        stable=corr_stats.stable,
-                        saturated=corr_stats.saturated,
-                    )
-
-                result = refine_solve_result(
-                    result,
-                    matrix=self.matrix,
-                    b=b,
-                    rtol=rtol,
-                    max_steps=max_refine_steps,
-                    solve_correction=correction,
-                    solver=self._solver,
-                )
-                result = replace(result, sweeps=sweeps + correction_sweeps)
-            # The floor of the returned answer: measured once, after any
-            # refinement.
-            result.residual_floor = self._residual_floor(b, result.value)
-            sp.set(sweeps=result.sweeps, converged=bool(result.converged))
-        return result
-
-    def _run_sweeps(
-        self,
-        big_b: np.ndarray,
-        stats: SweepStats,
-        *,
-        sweeps: int,
-        tolerance: float | None,
-        gauss_seidel: bool,
-        grid: GridEngine,
-    ) -> tuple[np.ndarray, int, bool]:
-        """A blocked solve from a zero initial iterate.
-
-        With a ``tolerance`` (the ``rtol=None`` solve) it sweeps until the
-        relative update falls below it, the update stalls, or ``sweeps``
-        run out.  With ``tolerance=None`` (the base solve and every
-        refinement correction of an ``rtol`` solve) it runs exactly
-        ``sweeps`` sweeps (one, in every caller) and keeps no update
-        bookkeeping: from zero, one sweep's update is the coupled rows of
-        ``x``, so a non-finite ``x`` is the whole divergence test.
-        Returns ``(x, sweeps_run, converged)``; ``stats`` accumulates the
-        engine-call diagnostics of this solve only.
-        """
-        x = np.zeros_like(big_b)
-
-        coupled, uncoupled = self._coupled, self._uncoupled
-        if uncoupled:
-            grid.presolve_uncoupled(big_b, x, uncoupled, stats)
-        if not coupled:
-            return x, 1, True
-
-        converged = False
-        previous_delta = float("inf")
-        stalled = 0
-        sweep = 0
-        for sweep in range(1, sweeps + 1):
-            previous = None if tolerance is None else x.copy()
-            with trace.span(
-                "sweep",
-                sweep=sweep,
-                method="gauss-seidel" if gauss_seidel else "jacobi",
-                tiles=len(coupled),
-            ):
-                grid.sweep(big_b, x, coupled, stats, gauss_seidel)
-            if previous is None:
-                diverged = not np.isfinite(x).all()
-            else:
-                # Scale-safe norms: a 1e300 right-hand side must not read
-                # as an overflowing (diverged) update.
-                delta = scaled_norm(x - previous)
-                scale = scaled_norm(x)
-                diverged = not np.isfinite(delta) or delta > 1e9 * scale
-            if diverged:
-                raise ConvergenceError(
-                    "block sweep diverged — the operand is not block-"
-                    "diagonally dominant enough for a stationary blocked solve"
-                )
-            if previous is None:
-                continue
-            relative_delta = delta / scale if scale > 0.0 else 0.0
-            if relative_delta < tolerance:
-                converged = True
-                break
-            # Inexact analog steps bound the attainable accuracy at the
-            # O(η·κ) floor: once the update stops contracting, further
-            # sweeps only burn settling events.  "Stopped contracting"
-            # must be judged near-flat (≥ 0.9× the previous update, three
-            # sweeps running) — a slowly convergent splitting with
-            # contraction rate 0.5–0.9 is still making real progress and
-            # deserves its full sweep budget.
-            if relative_delta > 0.9 * previous_delta:
-                stalled += 1
-                if stalled >= 3:
-                    break
-            else:
-                stalled = 0
-            previous_delta = relative_delta
-        return x, sweep, converged
-
-    def _residual_floor(self, b: np.ndarray, value: np.ndarray) -> float:
-        """Digitally evaluated relative residual of the analog solution.
-
-        A diagnostic, not part of the solve pipeline: one O(n²·k) digital
-        product per solve, reported so users see the O(η·κ) floor the
-        inexact-matvec model predicts.
-        """
-        b_norm = scaled_norm(b)
-        if b_norm == 0.0:
-            return scaled_norm(value)
-        return scaled_norm(b - self.matrix @ value) / b_norm
 
     # ------------------------------------------------------------ application
 
@@ -493,45 +279,11 @@ class TiledOperator(_Handle):
         """Blocked analog product ``A·x`` through the compiled handles.
 
         Off-diagonal couplings reuse the solve grid's MVM handles; MVM
-        views of the diagonal blocks are compiled lazily on first use
-        (the INV-configured diagonal tiles cannot multiply).  ``x`` may
-        be a vector or an ``(n, k)`` batch — every per-tile product is
-        one batched engine call.
+        views of the diagonal blocks are compiled lazily on the first
+        product (the INV-configured diagonal tiles cannot multiply).
+        All of them run as one stacked MVM stage, each block scaling its
+        slice of ``x`` per column and adding into its block row; ``x``
+        may be a vector or an ``(n, k)`` batch.
         """
         x = self._accept(None, "mvm", x, self.shape[1], "x")
         return self._call(lambda: self._run_mvm(x))
-
-    def _run_mvm(self, x: np.ndarray) -> SolveResult:
-        reference = self.matrix @ x
-        batched = x.ndim == 2
-        if batched and x.shape[1] == 0:
-            return self._empty_result(AMCMode.MVM, reference)
-        self._ensure_programmed()
-        big_x = x if batched else x[:, None]
-        out = np.zeros_like(big_x)
-        stats = SweepStats(big_x.shape[1])
-        with trace.span(
-            "mvm",
-            shape=str(self.shape),
-            columns=big_x.shape[1],
-            grid=f"{len(self._edges)}x{len(self._edges)}",
-        ):
-            for i, rows in enumerate(self._edges):
-                for j, cols in enumerate(self._edges):
-                    if i == j:
-                        op = self._diag_mvm_handle(i)
-                    elif (i, j) in self._off:
-                        op = self._off[(i, j)]
-                    else:
-                        continue  # all-zero coupling block
-                    product = op.mvm(big_x[cols])
-                    out[rows] += product.value
-                    stats.add(
-                        attempts=product.attempts,
-                        stable=product.stable,
-                        input_scale=product.input_scale,
-                        input_scales=product.input_scales,
-                        column_saturated=product.column_saturated,
-                        tiles=product.per_column_attempts,
-                    )
-        return stats.result(AMCMode.MVM, out, reference, self.macro_ids, batched)

@@ -374,12 +374,9 @@ def _tile_evaluations(operator, result) -> int:
 
 
 def _contraction_per_sweep(result, trace_values) -> float:
-    """Geometric-mean residual contraction per sweep over a refined solve.
-
-    Blocked results count their sweeps; a single-array result (no
-    sweeps) one analog solve per refinement step."""
+    """Geometric-mean residual contraction per sweep over a refined solve
+    (its base sweep and one sweep per refinement step)."""
     first, last = float(trace_values[0]), float(trace_values[-1])
     if first <= 0.0:
         return 0.0
-    sweeps = max(result.sweeps or 0, len(trace_values) - 1)
-    return (last / first) ** (1.0 / sweeps)
+    return (last / first) ** (1.0 / result.sweeps)

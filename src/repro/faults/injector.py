@@ -254,13 +254,7 @@ class FaultInjector:
 
 
 def _contract_met(result, rtol) -> bool:
-    if rtol is None:
-        return True
-    per_column = getattr(result, "per_column_converged", None)
-    if per_column is not None:
-        return bool(np.all(per_column))
-    converged = getattr(result, "converged", None)
-    return True if converged is None else bool(converged)
+    return rtol is None or bool(np.all(result.per_column_converged))
 
 
 def _ladder_summary(healing: dict) -> str:

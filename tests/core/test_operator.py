@@ -100,6 +100,23 @@ class TestHandleSolves:
         assert result.value.shape == (8, 3)
         assert result.relative_error < 0.2
 
+    def test_single_array_solves_as_the_one_block_grid(self, small_solver, rng):
+        """A single-array INV solve is one sweep of a one-block grid and
+        reports the fields every INV solve does."""
+        matrix = 2.0 * np.eye(8) + rng.normal(0.0, 0.1, (8, 8))
+        b = rng.uniform(-1, 1, size=(8, 3))
+        op = small_solver.compile(matrix, AMCMode.INV)
+        for rhs in (b, b[:, 0]):
+            result = op.solve(rhs)
+            assert result.sweeps == 1 and result.converged
+            residual = np.linalg.norm(rhs - matrix @ result.value) / np.linalg.norm(rhs)
+            assert result.residual_floor == pytest.approx(residual, rel=1e-9)
+            assert result.engine_dispatches == result.cost.engine_dispatches >= 1
+            assert result.stack_rebuilds == result.cost.stack_rebuilds
+        refined = op.solve(b, rtol=1e-10)
+        assert refined.sweeps == refined.refine_steps + 1
+        assert refined.engine_dispatches == refined.cost.engine_dispatches
+
     def test_empty_batch_solve(self, small_solver):
         op = small_solver.compile(2.0 * np.eye(6), AMCMode.INV)
         result = op.solve(np.zeros((6, 0)))

@@ -154,26 +154,32 @@ class TestDegenerateGrid:
         op.close()
 
     def test_coupled_rows_are_indexed_at_compile(self, rng):
-        """Block rows with and without couplings are indexed once, with
-        the blocks: a solve reads the index and never probes the
-        coupling map, and closing the grid clears the index with it."""
+        """Block rows with and without couplings are indexed once, by the
+        solve stack from its coupling slots: a solve reads the index and
+        never probes the coupling map, and closing the grid drops the
+        index with the stack."""
 
         class Unprobed(dict):
             def __contains__(self, key):
                 raise AssertionError(f"coupling map probed for {key}")
 
+        def index(op):
+            engine = op._engine
+            return ([], []) if engine is None else (engine.coupled, engine.uncoupled)
+
         solver = _solver()
         matrix = block_dominant(96, 32, rng=rng)
         matrix[32:64, :32] = matrix[32:64, 64:] = 0.0  # row 1 uncoupled
         op = solver.compile(matrix, AMCMode.INV)
-        assert (op._coupled, op._uncoupled) == ([0, 2], [1])
         op._off = Unprobed(op._off)
+        op._grid_engine()
+        assert index(op) == ([0, 2], [1])
         b = rng.uniform(-1, 1, (96, 2))
         result = op.solve(b)
         exact = np.linalg.solve(matrix, b)
         assert np.linalg.norm(result.value - exact) / np.linalg.norm(exact) < 0.1
         op.close()
-        assert (op._coupled, op._uncoupled) == ([], [])
+        assert index(op) == ([], [])
 
 
 class TestBatchedPipeline:
@@ -240,6 +246,28 @@ class TestBatchedPipeline:
             calls.clear()
             op.solve(b, **kwargs)
             assert len(calls) == op.block_count == 16
+        op.close()
+
+    def test_product_is_one_stacked_stage(self, rng, monkeypatch):
+        """A grid's ``mvm`` runs its couplings and diagonal MVM views as
+        one stacked MVM stage: a signed 4×4 grid books one dispatch per
+        plane, and each block the product reads is made resident once."""
+        from repro.core.operator import AnalogOperator
+
+        solver = _solver(num_macros=48)
+        op = solver.compile(block_dominant(128, 32, rng=rng), AMCMode.INV)
+        x = rng.uniform(-1, 1, (128, 8))
+        op.mvm(x)  # compiles the diagonal MVM views
+        ensure = AnalogOperator._ensure_programmed
+        calls = []
+        monkeypatch.setattr(
+            AnalogOperator, "_ensure_programmed", lambda h: calls.append(h) or ensure(h)
+        )
+        result = op.mvm(x)
+        assert result.attempts == op.block_count == 16  # no ranging retries
+        assert result.cost.engine_dispatches == 2  # one per plane, not 32
+        blocks = [*op._off.values(), *(op._diag_mvm_handle(i) for i in range(4))]
+        assert sorted(map(id, calls)) == sorted(map(id, blocks))
         op.close()
 
     def test_empty_batch(self, rng):

@@ -49,20 +49,23 @@ class PerTileEngine:
 
     def __init__(self, tiled: TiledOperator):
         self._tiled = tiled
+        rows = {i for i, _ in tiled._off}
+        self.coupled = sorted(rows)
+        self.uncoupled = [i for i in range(len(tiled._diag)) if i not in rows]
 
-    def presolve_uncoupled(self, big_b, x, uncoupled, stats) -> None:
-        for i in uncoupled:
+    def presolve_uncoupled(self, big_b, x, stats) -> None:
+        for i in self.uncoupled:
             rows = self._tiled.block_slices[i]
             inner = self._tiled._diag[i].solve(np.array(big_b[rows]))
             x[rows] = inner.value
             _fold(stats, inner)
 
-    def sweep(self, big_b, x, coupled, stats, gauss_seidel) -> None:
+    def sweep(self, big_b, x, stats, gauss_seidel) -> None:
         # Block rows are written one at a time, so Jacobi must read a
         # frozen copy of the previous iterate; Gauss-Seidel reads ``x``.
         source = x if gauss_seidel else x.copy()
         edges = self._tiled.block_slices
-        for i in coupled:
+        for i in self.coupled:
             rows = edges[i]
             residual = np.array(big_b[rows])
             for j, cols in enumerate(edges):
