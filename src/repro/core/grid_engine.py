@@ -489,12 +489,9 @@ class GridEngine:
         """
         rebuilt = 0
         rebound = False
+        mvm_slots = self._off_slots if off_slots is None else off_slots
         for slots, resident, fill in (
-            (
-                self._off_slots if off_slots is None else off_slots,
-                "resident_mvm_circuit",
-                self._fill_off,
-            ),
+            (mvm_slots, "resident_mvm_circuit", self._fill_off),
             (self._diag_slots, "resident_inv_circuit", self._fill_diag),
         ):
             for slot in slots:
